@@ -31,7 +31,7 @@ from .errors import (
     SingularRateError,
 )
 from .estimators import run_trials
-from .forward_model import build_system_matrix, vectorize
+from .forward_model import build_system_matrix, forward, vectorize
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -183,16 +183,15 @@ def noise_model_from_config(cfg: dict):
 # ---------------------------------------------------------------------------
 
 
-def compute_crb_case(psf_grid, pad_shape, obj_grid, model, epsilon_rel, psf_id=""):
-    """object -> H -> Fisher -> CRB for one (PSF, object, noise) case."""
-    H = build_system_matrix(psf_grid, obj_grid.shape, pad_shape, psf_id=psf_id)
-    if isinstance(model, noise.GaussianNoise):
-        J = fisher.fisher_gaussian(H, model.sigma2)
-    else:
-        J = fisher.fisher_poisson(H, vectorize(obj_grid), model.background)
-    cmap = fisher.crb_from_fisher(J, fisher.EpsilonPolicy(relative=epsilon_rel),
-                                  object_shape=obj_grid.shape)
-    return H, J, cmap
+def compute_crb_case(H, model, v, epsilon_rel):
+    """Fisher -> CRB map for one (H, object, noise) case.
+
+    v is the vectorized object; it may be None for a model whose Fisher
+    matrix does not depend on the object (Gaussian).
+    """
+    return fisher.crb_from_fisher(model.fisher(H, v),
+                                  fisher.EpsilonPolicy(relative=epsilon_rel),
+                                  object_shape=H.obj_shape)
 
 
 def write_case_outputs(out_dir: Path, cmap) -> dict:
@@ -270,8 +269,8 @@ def cmd_crb(args) -> int:
     psf_grid, pad_shape = make_psf_grid(cfg, derive_seed(cfg["seed"], "psf"))
     model = noise_model_from_config(cfg)
     t1 = time.perf_counter()
-    _, _, cmap = compute_crb_case(psf_grid, pad_shape, obj, model,
-                                  cfg["epsilon_rel"], psf_id=cfg["psf_kind"])
+    H = build_system_matrix(psf_grid, obj.shape, pad_shape, psf_id=cfg["psf_kind"])
+    cmap = compute_crb_case(H, model, vectorize(obj), cfg["epsilon_rel"])
     t2 = time.perf_counter()
     info = write_case_outputs(out_dir, cmap)
     manifest = base_manifest(cfg, "crb")
@@ -284,24 +283,20 @@ def cmd_crb(args) -> int:
     return EXIT_OK
 
 
-def _study_cases(name: str, cfg: dict):
-    """(case name, psf name, object grid or None) for each study case."""
-    psf_seed = derive_seed(cfg["seed"], "psf")
-    obj_seed = derive_seed(cfg["seed"], "object")
-    specs = psf.default_study_specs(size=(cfg["psf_size"], cfg["psf_size"]),
-                                    seed=psf_seed)
-    size = (cfg["object_size"], cfg["object_size"])
+def _study_objects(name: str, cfg: dict):
+    """(case-name prefix, object grid or None) for each object of a study.
+
+    fig2 is Gaussian, whose bound does not depend on the object, so it has
+    one object-free case per PSF.
+    """
     if name == "fig2":
-        for psf_name, spec in specs.items():
-            yield psf_name, psf_name, spec, None
-        return
-    dense = objects.generate_object(
-        objects.ObjectSpec(objects.DenseCells(), size, cfg["object_peak"], obj_seed))
-    sparse = objects.generate_object(
-        objects.ObjectSpec(objects.SparseBeads(), size, cfg["object_peak"], obj_seed))
-    for obj_name, grid in (("dense", dense), ("sparse", sparse)):
-        for psf_name, spec in specs.items():
-            yield f"{obj_name}_{psf_name}", psf_name, spec, grid
+        return [("", None)]
+    size = (cfg["object_size"], cfg["object_size"])
+    seed = derive_seed(cfg["seed"], "object")
+    return [(f"{obj_name}_", objects.generate_object(
+                objects.ObjectSpec(kind, size, cfg["object_peak"], seed)))
+            for obj_name, kind in (("dense", objects.DenseCells()),
+                                   ("sparse", objects.SparseBeads()))]
 
 
 def cmd_study(args) -> int:
@@ -314,29 +309,32 @@ def cmd_study(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     pad = cfg["psf_pad"] if cfg["psf_pad"] is not None else cfg["psf_size"] + 2
     manifest = base_manifest(cfg, f"study {name}")
-    manifest["cases"] = {}
     manifest["background"] = cfg["background"] if name == "fig3" else None
-    timings = {}
-    rows = ["case,mean,median,max"]
     size = (cfg["object_size"], cfg["object_size"])
-    default_obj = objects.generate_object(objects.ObjectSpec(
-        objects.DenseCells(), size, cfg["object_peak"],
-        derive_seed(cfg["seed"], "object")))
-    for case, psf_name, spec, obj in _study_cases(name, cfg):
+    specs = psf.default_study_specs(size=(cfg["psf_size"], cfg["psf_size"]),
+                                    seed=derive_seed(cfg["seed"], "psf"))
+    study_objects = _study_objects(name, cfg)
+    cases, timings = {}, {}
+    # PSF-major, so each H is built once; timings are per PSF
+    for psf_name, spec in specs.items():
         t0 = time.perf_counter()
         psf_grid = psf.generate_psf(spec)
-        if obj is None:
-            obj = default_obj            # Gaussian bound ignores the object
-        _, _, cmap = compute_crb_case(psf_grid, (pad, pad), obj, model,
-                                      cfg["epsilon_rel"], psf_id=psf_name)
-        case_dir = out_dir / case
-        info = write_case_outputs(case_dir, cmap)
-        storage.write_grid_csv(case_dir / "psf.csv", psf_grid)
-        if name == "fig3":
-            storage.write_grid_csv(case_dir / "object.csv", obj)
-        timings[case] = time.perf_counter() - t0
-        manifest["cases"][case] = info
-        s = info["summary"]
+        H = build_system_matrix(psf_grid, size, (pad, pad), psf_id=psf_name)
+        for prefix, obj in study_objects:
+            v = None if obj is None else vectorize(obj)
+            case_dir = out_dir / (prefix + psf_name)
+            cases[prefix + psf_name] = write_case_outputs(
+                case_dir, compute_crb_case(H, model, v, cfg["epsilon_rel"]))
+            storage.write_grid_csv(case_dir / "psf.csv", psf_grid)
+            if obj is not None:
+                storage.write_grid_csv(case_dir / "object.csv", obj)
+        timings[psf_name] = time.perf_counter() - t0
+    # cases are listed object-major: every dense_* case before any sparse_*
+    order = [prefix + psf_name for prefix, _ in study_objects for psf_name in specs]
+    manifest["cases"] = {case: cases[case] for case in order}
+    rows = ["case,mean,median,max"]
+    for case in order:
+        s = cases[case]["summary"]
         rows.append(f"{case},{s['mean']!r},{s['median']!r},{s['max']!r}")
     (out_dir / "summary.csv").write_text("\n".join(rows) + "\n")
     finish_manifest(manifest, out_dir, timings)
@@ -346,9 +344,6 @@ def cmd_study(args) -> int:
 
 def _verify_checks(cfg: dict, inject_negative: bool):
     """Yield (check name, status, detail); status in PASS/FAIL/SKIP."""
-    from .noise import (GaussianNoise, PoissonNoise, hessian_log_likelihood,
-                        log_likelihood, score)
-
     seed = cfg["seed"]
     n_samples = cfg["n_samples"]
     n_trials = cfg["n_trials"]
@@ -371,35 +366,32 @@ def _verify_checks(cfg: dict, inject_negative: bool):
     if not ok:
         return
 
-    gauss = GaussianNoise(cfg["sigma2"])
-    poiss = PoissonNoise(cfg["background"])
+    gauss = noise.GaussianNoise(cfg["sigma2"])
+    models = (("gaussian", gauss), ("poisson", noise.PoissonNoise(cfg["background"])))
 
     # Monte Carlo Fisher vs closed forms
     if n_samples < MC_MIN_SAMPLES:
         yield "mc_fisher_gaussian", "SKIP", "skipped-insufficient-samples"
         yield "mc_fisher_poisson", "SKIP", "skipped-insufficient-samples"
     else:
-        for label, model, closed in (
-            ("gaussian", gauss, fisher.fisher_gaussian(H, gauss.sigma2)),
-            ("poisson", poiss, fisher.fisher_poisson(H, v, poiss.background)),
-        ):
+        for label, model in models:
             mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
                                            derive_seed(seed, f"mc-{label}"))
-            err = relative_error(mc.entries, closed.entries)
+            err = relative_error(mc.entries, model.fisher(H, v).entries)
             yield f"mc_fisher_{label}", "PASS" if err < 0.05 else "FAIL", \
                 f"rel Frobenius error {err:.4f} (n={n_samples})"
 
     # finite-difference cross-checks of score and Hessian
     v_small = rng.uniform(0.5, 2.0, size=H.d)
-    for label, model in (("gaussian", gauss), ("poisson", poiss)):
-        y = sample_measurement(model, H, v_small, derive_seed(seed, f"fd-{label}"))
-        g = score(model, H, v_small, y)
-        g_fd = fd_gradient(lambda x: log_likelihood(model, H, x, y), v_small)
+    for label, model in models:
+        y = noise.sample(model, forward(H, v_small), derive_seed(seed, f"fd-{label}"))
+        g = noise.score(model, H, v_small, y)
+        g_fd = fd_gradient(lambda x: noise.log_likelihood(model, H, x, y), v_small)
         err = relative_error(g_fd, g)
         yield f"fd_score_{label}", "PASS" if err < 1e-5 else "FAIL", \
             f"rel error {err:.3g}"
-        hess = hessian_log_likelihood(model, H, v_small, y)
-        h_fd = fd_jacobian(lambda x: score(model, H, x, y), v_small)
+        hess = noise.hessian_log_likelihood(model, H, v_small, y)
+        h_fd = fd_jacobian(lambda x: noise.score(model, H, x, y), v_small)
         err = relative_error(h_fd, hess)
         yield f"fd_hessian_{label}", "PASS" if err < 1e-4 else "FAIL", \
             f"rel error {err:.3g}"
@@ -410,18 +402,12 @@ def _verify_checks(cfg: dict, inject_negative: bool):
     else:
         spec1 = psf.PsfSpec(psf.Lenslets(1), (8, 8), derive_seed(seed, "psf"))
         H1 = build_system_matrix(psf.generate_psf(spec1), (8, 8), (10, 10))
-        cmap = fisher.crb_from_fisher(fisher.fisher_gaussian(H1, gauss.sigma2),
-                                      fisher.EpsilonPolicy(cfg["epsilon_rel"]),
-                                      object_shape=(8, 8))
+        cmap = compute_crb_case(H1, gauss, None, cfg["epsilon_rel"])
         report = run_trials(gauss, H1, v_small, "gls", n_trials,
                             derive_seed(seed, "trials"), crb=cmap)
         med = float(np.median(report.efficiency))
         yield "gls_efficiency", "PASS" if 0.9 <= med <= 1.1 else "FAIL", \
             f"median variance/CRB {med:.4f} (n={n_trials})"
-
-
-def sample_measurement(model, H, v, seed):
-    return noise.sample(model, H.matrix @ np.asarray(v, dtype=float), seed)
 
 
 def cmd_verify(args) -> int:

@@ -17,18 +17,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .errors import FactorizationError
-from .fisher import CrbMap, EpsilonPolicy
-from .forward_model import SystemMatrix, VectorizedObject
-from .noise import GaussianNoise, PoissonNoise, sample
+from .fisher import CrbMap, EpsilonPolicy, loaded_cholesky
+from .forward_model import SystemMatrix, forward, object_values, weighted_gram
+from .noise import sample
 
 DEFAULT_TRIAL_CHUNK = 1000
-
-
-def _vals(v):
-    return v.values if isinstance(v, VectorizedObject) else np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +37,7 @@ def make_gls_solver(H: SystemMatrix, epsilon: EpsilonPolicy = EpsilonPolicy()):
     The solver accepts y of shape (k,) or (k, n) and may return negatives.
     """
     M = H.matrix
-    A = M.T @ M
-    eps = epsilon.value(A)
-    A[np.diag_indices_from(A)] += eps
-    try:
-        c = cho_factor(A, lower=True)
-    except LinAlgError as exc:
-        raise FactorizationError(eps, f"normal equations not SPD (eps={eps!r}): {exc}")
+    c, _ = loaded_cholesky(weighted_gram(H), epsilon)
 
     def solve(y):
         return cho_solve(c, M.T @ np.asarray(y, dtype=float))
@@ -56,14 +45,12 @@ def make_gls_solver(H: SystemMatrix, epsilon: EpsilonPolicy = EpsilonPolicy()):
     return solve
 
 
-def gls_estimate(H: SystemMatrix, sigma2: float, y,
+def gls_estimate(H: SystemMatrix, y,
                  epsilon: EpsilonPolicy = EpsilonPolicy()) -> np.ndarray:
     """argmin ||y - Hv||^2, non-negativity NOT enforced.
 
-    Under i.i.d. noise the weighting sigma2 cancels; the argument is kept so
-    call sites state the model they assume.
+    Under i.i.d. noise the variance cancels, so no noise model is needed.
     """
-    del sigma2
     return make_gls_solver(H, epsilon)(y)
 
 
@@ -101,7 +88,7 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     Y = y[:, None] if single else y
-    A = M.T @ M
+    A = weighted_gram(H)
     L = _largest_eigenvalue(A)
     MtY = M.T @ Y
     V = np.zeros((H.d, Y.shape[1]))
@@ -210,17 +197,6 @@ def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
     return n, mean, m2
 
 
-def _estimate_chunk(estimator, model, H, Y, options):
-    if estimator == "gls":
-        raise RuntimeError("gls handled by prebuilt solver")   # pragma: no cover
-    if estimator == "nnls":
-        return nnls_estimate(H, Y, **options).values
-    if estimator == "mle":
-        background = model.background if isinstance(model, PoissonNoise) else 0.0
-        return poisson_mle(H, Y, background=background, **options).values
-    raise ValueError(f"unknown estimator: {estimator!r}")
-
-
 def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
                seed: int, crb: CrbMap | None = None,
                chunk_size: int = DEFAULT_TRIAL_CHUNK,
@@ -233,10 +209,19 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     """
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
-    v = _vals(v_true)
-    b = H.matrix @ v
     options = estimator_options or {}
-    solver = make_gls_solver(H) if estimator == "gls" else None
+    if estimator == "gls":
+        estimate = make_gls_solver(H)
+    elif estimator == "nnls":
+        def estimate(Y):
+            return nnls_estimate(H, Y, **options).values
+    elif estimator == "mle":
+        def estimate(Y):
+            return poisson_mle(H, Y, background=model.background, **options).values
+    else:
+        raise ValueError(f"unknown estimator: {estimator!r}")
+    v = object_values(v_true)
+    b = forward(H, v)
 
     n_acc, mean_acc, m2_acc = 0, np.zeros(H.d), np.zeros(H.d)
     n_failed = 0
@@ -245,8 +230,7 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
         Y = np.empty((H.k, m))
         for i in range(m):
             Y[:, i] = sample(model, b, seed + start + i)
-        V = (solver(Y) if solver is not None
-             else _estimate_chunk(estimator, model, H, Y, options))
+        V = estimate(Y)
         ok = np.all(np.isfinite(V), axis=0)
         n_failed += int(m - ok.sum())
         V = V[:, ok]

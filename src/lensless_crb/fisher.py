@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import FactorizationError, SingularRateError
-from .forward_model import SystemMatrix, VectorizedObject
+from .forward_model import SystemMatrix, forward, weighted_gram
 
 MC_CHUNK = 20_000
 
@@ -60,26 +60,31 @@ class CrbMap:
         return self.values.reshape(self.object_shape)
 
 
-def _vals(v):
-    return v.values if isinstance(v, VectorizedObject) else np.asarray(v, dtype=float)
+def check_noise_parameter(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise ValueError unless value is finite and positive (or zero, if allowed).
+
+    An infinite variance or background would give J = 0, whose reported
+    bound is the artefact 1/eps of the diagonal loading.
+    """
+    if not (np.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def fisher_gaussian(H: SystemMatrix, sigma2: float) -> FisherMatrix:
     """Closed-form Fisher matrix for i.i.d. Gaussian noise."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    M = H.matrix
-    J = (M.T @ M) / sigma2
+    check_noise_parameter("sigma2", sigma2)
+    J = weighted_gram(H, 1.0 / sigma2)
     return FisherMatrix(entries=0.5 * (J + J.T), provenance="gaussian")
 
 
 def fisher_poisson(H: SystemMatrix, v, background: float = 0.0) -> FisherMatrix:
     """Closed-form Fisher matrix for Poisson noise at object v."""
-    rate = H.matrix @ _vals(v) + background
+    check_noise_parameter("background", background, allow_zero=True)
+    rate = forward(H, v) + background
     if np.any(rate <= 0):
         raise SingularRateError(int(np.argmax(rate <= 0)))
-    M = H.matrix
-    J = M.T @ (M / rate[:, None])
+    J = weighted_gram(H, 1.0 / rate)
     return FisherMatrix(entries=0.5 * (J + J.T), provenance="poisson")
 
 
@@ -90,12 +95,9 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     Samples are drawn in fixed-size chunks with seeds spawned per chunk, so
     the result depends only on (model, H, v, n_samples, seed).
     """
-    from .noise import GaussianNoise, PoissonNoise
-
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    M = H.matrix
-    b = M @ _vals(v)
+    mean = forward(H, v) + model.background
     ss = np.random.SeedSequence(seed)
     n_chunks = (n_samples + MC_CHUNK - 1) // MC_CHUNK
     children = ss.spawn(n_chunks)
@@ -103,20 +105,8 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     done = 0
     for child in children:
         m = min(MC_CHUNK, n_samples - done)
-        rng = np.random.default_rng(child)
-        if isinstance(model, GaussianNoise):
-            noise = rng.normal(0.0, np.sqrt(model.sigma2), size=(m, H.k))
-            S = (noise / model.sigma2) @ M
-        elif isinstance(model, PoissonNoise):
-            rate = b + model.background
-            Y = rng.poisson(rate, size=(m, H.k)).astype(float)
-            bad = (rate == 0) & np.any(Y > 0, axis=0)
-            if np.any(bad):
-                raise SingularRateError(int(np.argmax(bad)))
-            R = np.where(Y > 0, Y / np.where(rate > 0, rate, 1.0), 0.0) - 1.0
-            S = R @ M
-        else:
-            raise TypeError(f"unknown noise model: {model!r}")
+        Y = model.draw(np.random.default_rng(child), mean, (m, H.k))
+        S = model.score_weights(Y, mean) @ H.matrix
         J += S.T @ S
         done += m
     J /= n_samples
@@ -124,17 +114,25 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
                         n_samples=n_samples)
 
 
-def crb_from_fisher(J: FisherMatrix, epsilon: EpsilonPolicy = EpsilonPolicy(),
-                    object_shape=None) -> CrbMap:
-    """diag((J + eps*I)^-1) via Cholesky; the epsilon actually used is recorded."""
-    A = np.array(J.entries, dtype=float)
+def loaded_cholesky(A: np.ndarray, epsilon: EpsilonPolicy = EpsilonPolicy()):
+    """Cholesky factor of the symmetric matrix A + eps*I, and the eps used.
+
+    A is loaded in place. Raises FactorizationError when A + eps*I is not
+    positive definite.
+    """
     eps = epsilon.value(A)
     A[np.diag_indices_from(A)] += eps
     try:
-        c = cho_factor(A, lower=True)
+        return cho_factor(A, lower=True), eps
     except LinAlgError as exc:
-        raise FactorizationError(eps, f"CRB factorization failed (eps={eps!r}): {exc}")
-    inv = cho_solve(c, np.eye(A.shape[0]))
+        raise FactorizationError(eps, f"Cholesky of A + eps*I failed (eps={eps!r}): {exc}")
+
+
+def crb_from_fisher(J: FisherMatrix, epsilon: EpsilonPolicy = EpsilonPolicy(),
+                    object_shape=None) -> CrbMap:
+    """diag((J + eps*I)^-1) via Cholesky; the epsilon actually used is recorded."""
+    c, eps = loaded_cholesky(np.array(J.entries, dtype=float), epsilon)
+    inv = cho_solve(c, np.eye(J.d))
     values = np.diag(inv).copy()
     if object_shape is None:
         side = int(round(np.sqrt(J.d)))

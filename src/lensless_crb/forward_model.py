@@ -132,9 +132,26 @@ def build_system_matrix(psf, obj_shape, psf_pad=None, psf_id: str = "") -> Syste
     )
 
 
+def object_values(v) -> np.ndarray:
+    """Pixel values of a :class:`VectorizedObject` or of a 1-D array-like."""
+    return v.values if isinstance(v, VectorizedObject) else np.asarray(v, dtype=float)
+
+
 def forward(H: SystemMatrix, v) -> np.ndarray:
     """Noiseless measurement b = H v."""
-    values = v.values if isinstance(v, VectorizedObject) else np.asarray(v, dtype=float)
+    values = object_values(v)
     if values.shape[0] != H.d:
         raise DimensionError(f"object length {values.shape[0]} != H columns {H.d}")
     return H.matrix @ values
+
+
+def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
+    """H^T diag(w) H for per-measurement weights w (length k) or a scalar w.
+
+    A scalar weight scales the plain H^T H product, so no k x d weighted copy
+    of H is allocated.
+    """
+    M = H.matrix
+    if np.ndim(w) == 0:
+        return (M.T @ M) * w
+    return M.T @ (np.asarray(w)[:, None] * M)

@@ -5,27 +5,53 @@ Two measurement models over the noiseless image b = H v:
 * Gaussian: y = b + n with n ~ N(0, sigma2 * I) (read-noise-limited).
 * Poisson:  y_l ~ Poisson(b_l + background) independently (shot-noise-limited).
 
+Each model holds its per-measurement math: the additive background of its
+mean measurement, its draws, its log-density, its score weights r (score =
+H^T r), its curvature weights w (Hessian = -H^T diag(w) H) and its
+closed-form Fisher matrix. The functions below apply that math through H,
+whatever the model.
+
 The Poisson background floor keeps likelihood, score, and Fisher information
 well defined where a sparse object's PSF copies never deposit photons;
 background = 0 is allowed and raises explicit errors on zero rates.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import fisher as _fisher
 from .errors import DimensionError, SingularRateError
-from .forward_model import SystemMatrix, VectorizedObject
+from .forward_model import SystemMatrix, forward, weighted_gram
 
 
 @dataclass(frozen=True)
 class GaussianNoise:
     sigma2: float  # per-pixel variance, photons^2
+    background: ClassVar[float] = 0.0   # the mean measurement is b itself
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        _fisher.check_noise_parameter("sigma2", self.sigma2)
+
+    def draw(self, rng, mean, shape) -> np.ndarray:
+        return mean + rng.normal(0.0, np.sqrt(self.sigma2), size=shape)
+
+    def log_pdf(self, y, mean) -> float:
+        r = y - mean
+        return float(-0.5 * (r @ r) / self.sigma2
+                     - 0.5 * y.size * np.log(2.0 * np.pi * self.sigma2))
+
+    def score_weights(self, y, mean):
+        return (y - mean) / self.sigma2
+
+    def curvature(self, y, mean):
+        return 1.0 / self.sigma2
+
+    def fisher(self, H: SystemMatrix, v) -> _fisher.FisherMatrix:
+        """Closed-form Fisher matrix; the object v does not enter it."""
+        return _fisher.fisher_gaussian(H, self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -33,33 +59,51 @@ class PoissonNoise:
     background: float = 0.0  # photons, added to every rate
 
     def __post_init__(self):
-        if self.background < 0:
-            raise ValueError("background must be non-negative")
+        _fisher.check_noise_parameter("background", self.background, allow_zero=True)
+
+    def draw(self, rng, mean, shape) -> np.ndarray:
+        return rng.poisson(mean, size=shape).astype(float)
+
+    def log_pdf(self, y, mean) -> float:
+        if np.any((mean == 0) & (y > 0)):
+            return float("-inf")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ylogb = np.where(y > 0, y * np.log(mean), 0.0)
+        return float(np.sum(ylogb - mean - gammaln(y + 1.0)))
+
+    def score_weights(self, y, mean):
+        return _poisson_ratio(mean, y) - 1.0
+
+    def curvature(self, y, mean):
+        return _poisson_ratio(mean, y) / np.where(mean > 0, mean, 1.0)
+
+    def fisher(self, H: SystemMatrix, v) -> _fisher.FisherMatrix:
+        """Closed-form Fisher matrix at object v."""
+        return _fisher.fisher_poisson(H, v, self.background)
 
 
-def _values(v):
-    return v.values if isinstance(v, VectorizedObject) else np.asarray(v, dtype=float)
+def _poisson_ratio(b, y):
+    """y / b with the 0/0 convention y=0 -> 0; raises on y>0 at zero rate.
+
+    y may hold one measurement per row; the error names the measurement pixel.
+    """
+    zero = (b == 0) & (y > 0)
+    if np.any(zero):
+        raise SingularRateError(int(np.nonzero(zero)[-1][0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y > 0, y / b, 0.0)
 
 
-def _rates(model, H: SystemMatrix, v):
-    b = H.matrix @ _values(v)
-    if isinstance(model, PoissonNoise):
-        b = b + model.background
-    return b
+def _mean(model, H: SystemMatrix, v) -> np.ndarray:
+    return forward(H, v) + model.background
 
 
 def sample(model, b, seed) -> np.ndarray:
     """Draw one noisy measurement from the model around noiseless image b."""
-    b = np.asarray(b, dtype=float)
-    rng = np.random.default_rng(seed)
-    if isinstance(model, GaussianNoise):
-        if np.any(b < 0):
-            raise ValueError("noiseless image must be non-negative")
-        return b + rng.normal(0.0, np.sqrt(model.sigma2), size=b.shape)
-    rate = b + model.background
-    if np.any(rate < 0):
-        raise ValueError("Poisson rate must be non-negative")
-    return rng.poisson(rate).astype(float)
+    mean = np.asarray(b, dtype=float) + model.background
+    if np.any(mean < 0):
+        raise ValueError("mean measurement must be non-negative")
+    return model.draw(np.random.default_rng(seed), mean, mean.shape)
 
 
 def log_likelihood(model, H: SystemMatrix, v, y) -> float:
@@ -67,43 +111,16 @@ def log_likelihood(model, H: SystemMatrix, v, y) -> float:
     y = np.asarray(y, dtype=float)
     if y.shape[0] != H.k:
         raise DimensionError(f"measurement length {y.shape[0]} != H rows {H.k}")
-    b = _rates(model, H, v)
-    if isinstance(model, GaussianNoise):
-        r = y - b
-        k = y.size
-        return float(-0.5 * (r @ r) / model.sigma2
-                     - 0.5 * k * np.log(2.0 * np.pi * model.sigma2))
-    if np.any((b == 0) & (y > 0)):
-        return float("-inf")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ylogb = np.where(y > 0, y * np.log(b), 0.0)
-    return float(np.sum(ylogb - b - gammaln(y + 1.0)))
-
-
-def _poisson_ratio(b, y):
-    """y / b with the 0/0 convention y=0 -> 0; raises on y>0 at zero rate."""
-    zero = (b == 0) & (y > 0)
-    if np.any(zero):
-        raise SingularRateError(int(np.argmax(zero)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(y > 0, y / b, 0.0)
+    return model.log_pdf(y, _mean(model, H, v))
 
 
 def score(model, H: SystemMatrix, v, y) -> np.ndarray:
     """Gradient of the log-likelihood with respect to the object pixels."""
     y = np.asarray(y, dtype=float)
-    b = _rates(model, H, v)
-    if isinstance(model, GaussianNoise):
-        return H.matrix.T @ ((y - b) / model.sigma2)
-    return H.matrix.T @ (_poisson_ratio(b, y) - 1.0)
+    return H.matrix.T @ model.score_weights(y, _mean(model, H, v))
 
 
 def hessian_log_likelihood(model, H: SystemMatrix, v, y) -> np.ndarray:
     """Hessian of the log-likelihood; Gaussian is y-independent."""
     y = np.asarray(y, dtype=float)
-    M = H.matrix
-    if isinstance(model, GaussianNoise):
-        return -(M.T @ M) / model.sigma2
-    b = _rates(model, H, v)
-    w = _poisson_ratio(b, y) / np.where(b > 0, b, 1.0)
-    return -(M.T @ (w[:, None] * M))
+    return -weighted_gram(H, model.curvature(y, _mean(model, H, v)))

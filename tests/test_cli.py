@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lensless_crb import cli, fisher, objects
 from lensless_crb.cli import main
 from lensless_crb.storage import read_grid_csv, sha256_file
 
@@ -122,6 +123,14 @@ class TestConfigHandling:
         assert run("crb", "--config", cfg, "--sigma2", 9.0, "--out", out) == 0
         np.testing.assert_allclose(read_grid_csv(out / "crb.csv"), 9.0, rtol=1e-6)
 
+    @pytest.mark.parametrize("flags", [("--sigma2", "inf"), ("--sigma2", "nan"),
+                                       ("--noise", "poisson", "--background", "inf")])
+    def test_non_finite_noise_parameter_is_config_error(self, tmp_path, flags):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("psf_kind = delta\nobject_size = 8\n")
+        assert run("crb", "--config", cfg, *flags, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o" / "crb.csv").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -197,3 +206,28 @@ class TestStudyCommand:
         lenslets = [means[f"lenslets{n}"] for n in range(1, 6)]
         assert all(a <= b for a, b in zip(lenslets, lenslets[1:]))
         assert means["diffuser"] >= means["lenslets5"]
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("study, expected", [
+    ("fig2", {"build_system_matrix": 7, "fisher_gaussian": 7}),
+    ("fig3", {"build_system_matrix": 7, "generate_object": 2, "fisher_poisson": 14}),
+])
+def test_study_builds_each_h_once(tmp_path, monkeypatch, study, expected):
+    counts = {}
+    for module, name in ((cli, "build_system_matrix"), (objects, "generate_object"),
+                         (fisher, "fisher_gaussian"), (fisher, "fisher_poisson")):
+        _count_calls(monkeypatch, module, name, counts)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 16\nobject_size = 8\n")   # 15 rml spots need 16x16
+    assert run("study", study, "--config", cfg, "--out", tmp_path) == 0
+    assert counts == expected

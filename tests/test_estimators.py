@@ -33,14 +33,14 @@ def lenslet1_8x8():
 class TestGls:
     def test_identity_recovers_measurement(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
-        v = gls_estimate(H, 1.0, np.array([3.0, -1.0]))
+        v = gls_estimate(H, np.array([3.0, -1.0]))
         np.testing.assert_allclose(v, [3.0, -1.0], atol=1e-9)
 
     def test_noiseless_recovery(self):
         H = lenslet1_8x8()
         rng = np.random.default_rng(0)
         v_true = rng.uniform(0, 5, size=H.d)
-        v_hat = gls_estimate(H, 1.0, forward(H, v_true))
+        v_hat = gls_estimate(H, forward(H, v_true))
         np.testing.assert_allclose(v_hat, v_true, atol=1e-6)
 
     def test_solver_batched_matches_loop(self):

@@ -53,6 +53,11 @@ class TestFisherGaussian:
         J2 = fisher_gaussian(small_lenslet_h, 2.0)
         np.testing.assert_array_equal(J2.entries, 0.5 * J1.entries)
 
+    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan])
+    def test_bad_variance_rejected(self, small_lenslet_h, sigma2):
+        with pytest.raises(ValueError):
+            fisher_gaussian(small_lenslet_h, sigma2)
+
     def test_object_independent(self, small_lenslet_h):
         # the closed form takes no object at all; repeated calls are identical
         a = fisher_gaussian(small_lenslet_h, 1.0)
@@ -86,6 +91,11 @@ class TestFisherPoisson:
         np.testing.assert_allclose(J.entries,
                                    triple_loop_weighted_gram(H.matrix, w),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("background", [-1.0, np.inf, np.nan])
+    def test_bad_background_rejected(self, unpadded_lenslet_h, background):
+        with pytest.raises(ValueError):
+            fisher_poisson(unpadded_lenslet_h, np.ones(unpadded_lenslet_h.d), background)
 
     def test_zero_rate_rejected(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))

@@ -21,6 +21,21 @@ def two_by_two_h():
     return build_system_matrix(psf, (2, 2), (2, 2))
 
 
+class TestParameters:
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
+    def test_gaussian_rejects_bad_variance(self, sigma2):
+        with pytest.raises(ValueError):
+            GaussianNoise(sigma2)
+
+    @pytest.mark.parametrize("background", [-1e-3, np.inf, np.nan])
+    def test_poisson_rejects_bad_background(self, background):
+        with pytest.raises(ValueError):
+            PoissonNoise(background)
+
+    def test_zero_background_allowed(self):
+        assert PoissonNoise(0.0).background == 0.0
+
+
 class TestSample:
     def test_gaussian_vanishing_variance(self):
         b = np.array([1.0, 2.0, 3.0])
