@@ -126,56 +126,63 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
     return cfg
 
 
-def psf_spec_from_config(cfg: dict, seed: int) -> psf.PsfSpec | None:
+# One name table per family: each feeds argparse choices and config lookup.
+PSF_KINDS = {
+    "lenslets": lambda cfg: psf.Lenslets(cfg["psf_n"]),
+    "rml": lambda cfg: psf.Rml(cfg["psf_n_spots"],
+                               (cfg["psf_width_min"], cfg["psf_width_max"])),
+    "diffuser": lambda cfg: psf.Diffuser(cfg["psf_corr_length"], cfg["psf_contrast"]),
+    "delta": None,                       # 1x1 unit impulse, not a generated kind
+}
+# object_n sets the first field (blob or bead count); None keeps the default
+OBJECT_KINDS = {"cells": objects.DenseCells, "beads": objects.SparseBeads}
+NOISE_MODELS = {
+    "gaussian": lambda cfg: noise.GaussianNoise(cfg["sigma2"]),
+    "poisson": lambda cfg: noise.PoissonNoise(cfg["background"]),
+}
+
+
+def _lookup(table: dict, cfg: dict, key: str):
+    """The table entry named by cfg[key]; an unknown name is a ConfigError."""
+    try:
+        return table[cfg[key]]
+    except KeyError:
+        raise ConfigError(f"unknown {key}: {cfg[key]!r}") from None
+
+
+def make_psf_grid(cfg: dict, seed: int) -> np.ndarray:
+    """PSF grid per the config; the delta kind is a 1x1 unit impulse."""
+    make_kind = _lookup(PSF_KINDS, cfg, "psf_kind")
+    if make_kind is None:
+        return np.ones((1, 1))
     size = (cfg["psf_size"], cfg["psf_size"])
-    kind_name = cfg["psf_kind"]
-    if kind_name == "delta":
-        return None                      # 1x1 unit impulse, handled by caller
-    if kind_name == "lenslets":
-        kind = psf.Lenslets(cfg["psf_n"])
-    elif kind_name == "rml":
-        kind = psf.Rml(cfg["psf_n_spots"], (cfg["psf_width_min"], cfg["psf_width_max"]))
-    elif kind_name == "diffuser":
-        kind = psf.Diffuser(cfg["psf_corr_length"], cfg["psf_contrast"])
+    return psf.generate_psf(psf.PsfSpec(make_kind(cfg), size, seed))
+
+
+def pad_shape(cfg: dict, impulse: bool = False) -> tuple[int, int]:
+    """Padded PSF shape: psf_pad if set, else 1 for the delta impulse, else
+    psf_size + 2."""
+    if cfg["psf_pad"] is not None:
+        pad = cfg["psf_pad"]
     else:
-        raise ConfigError(f"unknown psf_kind: {kind_name!r}")
-    return psf.PsfSpec(kind, size, seed)
+        pad = 1 if impulse else cfg["psf_size"] + 2
+    return pad, pad
 
 
-def object_spec_from_config(cfg: dict, seed: int) -> objects.ObjectSpec:
+def object_spec(cfg: dict, kind, seed: int) -> objects.ObjectSpec:
     size = (cfg["object_size"], cfg["object_size"])
-    kind_name = cfg["object_kind"]
-    if kind_name == "cells":
-        n = cfg["object_n"] if cfg["object_n"] is not None else 6
-        kind = objects.DenseCells(n_blobs=n)
-    elif kind_name == "beads":
-        n = cfg["object_n"] if cfg["object_n"] is not None else 10
-        kind = objects.SparseBeads(n_beads=n)
-    else:
-        raise ConfigError(f"unknown object_kind: {kind_name!r}")
     return objects.ObjectSpec(kind, size, cfg["object_peak"], seed)
 
 
-def make_psf_grid(cfg: dict, seed: int):
-    """PSF grid and its pad shape per the config."""
-    spec = psf_spec_from_config(cfg, seed)
-    if spec is None:
-        grid = np.ones((1, 1))
-        pad = 1
-    else:
-        grid = psf.generate_psf(spec)
-        pad = cfg["psf_size"] + 2
-    if cfg["psf_pad"] is not None:
-        pad = cfg["psf_pad"]
-    return grid, (pad, pad)
+def make_object_grid(cfg: dict, seed: int) -> np.ndarray:
+    """Object grid per the config."""
+    kind_cls = _lookup(OBJECT_KINDS, cfg, "object_kind")
+    kind = kind_cls() if cfg["object_n"] is None else kind_cls(cfg["object_n"])
+    return objects.generate_object(object_spec(cfg, kind, seed))
 
 
 def noise_model_from_config(cfg: dict):
-    if cfg["noise"] == "gaussian":
-        return noise.GaussianNoise(cfg["sigma2"])
-    if cfg["noise"] == "poisson":
-        return noise.PoissonNoise(cfg["background"])
-    raise ConfigError(f"unknown noise model: {cfg['noise']!r}")
+    return _lookup(NOISE_MODELS, cfg, "noise")(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,48 +235,40 @@ def finish_manifest(manifest: dict, out_dir: Path, timings: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_psf(args) -> int:
-    cfg = resolve_config({}, _overrides(args))
-    out_dir = Path(args.out)
+def _write_grid_command(out, name: str, cfg: dict, grid, stat: str, value) -> int:
+    """Write <name>.csv / <name>.pgm and a manifest recording one statistic."""
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid, _ = make_psf_grid(cfg, cfg["seed"])
-    storage.write_grid_csv(out_dir / "psf.csv", grid)
-    scale = storage.write_pgm16(out_dir / "psf.pgm", grid)
-    manifest = base_manifest(cfg, "psf")
-    manifest["pgm_scale"] = scale
-    manifest["multiplexing_index"] = psf.multiplexing_index(grid)
+    storage.write_grid_csv(out_dir / f"{name}.csv", grid)
+    manifest = base_manifest(cfg, name)
+    manifest["pgm_scale"] = storage.write_pgm16(out_dir / f"{name}.pgm", grid)
+    manifest[stat] = value
     finish_manifest(manifest, out_dir, {})
-    print(f"wrote {out_dir / 'psf.csv'} (multiplexing index "
-          f"{manifest['multiplexing_index']:.4g})")
+    print(f"wrote {out_dir / (name + '.csv')} ({stat.replace('_', ' ')} {value:.4g})")
     return EXIT_OK
 
 
-def cmd_object(args) -> int:
-    cfg = resolve_config({}, _overrides(args))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = objects.generate_object(object_spec_from_config(cfg, cfg["seed"]))
-    storage.write_grid_csv(out_dir / "object.csv", grid)
-    scale = storage.write_pgm16(out_dir / "object.pgm", grid)
-    manifest = base_manifest(cfg, "object")
-    manifest["pgm_scale"] = scale
-    manifest["sparsity"] = objects.sparsity(grid)
-    finish_manifest(manifest, out_dir, {})
-    print(f"wrote {out_dir / 'object.csv'} (sparsity {manifest['sparsity']:.4g})")
-    return EXIT_OK
+def cmd_psf(args, cfg: dict) -> int:
+    grid = make_psf_grid(cfg, cfg["seed"])
+    return _write_grid_command(args.out, "psf", cfg, grid, "multiplexing_index",
+                               psf.multiplexing_index(grid))
 
 
-def cmd_crb(args) -> int:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cfg = resolve_config(file_cfg, _overrides(args))
+def cmd_object(args, cfg: dict) -> int:
+    grid = make_object_grid(cfg, cfg["seed"])
+    return _write_grid_command(args.out, "object", cfg, grid, "sparsity",
+                               objects.sparsity(grid))
+
+
+def cmd_crb(args, cfg: dict) -> int:
     out_dir = Path(args.out)
     t0 = time.perf_counter()
-    obj = objects.generate_object(
-        object_spec_from_config(cfg, derive_seed(cfg["seed"], "object")))
-    psf_grid, pad_shape = make_psf_grid(cfg, derive_seed(cfg["seed"], "psf"))
+    obj = make_object_grid(cfg, derive_seed(cfg["seed"], "object"))
+    psf_grid = make_psf_grid(cfg, derive_seed(cfg["seed"], "psf"))
     model = noise_model_from_config(cfg)
     t1 = time.perf_counter()
-    H = build_system_matrix(psf_grid, obj.shape, pad_shape, psf_id=cfg["psf_kind"])
+    H = build_system_matrix(psf_grid, obj.shape,
+                            pad_shape(cfg, impulse=cfg["psf_kind"] == "delta"))
     cmap = compute_crb_case(H, model, vectorize(obj), cfg["epsilon_rel"])
     t2 = time.perf_counter()
     info = write_case_outputs(out_dir, cmap)
@@ -291,35 +290,31 @@ def _study_objects(name: str, cfg: dict):
     """
     if name == "fig2":
         return [("", None)]
-    size = (cfg["object_size"], cfg["object_size"])
     seed = derive_seed(cfg["seed"], "object")
-    return [(f"{obj_name}_", objects.generate_object(
-                objects.ObjectSpec(kind, size, cfg["object_peak"], seed)))
-            for obj_name, kind in (("dense", objects.DenseCells()),
-                                   ("sparse", objects.SparseBeads()))]
+    return [(prefix, objects.generate_object(object_spec(cfg, kind, seed)))
+            for prefix, kind in (("dense_", objects.DenseCells()),
+                                 ("sparse_", objects.SparseBeads()))]
 
 
-def cmd_study(args) -> int:
+def cmd_study(args, cfg: dict) -> int:
     name = args.name
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cfg = resolve_config(file_cfg, _overrides(args))
     cfg["noise"] = "gaussian" if name == "fig2" else "poisson"
     model = noise_model_from_config(cfg)
     out_dir = Path(args.out) / name
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pad = cfg["psf_pad"] if cfg["psf_pad"] is not None else cfg["psf_size"] + 2
     manifest = base_manifest(cfg, f"study {name}")
     manifest["background"] = cfg["background"] if name == "fig3" else None
     size = (cfg["object_size"], cfg["object_size"])
     specs = psf.default_study_specs(size=(cfg["psf_size"], cfg["psf_size"]),
                                     seed=derive_seed(cfg["seed"], "psf"))
+    # every PSF and object is generated, and the first H built, before
+    # anything is written, so a study that cannot run writes nothing
+    psf_grids = {psf_name: psf.generate_psf(spec) for psf_name, spec in specs.items()}
     study_objects = _study_objects(name, cfg)
     cases, timings = {}, {}
     # PSF-major, so each H is built once; timings are per PSF
-    for psf_name, spec in specs.items():
+    for psf_name, psf_grid in psf_grids.items():
         t0 = time.perf_counter()
-        psf_grid = psf.generate_psf(spec)
-        H = build_system_matrix(psf_grid, size, (pad, pad), psf_id=psf_name)
+        H = build_system_matrix(psf_grid, size, pad_shape(cfg))
         for prefix, obj in study_objects:
             v = None if obj is None else vectorize(obj)
             case_dir = out_dir / (prefix + psf_name)
@@ -353,7 +348,7 @@ def _verify_checks(cfg: dict, inject_negative: bool):
     psf_grid = psf.generate_psf(spec)
     obj = objects.generate_object(objects.ObjectSpec(
         objects.DenseCells(n_blobs=3), (8, 8), 50.0, derive_seed(seed, "object")))
-    H = build_system_matrix(psf_grid, obj.shape, (10, 10), psf_id="lenslets3")
+    H = build_system_matrix(psf_grid, obj.shape, (10, 10))
     if inject_negative:
         H.matrix[0, 0] = -1e-3
     v = vectorize(obj)
@@ -410,9 +405,7 @@ def _verify_checks(cfg: dict, inject_negative: bool):
             f"median variance/CRB {med:.4f} (n={n_trials})"
 
 
-def cmd_verify(args) -> int:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    cfg = resolve_config(file_cfg, _overrides(args))
+def cmd_verify(args, cfg: dict) -> int:
     out_dir = Path(args.out) if args.out else None
     results = []
     t0 = time.perf_counter()
@@ -436,33 +429,6 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _overrides(args) -> dict:
-    """Map CLI flags onto config keys (command-specific flags included)."""
-    out = {}
-    for key in ("seed", "sigma2", "background", "epsilon_rel",
-                "n_trials", "n_samples", "noise", "psf_pad"):
-        if getattr(args, key, None) is not None:
-            out[key] = getattr(args, key)
-    cmd = args.command
-    if cmd == "psf":
-        if args.kind is not None:
-            out["psf_kind"] = args.kind
-        if args.n is not None:
-            out["psf_n"] = args.n
-        if args.size is not None:
-            out["psf_size"] = args.size
-    elif cmd == "object":
-        if args.kind is not None:
-            out["object_kind"] = args.kind
-        if args.n is not None:
-            out["object_n"] = args.n
-        if args.size is not None:
-            out["object_size"] = args.size
-        if args.peak is not None:
-            out["object_peak"] = args.peak
-    return out
-
-
 def _add_common(p):
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--sigma2", type=float, help="Gaussian per-pixel variance")
@@ -484,25 +450,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psf", help="generate an encoder PSF")
-    p.add_argument("--kind", choices=["lenslets", "rml", "diffuser", "delta"])
-    p.add_argument("--n", type=int, help="lenslet count")
-    p.add_argument("--size", type=int, help="grid side length")
+    p.add_argument("--kind", dest="psf_kind", choices=list(PSF_KINDS))
+    p.add_argument("--n", dest="psf_n", type=int, help="lenslet count")
+    p.add_argument("--size", dest="psf_size", type=int, help="grid side length")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_psf)
 
     p = sub.add_parser("object", help="generate a test object")
-    p.add_argument("--kind", choices=["cells", "beads"])
-    p.add_argument("--n", type=int, help="blob or bead count")
-    p.add_argument("--size", type=int)
-    p.add_argument("--peak", type=float, help="peak photons")
+    p.add_argument("--kind", dest="object_kind", choices=list(OBJECT_KINDS))
+    p.add_argument("--n", dest="object_n", type=int, help="blob or bead count")
+    p.add_argument("--size", dest="object_size", type=int)
+    p.add_argument("--peak", dest="object_peak", type=float, help="peak photons")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_object)
 
     p = sub.add_parser("crb", help="run one CRB pipeline from a config")
     p.add_argument("--config")
-    p.add_argument("--noise", choices=["gaussian", "poisson"])
+    p.add_argument("--noise", choices=list(NOISE_MODELS))
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_crb)
@@ -528,7 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # flags whose dest is a config key override the config file
+        config = getattr(args, "config", None)
+        cfg = resolve_config(parse_config_file(config) if config else {},
+                             {k: v for k, v in vars(args).items() if k in DEFAULTS})
+        return args.func(args, cfg)
     except (SingularRateError, FactorizationError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

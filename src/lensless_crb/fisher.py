@@ -25,12 +25,23 @@ MC_CHUNK = 20_000
 @dataclass(frozen=True)
 class FisherMatrix:
     entries: np.ndarray     # (d, d) symmetric PSD
-    provenance: str         # "gaussian" | "poisson" | "monte-carlo"
     n_samples: int | None = None
 
     @property
     def d(self) -> int:
         return self.entries.shape[0]
+
+
+def check_parameter(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise ValueError unless value is finite and positive (or zero, if allowed).
+
+    An infinite variance or background would give J = 0, whose reported
+    bound is the artefact 1/eps of the diagonal loading; a negative or
+    non-finite eps would report no bound at all.
+    """
+    if not (np.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,11 @@ class EpsilonPolicy:
 
     relative: float = 1e-9
     absolute: float | None = None
+
+    def __post_init__(self):
+        check_parameter("epsilon relative", self.relative, allow_zero=True)
+        if self.absolute is not None:
+            check_parameter("epsilon absolute", self.absolute, allow_zero=True)
 
     def value(self, J: np.ndarray) -> float:
         if self.absolute is not None:
@@ -60,32 +76,21 @@ class CrbMap:
         return self.values.reshape(self.object_shape)
 
 
-def check_noise_parameter(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise ValueError unless value is finite and positive (or zero, if allowed).
-
-    An infinite variance or background would give J = 0, whose reported
-    bound is the artefact 1/eps of the diagonal loading.
-    """
-    if not (np.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
-        bound = "non-negative" if allow_zero else "positive"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
-
-
 def fisher_gaussian(H: SystemMatrix, sigma2: float) -> FisherMatrix:
     """Closed-form Fisher matrix for i.i.d. Gaussian noise."""
-    check_noise_parameter("sigma2", sigma2)
+    check_parameter("sigma2", sigma2)
     J = weighted_gram(H, 1.0 / sigma2)
-    return FisherMatrix(entries=0.5 * (J + J.T), provenance="gaussian")
+    return FisherMatrix(entries=0.5 * (J + J.T))
 
 
 def fisher_poisson(H: SystemMatrix, v, background: float = 0.0) -> FisherMatrix:
     """Closed-form Fisher matrix for Poisson noise at object v."""
-    check_noise_parameter("background", background, allow_zero=True)
+    check_parameter("background", background, allow_zero=True)
     rate = forward(H, v) + background
     if np.any(rate <= 0):
         raise SingularRateError(int(np.argmax(rate <= 0)))
     J = weighted_gram(H, 1.0 / rate)
-    return FisherMatrix(entries=0.5 * (J + J.T), provenance="poisson")
+    return FisherMatrix(entries=0.5 * (J + J.T))
 
 
 def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
@@ -110,8 +115,7 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
         J += S.T @ S
         done += m
     J /= n_samples
-    return FisherMatrix(entries=0.5 * (J + J.T), provenance="monte-carlo",
-                        n_samples=n_samples)
+    return FisherMatrix(entries=0.5 * (J + J.T), n_samples=n_samples)
 
 
 def loaded_cholesky(A: np.ndarray, epsilon: EpsilonPolicy = EpsilonPolicy()):

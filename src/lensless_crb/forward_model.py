@@ -57,9 +57,7 @@ class SystemMatrix:
 
     matrix: np.ndarray            # (k, d), non-negative
     obj_shape: tuple[int, int]    # (height, width) of the object grid
-    pad_shape: tuple[int, int]    # padded PSF shape
     out_shape: tuple[int, int]    # measurement plane shape
-    psf_id: str = ""
 
     @property
     def k(self) -> int:
@@ -88,7 +86,7 @@ def pad_psf(psf, pad_shape) -> np.ndarray:
     return out
 
 
-def build_system_matrix(psf, obj_shape, psf_pad=None, psf_id: str = "") -> SystemMatrix:
+def build_system_matrix(psf, obj_shape, psf_pad=None) -> SystemMatrix:
     """Build the dense convolution matrix H for a PSF and object shape.
 
     Parameters
@@ -100,8 +98,6 @@ def build_system_matrix(psf, obj_shape, psf_pad=None, psf_id: str = "") -> Syste
     psf_pad : (int, int), optional
         Shape to zero-pad the PSF to before convolution. Defaults to the
         PSF's own shape (plain full convolution).
-    psf_id : str
-        Identifier recorded on the matrix for manifests.
     """
     p = as_grid(psf)
     oh, ow = int(obj_shape[0]), int(obj_shape[1])
@@ -123,13 +119,7 @@ def build_system_matrix(psf, obj_shape, psf_pad=None, psf_id: str = "") -> Syste
             plane[:] = 0.0
             plane[r:r + ph, c:c + pw] = padded
             H[:, r * ow + c] = plane.ravel()
-    return SystemMatrix(
-        matrix=H,
-        obj_shape=(oh, ow),
-        pad_shape=(ph, pw),
-        out_shape=(out_h, out_w),
-        psf_id=psf_id,
-    )
+    return SystemMatrix(matrix=H, obj_shape=(oh, ow), out_shape=(out_h, out_w))
 
 
 def object_values(v) -> np.ndarray:

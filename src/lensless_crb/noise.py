@@ -33,7 +33,7 @@ class GaussianNoise:
     background: ClassVar[float] = 0.0   # the mean measurement is b itself
 
     def __post_init__(self):
-        _fisher.check_noise_parameter("sigma2", self.sigma2)
+        _fisher.check_parameter("sigma2", self.sigma2)
 
     def draw(self, rng, mean, shape) -> np.ndarray:
         return mean + rng.normal(0.0, np.sqrt(self.sigma2), size=shape)
@@ -59,7 +59,7 @@ class PoissonNoise:
     background: float = 0.0  # photons, added to every rate
 
     def __post_init__(self):
-        _fisher.check_noise_parameter("background", self.background, allow_zero=True)
+        _fisher.check_parameter("background", self.background, allow_zero=True)
 
     def draw(self, rng, mean, shape) -> np.ndarray:
         return rng.poisson(mean, size=shape).astype(float)

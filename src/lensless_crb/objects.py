@@ -2,9 +2,10 @@
 
 Two families: dense cell-like samples built from overlapping soft-edged
 ellipses, and sparse bead samples with a handful of isolated bright pixels.
-Both are surrogates for typical microscopy scenes; exact structures are a
-matter of convention, so acceptance checks use orderings, never absolute
-bound values.
+Each kind holds its own checks and generator in ``grid(h, w, rng)``;
+``generate_object`` scales the grid to the spec's peak. Both are surrogates
+for typical microscopy scenes; exact structures are a matter of convention,
+so acceptance checks use orderings, never absolute bound values.
 """
 
 from dataclasses import dataclass
@@ -23,10 +24,40 @@ class DenseCells:
     n_blobs: int = 6
     blob_radius: tuple[float, float] = (3.0, 6.0)
 
+    def grid(self, h, w, rng):
+        if self.n_blobs < 1:
+            raise ValueError("blob count must be >= 1")
+        rows = np.arange(h)[:, None]
+        cols = np.arange(w)[None, :]
+        field = np.zeros((h, w))
+        for _ in range(self.n_blobs):
+            cr = rng.uniform(0.15 * h, 0.85 * h)
+            cc = rng.uniform(0.15 * w, 0.85 * w)
+            a = rng.uniform(*self.blob_radius)
+            b = rng.uniform(*self.blob_radius)
+            theta = rng.uniform(0, np.pi)
+            dr, dc = rows - cr, cols - cc
+            u = dr * np.cos(theta) + dc * np.sin(theta)
+            t = -dr * np.sin(theta) + dc * np.cos(theta)
+            r = np.sqrt((u / a) ** 2 + (t / b) ** 2)
+            # flat interior, smooth rim out to RIM_EXTENT * radius
+            rim = np.clip((RIM_EXTENT - r) / (RIM_EXTENT - 1.0), 0.0, 1.0)
+            field += rim * rim * (3.0 - 2.0 * rim)
+        return field
+
 
 @dataclass(frozen=True)
 class SparseBeads:
     n_beads: int = 10
+
+    def grid(self, h, w, rng):
+        if self.n_beads < 1:
+            raise ValueError("bead count must be >= 1")
+        if self.n_beads > h * w:
+            raise ValueError(f"{self.n_beads} beads do not fit in {h}x{w}")
+        grid = np.zeros(h * w)
+        grid[rng.choice(h * w, size=self.n_beads, replace=False)] = 1.0
+        return grid.reshape(h, w)
 
 
 @dataclass(frozen=True)
@@ -44,41 +75,10 @@ def generate_object(spec: ObjectSpec) -> np.ndarray:
         raise DimensionError("object grids must be at least 8x8")
     if spec.peak_photons <= 0:
         raise ValueError("peak_photons must be positive")
-    kind = spec.kind
-    rng = spec_rng(spec.seed, spec)
-
-    if isinstance(kind, SparseBeads):
-        if kind.n_beads < 1:
-            raise ValueError("bead count must be >= 1")
-        if kind.n_beads > h * w:
-            raise ValueError(f"{kind.n_beads} beads do not fit in {h}x{w}")
-        grid = np.zeros(h * w)
-        idx = rng.choice(h * w, size=kind.n_beads, replace=False)
-        grid[idx] = spec.peak_photons
-        return grid.reshape(h, w)
-
-    if isinstance(kind, DenseCells):
-        if kind.n_blobs < 1:
-            raise ValueError("blob count must be >= 1")
-        rows = np.arange(h)[:, None]
-        cols = np.arange(w)[None, :]
-        field = np.zeros((h, w))
-        for _ in range(kind.n_blobs):
-            cr = rng.uniform(0.15 * h, 0.85 * h)
-            cc = rng.uniform(0.15 * w, 0.85 * w)
-            a = rng.uniform(*kind.blob_radius)
-            b = rng.uniform(*kind.blob_radius)
-            theta = rng.uniform(0, np.pi)
-            dr, dc = rows - cr, cols - cc
-            u = dr * np.cos(theta) + dc * np.sin(theta)
-            t = -dr * np.sin(theta) + dc * np.cos(theta)
-            r = np.sqrt((u / a) ** 2 + (t / b) ** 2)
-            # flat interior, smooth rim out to RIM_EXTENT * radius
-            rim = np.clip((RIM_EXTENT - r) / (RIM_EXTENT - 1.0), 0.0, 1.0)
-            field += rim * rim * (3.0 - 2.0 * rim)
-        return field * (spec.peak_photons / field.max())
-
-    raise TypeError(f"unknown object kind: {kind!r}")
+    if not hasattr(spec.kind, "grid"):
+        raise TypeError(f"unknown object kind: {spec.kind!r}")
+    grid = spec.kind.grid(h, w, spec_rng(spec.seed, spec))
+    return grid * (spec.peak_photons / grid.max())
 
 
 def sparsity(obj) -> float:

@@ -2,8 +2,9 @@
 
 Seven encoders are studied: 1-5 lenslets, a random multi-focal lenslet
 (many focal spots of varying size), and a diffuser (caustic-like speckle).
-All PSFs are normalized to unit total mass so photon budgets are
-encoder-independent, and all generation is deterministic per (spec, seed).
+Each kind holds its own checks and generator in ``grid(h, w, rng)``. All PSFs
+are normalized to unit total mass so photon budgets are encoder-independent,
+and all generation is deterministic per (spec, seed).
 
 The real encoders come from hardware; these grids are statistical
 surrogates, flagged as such in run manifests.
@@ -22,56 +23,9 @@ MIN_SPOT_SEPARATION_PX = 2.0
 PLACEMENT_RETRY_BUDGET = 1000
 
 
-@dataclass(frozen=True)
-class Lenslets:
-    """n Gaussian focal spots on a fixed symmetric layout."""
-
-    n: int = 1
-
-
-@dataclass(frozen=True)
-class Rml:
-    """Random multi-focal lenslet: random spot positions and widths."""
-
-    n_spots: int = 15
-    width_range: tuple[float, float] = (0.6, 2.0)
-
-
-@dataclass(frozen=True)
-class Diffuser:
-    """Pseudo-random caustic-like speckle from exponentiated filtered noise."""
-
-    correlation_length: float = 3.0
-    contrast: float = 2.0
-
-
-@dataclass(frozen=True)
-class PsfSpec:
-    kind: object                      # Lenslets | Rml | Diffuser
-    size: tuple[int, int] = (32, 32)
-    seed: int = 0
-
-
-def _validate(spec: PsfSpec):
-    h, w = spec.size
-    kind = spec.kind
-    if isinstance(kind, Lenslets):
-        if kind.n < 1:
-            raise ValueError("lenslet count must be >= 1")
-        if kind.n > 1 and (h < 8 or w < 8):
-            raise DimensionError("multi-spot PSFs need a grid of at least 8x8")
-    elif isinstance(kind, Rml):
-        if kind.n_spots < 1:
-            raise ValueError("spot count must be >= 1")
-        if kind.width_range[0] > kind.width_range[1]:
-            raise ValueError("width_range min must be <= max")
-        if h < 8 or w < 8:
-            raise DimensionError("multi-spot PSFs need a grid of at least 8x8")
-    elif isinstance(kind, Diffuser):
-        if kind.correlation_length < 1:
-            raise ValueError("correlation_length must be >= 1")
-    else:
-        raise TypeError(f"unknown PSF kind: {kind!r}")
+def _need_8x8(h, w):
+    if h < 8 or w < 8:
+        raise DimensionError("multi-spot PSFs need a grid of at least 8x8")
 
 
 def _lenslet_centers(n, h, w):
@@ -93,62 +47,94 @@ def _lenslet_centers(n, h, w):
     return [(mr + radius * np.sin(a), mc + radius * np.cos(a)) for a in angles]
 
 
-def _spots(h, w, centers, sigmas, amplitudes=None):
+def _spots(h, w, centers, sigmas):
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
     out = np.zeros((h, w))
-    if amplitudes is None:
-        amplitudes = [1.0] * len(centers)
-    for (r, c), s, a in zip(centers, sigmas, amplitudes):
-        out += a * np.exp(-((rows - r) ** 2 + (cols - c) ** 2) / (2.0 * s * s))
+    for (r, c), s in zip(centers, sigmas):
+        out += np.exp(-((rows - r) ** 2 + (cols - c) ** 2) / (2.0 * s * s))
     return out
 
 
-def _rml_grid(kind: Rml, h, w, rng):
-    margin = 2.0
-    positions = []
-    attempts = 0
-    while len(positions) < kind.n_spots:
-        if attempts >= PLACEMENT_RETRY_BUDGET:
-            raise PlacementError(
-                f"could not place {kind.n_spots} spots with "
-                f"{MIN_SPOT_SEPARATION_PX} px separation in {h}x{w}"
-            )
-        r = rng.uniform(margin, h - 1 - margin)
-        c = rng.uniform(margin, w - 1 - margin)
-        attempts += 1
-        if all((r - pr) ** 2 + (c - pc) ** 2 >= MIN_SPOT_SEPARATION_PX ** 2
-               for pr, pc in positions):
-            positions.append((r, c))
-    sigmas = rng.uniform(kind.width_range[0], kind.width_range[1], size=kind.n_spots)
-    return _spots(h, w, positions, sigmas)
+@dataclass(frozen=True)
+class Lenslets:
+    """n Gaussian focal spots on a fixed symmetric layout."""
+
+    n: int = 1
+
+    def grid(self, h, w, rng):
+        if self.n < 1:
+            raise ValueError("lenslet count must be >= 1")
+        if self.n > 1:
+            _need_8x8(h, w)
+        centers = _lenslet_centers(self.n, h, w)
+        return _spots(h, w, centers, [LENSLET_SIGMA_PX] * len(centers))
 
 
-def _diffuser_grid(kind: Diffuser, h, w, rng):
-    z = gaussian_filter(rng.standard_normal((h, w)), sigma=kind.correlation_length,
-                        mode="wrap")
-    z = (z - z.mean()) / z.std()
-    # clip before exponentiating and re-smooth after: keeps the caustic-like
-    # bright filaments while taming lone lognormal peaks that would otherwise
-    # concentrate most of the mass in a few pixels
-    p = gaussian_filter(np.exp(kind.contrast * np.clip(z, -1.5, 1.5)),
-                        sigma=kind.correlation_length / 2.0, mode="wrap")
-    return p
+@dataclass(frozen=True)
+class Rml:
+    """Random multi-focal lenslet: random spot positions and widths."""
+
+    n_spots: int = 15
+    width_range: tuple[float, float] = (0.6, 2.0)
+
+    def grid(self, h, w, rng):
+        if self.n_spots < 1:
+            raise ValueError("spot count must be >= 1")
+        if self.width_range[0] > self.width_range[1]:
+            raise ValueError("width_range min must be <= max")
+        _need_8x8(h, w)
+        margin = 2.0
+        positions = []
+        attempts = 0
+        while len(positions) < self.n_spots:
+            if attempts >= PLACEMENT_RETRY_BUDGET:
+                raise PlacementError(
+                    f"could not place {self.n_spots} spots with "
+                    f"{MIN_SPOT_SEPARATION_PX} px separation in {h}x{w}"
+                )
+            r = rng.uniform(margin, h - 1 - margin)
+            c = rng.uniform(margin, w - 1 - margin)
+            attempts += 1
+            if all((r - pr) ** 2 + (c - pc) ** 2 >= MIN_SPOT_SEPARATION_PX ** 2
+                   for pr, pc in positions):
+                positions.append((r, c))
+        sigmas = rng.uniform(*self.width_range, size=self.n_spots)
+        return _spots(h, w, positions, sigmas)
+
+
+@dataclass(frozen=True)
+class Diffuser:
+    """Pseudo-random caustic-like speckle from exponentiated filtered noise."""
+
+    correlation_length: float = 3.0
+    contrast: float = 2.0
+
+    def grid(self, h, w, rng):
+        if self.correlation_length < 1:
+            raise ValueError("correlation_length must be >= 1")
+        z = gaussian_filter(rng.standard_normal((h, w)), sigma=self.correlation_length,
+                            mode="wrap")
+        z = (z - z.mean()) / z.std()
+        # clip before exponentiating and re-smooth after: keeps the caustic-like
+        # bright filaments while taming lone lognormal peaks that would otherwise
+        # concentrate most of the mass in a few pixels
+        return gaussian_filter(np.exp(self.contrast * np.clip(z, -1.5, 1.5)),
+                               sigma=self.correlation_length / 2.0, mode="wrap")
+
+
+@dataclass(frozen=True)
+class PsfSpec:
+    kind: object                      # Lenslets | Rml | Diffuser
+    size: tuple[int, int] = (32, 32)
+    seed: int = 0
 
 
 def generate_psf(spec: PsfSpec) -> np.ndarray:
     """Generate the PSF grid for a spec; unit mass, deterministic per seed."""
-    _validate(spec)
-    h, w = spec.size
-    kind = spec.kind
-    rng = spec_rng(spec.seed, spec)
-    if isinstance(kind, Lenslets):
-        centers = _lenslet_centers(kind.n, h, w)
-        grid = _spots(h, w, centers, [LENSLET_SIGMA_PX] * len(centers))
-    elif isinstance(kind, Rml):
-        grid = _rml_grid(kind, h, w, rng)
-    else:
-        grid = _diffuser_grid(kind, h, w, rng)
+    if not hasattr(spec.kind, "grid"):
+        raise TypeError(f"unknown PSF kind: {spec.kind!r}")
+    grid = spec.kind.grid(*spec.size, spec_rng(spec.seed, spec))
     return grid / grid.sum()
 
 

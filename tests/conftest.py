@@ -37,7 +37,7 @@ def identity_h():
 def small_lenslet_h():
     """8x8 object, 3-lenslet PSF, padded to 10x10 (k=289, d=64)."""
     grid = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
-    return build_system_matrix(grid, (8, 8), (10, 10), psf_id="lenslets3")
+    return build_system_matrix(grid, (8, 8), (10, 10))
 
 
 @pytest.fixture(scope="session")
@@ -45,4 +45,4 @@ def unpadded_lenslet_h():
     """Same encoder without zero padding: every measurement rate stays
     strictly positive, as required for beta=0 Poisson Fisher matrices."""
     grid = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
-    return build_system_matrix(grid, (8, 8), (8, 8), psf_id="lenslets3")
+    return build_system_matrix(grid, (8, 8), (8, 8))

@@ -37,8 +37,29 @@ class TestPsfCommand:
         expected = grid.sum() ** 2 / (grid.size * np.sum(grid ** 2))
         assert manifest["multiplexing_index"] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("kind", list(cli.PSF_KINDS))
+    def test_every_kind_name(self, tmp_path, kind):
+        out = tmp_path / "psf"
+        assert run("psf", "--kind", kind, "--size", 16, "--out", out) == 0
+        grid = read_grid_csv(out / "psf.csv")
+        assert grid.shape == ((1, 1) if kind == "delta" else (16, 16))
+        assert grid.sum() == pytest.approx(1.0, abs=1e-12)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["psf_kind"] == kind
+
 
 class TestObjectCommand:
+    @pytest.mark.parametrize("kind", list(cli.OBJECT_KINDS))
+    def test_every_kind_name(self, tmp_path, kind):
+        out = tmp_path / "obj"
+        assert run("object", "--kind", kind, "--size", 16, "--out", out) == 0
+        grid = read_grid_csv(out / "object.csv")
+        assert grid.shape == (16, 16)
+        assert grid.max() == 100.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["object_kind"] == kind
+        assert manifest["config"]["object_n"] is None
+
     def test_beads(self, tmp_path):
         out = tmp_path / "obj"
         assert run("object", "--kind", "beads", "--n", 5, "--size", 16,
@@ -124,12 +145,21 @@ class TestConfigHandling:
         np.testing.assert_allclose(read_grid_csv(out / "crb.csv"), 9.0, rtol=1e-6)
 
     @pytest.mark.parametrize("flags", [("--sigma2", "inf"), ("--sigma2", "nan"),
-                                       ("--noise", "poisson", "--background", "inf")])
+                                       ("--noise", "poisson", "--background", "inf"),
+                                       ("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan")])
     def test_non_finite_noise_parameter_is_config_error(self, tmp_path, flags):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("psf_kind = delta\nobject_size = 8\n")
         assert run("crb", "--config", cfg, *flags, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "crb.csv").exists()
+
+    @pytest.mark.parametrize("line", ["psf_kind = lens", "object_kind = cell",
+                                      "noise = laplace"])
+    def test_unknown_kind_name_is_config_error(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"psf_size = 8\nobject_size = 8\n{line}\n")
+        assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "file"
@@ -206,6 +236,23 @@ class TestStudyCommand:
         lenslets = [means[f"lenslets{n}"] for n in range(1, 6)]
         assert all(a <= b for a, b in zip(lenslets, lenslets[1:]))
         assert means["diffuser"] >= means["lenslets5"]
+
+
+def test_study_ignores_delta_psf_kind(tmp_path):
+    # the studies run their own encoders, so psf_kind does not set their pad
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_kind = delta\npsf_size = 16\nobject_size = 8\n")
+    assert run("study", "fig2", "--config", cfg, "--out", tmp_path) == 0
+    assert read_grid_csv(tmp_path / "fig2" / "rml" / "psf.csv").shape == (16, 16)
+
+
+@pytest.mark.parametrize("study", ["fig2", "fig3"])
+def test_study_that_cannot_generate_a_psf_writes_nothing(tmp_path, study):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 8\nobject_size = 8\n")   # 15 rml spots do not fit
+    out = tmp_path / "out"
+    assert run("study", study, "--config", cfg, "--out", out) == 2
+    assert not any(out.rglob("*"))
 
 
 def _count_calls(monkeypatch, module, name, counts):

@@ -179,7 +179,7 @@ class TestHessianAverageEquivalence:
 
 class TestCrb:
     def test_diagonal_inversion(self):
-        J = FisherMatrix(np.diag([0.25, 1 / 9, 1.0, 4.0]), "poisson")
+        J = FisherMatrix(np.diag([0.25, 1 / 9, 1.0, 4.0]))
         cmap = crb_from_fisher(J, EpsilonPolicy(absolute=0.0))
         np.testing.assert_allclose(cmap.values, [4.0, 9.0, 1.0, 0.25])
         assert cmap.epsilon_used == 0.0
@@ -215,6 +215,13 @@ class TestCrb:
                 for r in (1e-9, 1e-6, 1e-3)]
         assert np.all(maps[1] <= maps[0] + 1e-12)
         assert np.all(maps[2] <= maps[1] + 1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"relative": -0.5}, {"relative": np.nan}, {"relative": np.inf},
+        {"absolute": -1e-9}, {"absolute": np.nan}, {"absolute": np.inf}])
+    def test_epsilon_policy_rejects_negative_or_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            EpsilonPolicy(**kwargs)
 
     def test_epsilon_recorded(self, small_lenslet_h):
         J = fisher_gaussian(small_lenslet_h, 1.0)

@@ -38,6 +38,13 @@ class TestDenseCells:
             assert g.max() == 100.0 and g.min() >= 0
 
 
+class TestUnknownKind:
+    @pytest.mark.parametrize("kind", ["beads", None, SparseBeads])
+    def test_non_kind_rejected(self, kind):
+        with pytest.raises(TypeError):
+            generate_object(ObjectSpec(kind, (16, 16), 100.0, 0))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", [SparseBeads(7), DenseCells(4)])
     def test_same_spec_same_object(self, kind):

@@ -71,6 +71,13 @@ class TestDiffuser:
         np.testing.assert_array_equal(generate_psf(spec), generate_psf(spec))
 
 
+class TestUnknownKind:
+    @pytest.mark.parametrize("kind", ["lenslets", None, Lenslets])
+    def test_non_kind_rejected(self, kind):
+        with pytest.raises(TypeError):
+            generate_psf(PsfSpec(kind, (16, 16), 0))
+
+
 class TestNormalization:
     @pytest.mark.parametrize("name", list(default_study_specs()))
     def test_unit_mass(self, name):

@@ -3,9 +3,12 @@
 import importlib
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from lensless_crb import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,3 +34,14 @@ def test_readme_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    text = (ROOT / "README.md").read_text()
+    lines = [line.split("#", 1)[0]
+             for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL)
+             for line in block.splitlines() if line.startswith("lensless-crb ")]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -54,6 +54,13 @@ class TestPgm16:
         write_pgm16(path, np.ones((2, 3)))
         assert path.read_bytes().startswith(b"P5\n3 2\n65535\n")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, tmp_path, bad):
+        path = tmp_path / "g.pgm"
+        with pytest.raises(ValueError):
+            write_pgm16(path, np.array([[1.0, bad]]))
+        assert not path.exists()
+
     def test_all_zero_grid(self, tmp_path):
         path = tmp_path / "g.pgm"
         assert write_pgm16(path, np.zeros((2, 2))) == 0.0
