@@ -14,6 +14,7 @@ from .errors import (
     FactorizationError,
     PlacementError,
     SingularRateError,
+    TrialFailureError,
 )
 from .estimators import (
     TrialReport,
@@ -63,7 +64,7 @@ from .psf import (
 
 __all__ = [
     "ConfigError", "DimensionError", "FactorizationError", "PlacementError",
-    "SingularRateError",
+    "SingularRateError", "TrialFailureError",
     "TrialReport", "gls_estimate", "make_gls_solver", "nnls_estimate",
     "poisson_mle", "run_trials",
     "CrbMap", "EpsilonPolicy", "FisherMatrix", "crb_from_fisher", "crb_summary",

@@ -29,6 +29,7 @@ from .errors import (
     FactorizationError,
     PlacementError,
     SingularRateError,
+    TrialFailureError,
 )
 from .estimators import run_trials
 from .forward_model import build_system_matrix, forward, vectorize
@@ -123,6 +124,10 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
                     cfg[key] = str(value)
             except ValueError:
                 raise ConfigError(f"bad value for {key}: {value!r}")
+    for key, table in (("psf_kind", PSF_KINDS), ("object_kind", OBJECT_KINDS),
+                       ("noise", NOISE_MODELS)):
+        if cfg[key] not in table:
+            raise ConfigError(f"unknown {key}: {cfg[key]!r}")
     return cfg
 
 
@@ -142,17 +147,9 @@ NOISE_MODELS = {
 }
 
 
-def _lookup(table: dict, cfg: dict, key: str):
-    """The table entry named by cfg[key]; an unknown name is a ConfigError."""
-    try:
-        return table[cfg[key]]
-    except KeyError:
-        raise ConfigError(f"unknown {key}: {cfg[key]!r}") from None
-
-
 def make_psf_grid(cfg: dict, seed: int) -> np.ndarray:
     """PSF grid per the config; the delta kind is a 1x1 unit impulse."""
-    make_kind = _lookup(PSF_KINDS, cfg, "psf_kind")
+    make_kind = PSF_KINDS[cfg["psf_kind"]]
     if make_kind is None:
         return np.ones((1, 1))
     size = (cfg["psf_size"], cfg["psf_size"])
@@ -176,13 +173,13 @@ def object_spec(cfg: dict, kind, seed: int) -> objects.ObjectSpec:
 
 def make_object_grid(cfg: dict, seed: int) -> np.ndarray:
     """Object grid per the config."""
-    kind_cls = _lookup(OBJECT_KINDS, cfg, "object_kind")
+    kind_cls = OBJECT_KINDS[cfg["object_kind"]]
     kind = kind_cls() if cfg["object_n"] is None else kind_cls(cfg["object_n"])
     return objects.generate_object(object_spec(cfg, kind, seed))
 
 
 def noise_model_from_config(cfg: dict):
-    return _lookup(NOISE_MODELS, cfg, "noise")(cfg)
+    return NOISE_MODELS[cfg["noise"]](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +426,8 @@ def cmd_verify(args, cfg: dict) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, help="master seed")
+def _add_pipeline_flags(p):
+    """Flags of the commands that compute bounds (crb, verify, study)."""
     p.add_argument("--sigma2", type=float, help="Gaussian per-pixel variance")
     p.add_argument("--background", type=float, help="Poisson background floor")
     p.add_argument("--epsilon-rel", dest="epsilon_rel", type=float,
@@ -454,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", dest="psf_n", type=int, help="lenslet count")
     p.add_argument("--size", dest="psf_size", type=int, help="grid side length")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_psf)
 
     p = sub.add_parser("object", help="generate a test object")
@@ -463,14 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", dest="object_size", type=int)
     p.add_argument("--peak", dest="object_peak", type=float, help="peak photons")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_object)
 
     p = sub.add_parser("crb", help="run one CRB pipeline from a config")
     p.add_argument("--config")
     p.add_argument("--noise", choices=list(NOISE_MODELS))
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_crb)
 
     p = sub.add_parser("verify", help="run the oracle suite at reduced size")
@@ -478,16 +473,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--inject-negative-entry", action="store_true",
                    help=argparse.SUPPRESS)   # test hook: corrupt H
-    _add_common(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("study", help="run a canned multiplexing study")
     p.add_argument("name", choices=["fig2", "fig3"])
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_pipeline_flags(p)
     p.set_defaults(func=cmd_study)
 
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, help="master seed")
     return parser
 
 
@@ -499,7 +496,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(parse_config_file(config) if config else {},
                              {k: v for k, v in vars(args).items() if k in DEFAULTS})
         return args.func(args, cfg)
-    except (SingularRateError, FactorizationError, FloatingPointError) as exc:
+    except (SingularRateError, FactorizationError, TrialFailureError,
+            FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, DimensionError, PlacementError, ValueError) as exc:

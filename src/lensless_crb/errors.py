@@ -25,5 +25,14 @@ class FactorizationError(RuntimeError):
         super().__init__(message or f"SPD factorization failed with epsilon={epsilon!r}")
 
 
+class TrialFailureError(RuntimeError):
+    """More than 1% of a trial run's estimates were non-finite."""
+
+    def __init__(self, n_failed: int, n_trials: int):
+        self.n_failed = n_failed
+        self.n_trials = n_trials
+        super().__init__(f"{n_failed}/{n_trials} estimator failures")
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
+from . import fisher
+from .errors import TrialFailureError
 from .fisher import CrbMap, EpsilonPolicy, loaded_cholesky
 from .forward_model import SystemMatrix, forward, object_values, weighted_gram
 from .noise import sample
@@ -40,7 +41,7 @@ def make_gls_solver(H: SystemMatrix, epsilon: EpsilonPolicy = EpsilonPolicy()):
     c, _ = loaded_cholesky(weighted_gram(H), epsilon)
 
     def solve(y):
-        return cho_solve(c, M.T @ np.asarray(y, dtype=float))
+        return fisher.cho_solve(c, M.T @ np.asarray(y, dtype=float))
 
     return solve
 
@@ -205,7 +206,7 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
 
     Trial i uses seed ``seed + i`` so any subset of trials is reproducible.
     Estimates containing non-finite values count as failures; more than 1%
-    failures aborts the run.
+    failures raises TrialFailureError.
     """
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
@@ -242,7 +243,7 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
         n_acc, mean_acc, m2_acc = _merge_moments(n_acc, mean_acc, m2_acc,
                                                  c_n, c_mean, c_m2)
     if n_failed > 0.01 * n_trials:
-        raise RuntimeError(f"{n_failed}/{n_trials} estimator failures")
+        raise TrialFailureError(n_failed, n_trials)
     variance = m2_acc / (n_acc - 1)
     bias = mean_acc - v
     efficiency = None

@@ -7,14 +7,16 @@ Closed forms:
 
 A Monte Carlo estimator built from sampled score outer products serves as an
 independent oracle for both closed forms. The CRB is the diagonal of the
-inverse Fisher matrix, computed through a Cholesky factorization of J + eps*I
-with a relative epsilon so Gaussian and Poisson scales both behave.
+inverse Fisher matrix, computed through a Cholesky factorization
+J + eps*I = L L^T with a relative epsilon so Gaussian and Poisson scales both
+behave: diag((L L^T)^-1) holds the squared column norms of L^-1.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+# cho_solve pairs with loaded_cholesky; the GLS solver calls it as fisher.cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
 from .errors import FactorizationError, SingularRateError
 from .forward_model import SystemMatrix, forward, weighted_gram
@@ -79,8 +81,7 @@ class CrbMap:
 def fisher_gaussian(H: SystemMatrix, sigma2: float) -> FisherMatrix:
     """Closed-form Fisher matrix for i.i.d. Gaussian noise."""
     check_parameter("sigma2", sigma2)
-    J = weighted_gram(H, 1.0 / sigma2)
-    return FisherMatrix(entries=0.5 * (J + J.T))
+    return FisherMatrix(entries=weighted_gram(H, 1.0 / sigma2))
 
 
 def fisher_poisson(H: SystemMatrix, v, background: float = 0.0) -> FisherMatrix:
@@ -134,10 +135,15 @@ def loaded_cholesky(A: np.ndarray, epsilon: EpsilonPolicy = EpsilonPolicy()):
 
 def crb_from_fisher(J: FisherMatrix, epsilon: EpsilonPolicy = EpsilonPolicy(),
                     object_shape=None) -> CrbMap:
-    """diag((J + eps*I)^-1) via Cholesky; the epsilon actually used is recorded."""
-    c, eps = loaded_cholesky(np.array(J.entries, dtype=float), epsilon)
-    inv = cho_solve(c, np.eye(J.d))
-    values = np.diag(inv).copy()
+    """diag((J + eps*I)^-1) via Cholesky and a triangular inverse; the epsilon
+    actually used is recorded."""
+    (c, _lower), eps = loaded_cholesky(np.array(J.entries, dtype=float), epsilon)
+    # cho_factor leaves the entries of A above the diagonal of c; triu of the
+    # transpose zeroes them and keeps c column-major, so dtrtri copies nothing
+    Linv, info = lapack.dtrtri(np.triu(c.T).T, lower=1, overwrite_c=1)
+    if info != 0:
+        raise FactorizationError(eps, f"triangular inverse failed (info={info})")
+    values = np.einsum("ij,ij->j", Linv, Linv)
     if object_shape is None:
         side = int(round(np.sqrt(J.d)))
         if side * side != J.d:

@@ -2,14 +2,19 @@
 
 Objects and PSFs live on 2-D non-negative pixel grids (photons per pixel).
 Image formation is full 2-D convolution with a fixed PSF, realized as a
-dense system matrix H so that the noiseless measurement is b = H v for the
-row-major vectorized object v. The PSF may be zero-padded before building H;
-padding to (psf + 2) per axis turns 32x32 objects into 65x65 measurements.
+system matrix H so that the noiseless measurement is b = H v for the
+row-major vectorized object v. H keeps the padded PSF and builds its dense
+k x d matrix on first use; the constant-weight Gram H^T H never needs it,
+since it is the PSF autocorrelation laid out block-Toeplitz. The PSF may be
+zero-padded before building H; padding to (psf + 2) per axis turns 32x32
+objects into 65x65 measurements.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
@@ -49,23 +54,37 @@ def devectorize(obj: VectorizedObject) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SystemMatrix:
-    """Dense k x d matrix realizing full 2-D convolution with a fixed PSF.
+    """Full 2-D convolution with a fixed (padded) PSF, as a k x d operator.
 
-    Every column is the (zero-padded) PSF translated to one object pixel's
-    position in the output plane, so all column sums equal the PSF mass.
+    Every column of the dense matrix is the padded PSF translated to one
+    object pixel's position in the output plane, so all column sums equal
+    the PSF mass. The dense matrix is built on first access of ``matrix``
+    and cached on the instance.
     """
 
-    matrix: np.ndarray            # (k, d), non-negative
+    psf: np.ndarray               # padded PSF, (ph, pw), non-negative
     obj_shape: tuple[int, int]    # (height, width) of the object grid
     out_shape: tuple[int, int]    # measurement plane shape
 
     @property
     def k(self) -> int:
-        return self.matrix.shape[0]
+        return self.out_shape[0] * self.out_shape[1]
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[1]
+        return self.obj_shape[0] * self.obj_shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense (k, d) matrix; column j is the PSF shifted to object pixel j."""
+        oh, ow = self.obj_shape
+        ph, pw = self.psf.shape
+        # fill H^T row by row so each PSF copy is a contiguous-row write
+        HT = np.zeros((oh, ow) + self.out_shape)
+        for r in range(oh):
+            for c in range(ow):
+                HT[r, c, r:r + ph, c:c + pw] = self.psf
+        return HT.reshape(self.d, self.k).T
 
 
 def pad_psf(psf, pad_shape) -> np.ndarray:
@@ -87,7 +106,7 @@ def pad_psf(psf, pad_shape) -> np.ndarray:
 
 
 def build_system_matrix(psf, obj_shape, psf_pad=None) -> SystemMatrix:
-    """Build the dense convolution matrix H for a PSF and object shape.
+    """Build the convolution operator H for a PSF and object shape.
 
     Parameters
     ----------
@@ -106,20 +125,8 @@ def build_system_matrix(psf, obj_shape, psf_pad=None) -> SystemMatrix:
     if psf_pad is None:
         psf_pad = p.shape
     padded = pad_psf(p, psf_pad)
-    ph, pw = padded.shape
-    out_h, out_w = oh + ph - 1, ow + pw - 1
-    k, d = out_h * out_w, oh * ow
-
-    # Column j is the padded PSF shifted to object pixel j; columns are
-    # written independently so any parallel construction is bit-identical.
-    H = np.zeros((k, d))
-    plane = np.zeros((out_h, out_w))
-    for r in range(oh):
-        for c in range(ow):
-            plane[:] = 0.0
-            plane[r:r + ph, c:c + pw] = padded
-            H[:, r * ow + c] = plane.ravel()
-    return SystemMatrix(matrix=H, obj_shape=(oh, ow), out_shape=(out_h, out_w))
+    out_shape = (oh + padded.shape[0] - 1, ow + padded.shape[1] - 1)
+    return SystemMatrix(psf=padded, obj_shape=(oh, ow), out_shape=out_shape)
 
 
 def object_values(v) -> np.ndarray:
@@ -136,12 +143,37 @@ def forward(H: SystemMatrix, v) -> np.ndarray:
 
 
 def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
-    """H^T diag(w) H for per-measurement weights w (length k) or a scalar w.
+    """H^T diag(w) H for non-negative per-measurement weights w (length k) or
+    a scalar w.
 
-    A scalar weight scales the plain H^T H product, so no k x d weighted copy
-    of H is allocated.
+    A scalar weight scales the PSF autocorrelation: entry (a, b) of H^T H is
+    the autocorrelation at the lag between object pixels a and b, so the
+    dense H is not needed, and the result is exactly symmetric. A weight
+    vector forms S = diag(sqrt(w)) H and returns S^T S, a symmetric rank-k
+    update.
     """
-    M = H.matrix
     if np.ndim(w) == 0:
-        return (M.T @ M) * w
-    return M.T @ (np.asarray(w)[:, None] * M)
+        return _autocorrelation_gram(H.psf, H.obj_shape) * w
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("Gram weights must be finite and non-negative")
+    S = np.sqrt(w)[:, None] * H.matrix
+    return S.T @ S
+
+
+def _autocorrelation_gram(psf: np.ndarray, obj_shape) -> np.ndarray:
+    """H^T H of full convolution with psf over an object of obj_shape.
+
+    R[a, b] is the PSF autocorrelation at lag (a - oh + 1, b - ow + 1); the
+    lags span the object, not the PSF, since pixels up to (oh - 1, ow - 1)
+    apart share measurements whenever the PSF is at least that large.
+    Entry ((r1, c1), (r2, c2)) of the Gram is R at lag (r2 - r1, c2 - c1).
+    R is averaged with its point reflection (lag -> -lag), which makes the
+    Gram exactly symmetric.
+    """
+    oh, ow = obj_shape
+    padded = np.pad(psf, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
+    R = np.einsum("abij,ij->ab", sliding_window_view(padded, psf.shape), psf)
+    R = 0.5 * (R + R[::-1, ::-1])
+    # window [oh-1-r1, ow-1-c1] of R, entry [r2, c2], is R[lag + (oh-1, ow-1)]
+    return sliding_window_view(R, (oh, ow))[::-1, ::-1].reshape(oh * ow, oh * ow)

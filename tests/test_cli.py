@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lensless_crb import cli, fisher, objects
+from lensless_crb import TrialFailureError, cli, fisher, objects
 from lensless_crb.cli import main
 from lensless_crb.storage import read_grid_csv, sha256_file
 
@@ -161,6 +161,25 @@ class TestConfigHandling:
         assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [("verify", "--n-samples", 100, "--n-trials", 10),
+                                         ("study", "fig2"), ("study", "fig3")])
+    @pytest.mark.parametrize("line", ["psf_kind = lens", "object_kind = cell"])
+    def test_unknown_kind_name_fails_every_command(self, tmp_path, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"psf_size = 16\nobject_size = 8\n{line}\n")
+        assert run(*command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("psf", "--kind", "lenslets", "--size", 16, "--sigma2", -5, "--n-trials", 3),
+        ("psf", "--psf-pad", 18), ("object", "--background", 1.0),
+        ("object", "--epsilon-rel", 1e-6), ("object", "--n-samples", 10)])
+    def test_generators_reject_pipeline_flags(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--out", tmp_path / "o")
+        assert info.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -186,6 +205,14 @@ class TestVerifyCommand:
         skipped = [line for line in lines if line.startswith("SKIP")]
         assert any("mc_fisher" in line for line in skipped)
         assert any("gls_efficiency" in line for line in skipped)
+
+    def test_trial_failure_is_numeric_error(self, monkeypatch, capsys):
+        def failing_trials(*args, **kwargs):
+            raise TrialFailureError(20, 1000)
+
+        monkeypatch.setattr(cli, "run_trials", failing_trials)
+        assert run("verify", "--n-samples", 100, "--n-trials", 1000) == 3
+        assert "20/1000 estimator failures" in capsys.readouterr().err
 
     def test_injected_corruption_fails(self, capsys):
         code = run("verify", "--n-samples", 100, "--n-trials", 10,
@@ -278,3 +305,20 @@ def test_study_builds_each_h_once(tmp_path, monkeypatch, study, expected):
     cfg.write_text("psf_size = 16\nobject_size = 8\n")   # 15 rml spots need 16x16
     assert run("study", study, "--config", cfg, "--out", tmp_path) == 0
     assert counts == expected
+
+
+def test_fig2_builds_no_dense_system_matrix(tmp_path, monkeypatch):
+    # the Gaussian Fisher matrix comes from the PSF autocorrelation
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(cli_build(*args, **kwargs))
+        return built[-1]
+
+    cli_build = cli.build_system_matrix
+    monkeypatch.setattr(cli, "build_system_matrix", build)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 16\nobject_size = 8\n")
+    assert run("study", "fig2", "--config", cfg, "--out", tmp_path) == 0
+    assert len(built) == 7
+    assert all("matrix" not in vars(H) for H in built)

@@ -7,6 +7,7 @@ from lensless_crb import (
     ObjectSpec,
     PoissonNoise,
     SparseBeads,
+    TrialFailureError,
     build_system_matrix,
     crb_from_fisher,
     fisher_gaussian,
@@ -163,6 +164,14 @@ class TestRunTrials:
         H = build_system_matrix(np.ones((1, 1)), (1, 1))
         with pytest.raises(ValueError):
             run_trials(GaussianNoise(1.0), H, [1.0], "gls", 1, seed=0)
+
+    def test_non_finite_estimates_raise_trial_failure(self):
+        H = build_system_matrix(np.ones((1, 1)), (1, 2))
+        with pytest.raises(TrialFailureError) as info:
+            run_trials(GaussianNoise(1.0), H, [1.0, np.nan], "nnls", 10, seed=0,
+                       estimator_options={"max_iters": 2})
+        assert (info.value.n_failed, info.value.n_trials) == (10, 10)
+        assert isinstance(info.value, RuntimeError)
 
     def test_unknown_estimator_rejected(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 1))

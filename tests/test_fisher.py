@@ -184,6 +184,20 @@ class TestCrb:
         np.testing.assert_allclose(cmap.values, [4.0, 9.0, 1.0, 0.25])
         assert cmap.epsilon_used == 0.0
 
+    def test_matches_dense_inverse_on_rml_poisson(self):
+        from lensless_crb import DenseCells, ObjectSpec, generate_object
+        from lensless_crb.psf import Rml
+
+        psf = generate_psf(PsfSpec(Rml(), (16, 16), 0))
+        obj = generate_object(ObjectSpec(DenseCells(), (16, 16), 100.0, 0))
+        H = build_system_matrix(psf, obj.shape, (18, 18))
+        J = fisher_poisson(H, vectorize(obj), 1e-3)
+        cmap = crb_from_fisher(J, object_shape=obj.shape)
+        loaded = J.entries + cmap.epsilon_used * np.eye(J.d)
+        # cond(J) is about 2e7, so LU and Cholesky may differ near 2e7 * 2e-16
+        np.testing.assert_allclose(cmap.values, np.diag(np.linalg.inv(loaded)),
+                                   rtol=1e-8)
+
     def test_identity_gaussian_crb_is_sigma2(self):
         H = build_system_matrix(np.ones((1, 1)), (4, 4))
         cmap = crb_from_fisher(fisher_gaussian(H, 1.0))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lensless_crb import (
     DimensionError,
@@ -9,6 +11,7 @@ from lensless_crb import (
     pad_psf,
     vectorize,
 )
+from lensless_crb.forward_model import weighted_gram
 from conftest import conv_matrix_bruteforce, fft_convolve_full
 
 
@@ -135,3 +138,55 @@ class TestForward:
         lhs = forward(H, v) @ y
         rhs = v @ (H.matrix.T @ y)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def assert_gram_matches_dense(psf, obj_shape, psf_pad=None):
+    H = build_system_matrix(psf, obj_shape, psf_pad)
+    J = weighted_gram(H)
+    assert "matrix" not in vars(H)          # the scalar-weight Gram needs no dense H
+    np.testing.assert_array_equal(J, J.T)
+    M = conv_matrix_bruteforce(pad_psf(psf, H.psf.shape), obj_shape)
+    np.testing.assert_array_equal(H.matrix, M)
+    dense = M.T @ M
+    assert np.max(np.abs(J - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+class TestWeightedGram:
+    @pytest.mark.parametrize("psf_shape, obj_shape, pad", [
+        ((9, 7), (3, 4), None),      # PSF larger than the object
+        ((2, 5), (6, 3), None),      # non-square PSF and object
+        ((1, 1), (8, 8), None),      # delta PSF: lags span the object, not the PSF
+        ((4, 3), (5, 5), (4, 3)),    # psf_pad equal to the PSF size
+        ((4, 3), (5, 6), (6, 5)),    # psf_pad of size + 2
+    ])
+    def test_scalar_weight_matches_dense_gram(self, psf_shape, obj_shape, pad):
+        psf = np.random.default_rng(sum(psf_shape)).uniform(0, 1, size=psf_shape)
+        assert_gram_matches_dense(psf, obj_shape, pad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ph=st.integers(1, 6), pw=st.integers(1, 6), oh=st.integers(1, 6),
+           ow=st.integers(1, 6), extra_h=st.integers(0, 2), extra_w=st.integers(0, 2),
+           seed=st.integers(0, 2**16))
+    def test_scalar_weight_matches_dense_gram_property(self, ph, pw, oh, ow,
+                                                       extra_h, extra_w, seed):
+        psf = np.random.default_rng(seed).uniform(0, 1, size=(ph, pw))
+        assert_gram_matches_dense(psf, (oh, ow), (ph + extra_h, pw + extra_w))
+
+    def test_scalar_weight_scales_gram(self, small_lenslet_h):
+        np.testing.assert_array_equal(weighted_gram(small_lenslet_h, 0.25),
+                                      0.25 * weighted_gram(small_lenslet_h))
+
+    def test_weight_vector_matches_dense_product(self, small_lenslet_h):
+        H = small_lenslet_h
+        w = np.random.default_rng(7).uniform(0, 2, size=H.k)
+        w[::5] = 0.0
+        expected = H.matrix.T @ (w[:, None] * H.matrix)
+        np.testing.assert_allclose(weighted_gram(H, w), expected, rtol=1e-12,
+                                   atol=1e-14 * np.max(expected))
+
+    @pytest.mark.parametrize("bad", [-1e-9, np.nan, np.inf])
+    def test_bad_weight_vector_rejected(self, small_lenslet_h, bad):
+        w = np.ones(small_lenslet_h.k)
+        w[3] = bad
+        with pytest.raises(ValueError):
+            weighted_gram(small_lenslet_h, w)

@@ -2,8 +2,11 @@
 
 import importlib
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,16 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # each of these adds most of a second to every command's start-up
+    heavy = ["scipy.signal", "scipy.sparse", "scipy.optimize"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, lensless_crb\n"
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == ""
