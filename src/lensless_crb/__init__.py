@@ -26,8 +26,6 @@ from .estimators import (
 )
 from .fisher import (
     CrbMap,
-    EpsilonPolicy,
-    FisherMatrix,
     crb_from_fisher,
     crb_summary,
     fisher_gaussian,
@@ -67,7 +65,7 @@ __all__ = [
     "SingularRateError", "TrialFailureError",
     "TrialReport", "gls_estimate", "make_gls_solver", "nnls_estimate",
     "poisson_mle", "run_trials",
-    "CrbMap", "EpsilonPolicy", "FisherMatrix", "crb_from_fisher", "crb_summary",
+    "CrbMap", "crb_from_fisher", "crb_summary",
     "fisher_gaussian", "fisher_monte_carlo", "fisher_poisson",
     "SystemMatrix", "VectorizedObject", "build_system_matrix", "devectorize",
     "forward", "pad_psf", "vectorize",

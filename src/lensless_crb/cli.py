@@ -65,7 +65,7 @@ DEFAULTS = {
     "noise": "gaussian",
     "sigma2": 1.0,
     "background": 1e-3,
-    "epsilon_rel": 1e-9,
+    "epsilon_rel": fisher.EPSILON_REL,
     "n_samples": 200_000,
     "n_trials": 10_000,
     "psf_kind": "lenslets",
@@ -183,19 +183,8 @@ def noise_model_from_config(cfg: dict):
 
 
 # ---------------------------------------------------------------------------
-# Pipeline pieces shared by crb/study
+# Output pieces shared by crb/study
 # ---------------------------------------------------------------------------
-
-
-def compute_crb_case(H, model, v, epsilon_rel):
-    """Fisher -> CRB map for one (H, object, noise) case.
-
-    v is the vectorized object; it may be None for a model whose Fisher
-    matrix does not depend on the object (Gaussian).
-    """
-    return fisher.crb_from_fisher(model.fisher(H, v),
-                                  fisher.EpsilonPolicy(relative=epsilon_rel),
-                                  object_shape=H.obj_shape)
 
 
 def write_case_outputs(out_dir: Path, cmap) -> dict:
@@ -266,7 +255,8 @@ def cmd_crb(args, cfg: dict) -> int:
     t1 = time.perf_counter()
     H = build_system_matrix(psf_grid, obj.shape,
                             pad_shape(cfg, impulse=cfg["psf_kind"] == "delta"))
-    cmap = compute_crb_case(H, model, vectorize(obj), cfg["epsilon_rel"])
+    cmap = fisher.crb_from_fisher(model.fisher(H, vectorize(obj)),
+                                  cfg["epsilon_rel"], H.obj_shape)
     t2 = time.perf_counter()
     info = write_case_outputs(out_dir, cmap)
     manifest = base_manifest(cfg, "crb")
@@ -313,10 +303,12 @@ def cmd_study(args, cfg: dict) -> int:
         t0 = time.perf_counter()
         H = build_system_matrix(psf_grid, size, pad_shape(cfg))
         for prefix, obj in study_objects:
+            # fig2's Gaussian Fisher matrix takes no object
             v = None if obj is None else vectorize(obj)
+            cmap = fisher.crb_from_fisher(model.fisher(H, v), cfg["epsilon_rel"],
+                                          H.obj_shape)
             case_dir = out_dir / (prefix + psf_name)
-            cases[prefix + psf_name] = write_case_outputs(
-                case_dir, compute_crb_case(H, model, v, cfg["epsilon_rel"]))
+            cases[prefix + psf_name] = write_case_outputs(case_dir, cmap)
             storage.write_grid_csv(case_dir / "psf.csv", psf_grid)
             if obj is not None:
                 storage.write_grid_csv(case_dir / "object.csv", obj)
@@ -369,7 +361,7 @@ def _verify_checks(cfg: dict, inject_negative: bool):
         for label, model in models:
             mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
                                            derive_seed(seed, f"mc-{label}"))
-            err = relative_error(mc.entries, model.fisher(H, v).entries)
+            err = relative_error(mc, model.fisher(H, v))
             yield f"mc_fisher_{label}", "PASS" if err < 0.05 else "FAIL", \
                 f"rel Frobenius error {err:.4f} (n={n_samples})"
 
@@ -394,7 +386,8 @@ def _verify_checks(cfg: dict, inject_negative: bool):
     else:
         spec1 = psf.PsfSpec(psf.Lenslets(1), (8, 8), derive_seed(seed, "psf"))
         H1 = build_system_matrix(psf.generate_psf(spec1), (8, 8), (10, 10))
-        cmap = compute_crb_case(H1, gauss, None, cfg["epsilon_rel"])
+        cmap = fisher.crb_from_fisher(gauss.fisher(H1, None), cfg["epsilon_rel"],
+                                      H1.obj_shape)
         report = run_trials(gauss, H1, v_small, "gls", n_trials,
                             derive_seed(seed, "trials"), crb=cmap)
         med = float(np.median(report.efficiency))
@@ -432,8 +425,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--background", type=float, help="Poisson background floor")
     p.add_argument("--epsilon-rel", dest="epsilon_rel", type=float,
                    help="relative diagonal loading before inversion")
-    p.add_argument("--n-trials", dest="n_trials", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
     p.add_argument("--psf-pad", dest="psf_pad", type=int,
                    help="padded PSF size (default: PSF size + 2)")
 
@@ -473,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--inject-negative-entry", action="store_true",
                    help=argparse.SUPPRESS)   # test hook: corrupt H
+    p.add_argument("--n-trials", dest="n_trials", type=int)
+    p.add_argument("--n-samples", dest="n_samples", type=int)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_verify)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fisher
 from .errors import TrialFailureError
-from .fisher import CrbMap, EpsilonPolicy, loaded_cholesky
+from .fisher import CrbMap, loaded_cholesky
 from .forward_model import SystemMatrix, forward, object_values, weighted_gram
 from .noise import sample
 
@@ -32,13 +32,14 @@ DEFAULT_TRIAL_CHUNK = 1000
 # ---------------------------------------------------------------------------
 
 
-def make_gls_solver(H: SystemMatrix, epsilon: EpsilonPolicy = EpsilonPolicy()):
-    """Factor (H^T H + eps*I) once; return a solver mapping y -> v.
+def make_gls_solver(H: SystemMatrix):
+    """Factor (H^T H + eps*I) once, with loaded_cholesky's default eps;
+    return a solver mapping y -> v.
 
     The solver accepts y of shape (k,) or (k, n) and may return negatives.
     """
     M = H.matrix
-    c, _ = loaded_cholesky(weighted_gram(H), epsilon)
+    c, _ = loaded_cholesky(weighted_gram(H))
 
     def solve(y):
         return fisher.cho_solve(c, M.T @ np.asarray(y, dtype=float))
@@ -46,13 +47,12 @@ def make_gls_solver(H: SystemMatrix, epsilon: EpsilonPolicy = EpsilonPolicy()):
     return solve
 
 
-def gls_estimate(H: SystemMatrix, y,
-                 epsilon: EpsilonPolicy = EpsilonPolicy()) -> np.ndarray:
+def gls_estimate(H: SystemMatrix, y) -> np.ndarray:
     """argmin ||y - Hv||^2, non-negativity NOT enforced.
 
     Under i.i.d. noise the variance cancels, so no noise model is needed.
     """
-    return make_gls_solver(H, epsilon)(y)
+    return make_gls_solver(H)(y)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,6 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     if np.any(Y < 0):
         raise ValueError("Poisson measurements must be non-negative")
     colsum = M.sum(axis=0)
-    if np.any(colsum == 0):
-        raise ValueError("system matrix has a zero column sum")
 
     n_cols = Y.shape[1]
     V = np.full((H.d, n_cols), max(Y.mean() / colsum.mean(), 1e-12))

@@ -5,10 +5,11 @@ Closed forms:
 * Gaussian: J = H^T H / sigma2 (object-independent).
 * Poisson:  J = H^T diag(1 / (H v + background)) H.
 
-A Monte Carlo estimator built from sampled score outer products serves as an
-independent oracle for both closed forms. The CRB is the diagonal of the
-inverse Fisher matrix, computed through a Cholesky factorization
-J + eps*I = L L^T with a relative epsilon so Gaussian and Poisson scales both
+Every Fisher matrix is a plain (d, d) symmetric PSD array. A Monte Carlo
+estimator built from sampled score outer products serves as an independent
+oracle for both closed forms. The CRB is the diagonal of the inverse Fisher
+matrix, computed through a Cholesky factorization J + eps*I = L L^T with
+eps = epsilon_rel * max(diag(J)), so Gaussian and Poisson scales both
 behave: diag((L L^T)^-1) holds the squared column norms of L^-1.
 """
 
@@ -22,16 +23,7 @@ from .errors import FactorizationError, SingularRateError
 from .forward_model import SystemMatrix, forward, weighted_gram
 
 MC_CHUNK = 20_000
-
-
-@dataclass(frozen=True)
-class FisherMatrix:
-    entries: np.ndarray     # (d, d) symmetric PSD
-    n_samples: int | None = None
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
+EPSILON_REL = 1e-9    # default diagonal loading, relative to max(diag(J))
 
 
 def check_parameter(name: str, value: float, allow_zero: bool = False) -> None:
@@ -47,26 +39,6 @@ def check_parameter(name: str, value: float, allow_zero: bool = False) -> None:
 
 
 @dataclass(frozen=True)
-class EpsilonPolicy:
-    """Diagonal loading used before inversion: eps = relative * max(diag(J)),
-    unless an absolute override is given."""
-
-    relative: float = 1e-9
-    absolute: float | None = None
-
-    def __post_init__(self):
-        check_parameter("epsilon relative", self.relative, allow_zero=True)
-        if self.absolute is not None:
-            check_parameter("epsilon absolute", self.absolute, allow_zero=True)
-
-    def value(self, J: np.ndarray) -> float:
-        if self.absolute is not None:
-            return float(self.absolute)
-        peak = float(np.max(np.diag(J)))
-        return self.relative * peak if peak > 0 else self.relative
-
-
-@dataclass(frozen=True)
 class CrbMap:
     """Per-object-pixel lower bounds on unbiased estimator variance (photons^2)."""
 
@@ -78,28 +50,28 @@ class CrbMap:
         return self.values.reshape(self.object_shape)
 
 
-def fisher_gaussian(H: SystemMatrix, sigma2: float) -> FisherMatrix:
+def fisher_gaussian(H: SystemMatrix, sigma2: float) -> np.ndarray:
     """Closed-form Fisher matrix for i.i.d. Gaussian noise."""
     check_parameter("sigma2", sigma2)
-    return FisherMatrix(entries=weighted_gram(H, 1.0 / sigma2))
+    return weighted_gram(H, 1.0 / sigma2)
 
 
-def fisher_poisson(H: SystemMatrix, v, background: float = 0.0) -> FisherMatrix:
+def fisher_poisson(H: SystemMatrix, v, background: float = 0.0) -> np.ndarray:
     """Closed-form Fisher matrix for Poisson noise at object v."""
     check_parameter("background", background, allow_zero=True)
     rate = forward(H, v) + background
     if np.any(rate <= 0):
         raise SingularRateError(int(np.argmax(rate <= 0)))
-    J = weighted_gram(H, 1.0 / rate)
-    return FisherMatrix(entries=0.5 * (J + J.T))
+    return weighted_gram(H, 1.0 / rate)
 
 
 def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
-                       seed: int = 0) -> FisherMatrix:
+                       seed: int = 0) -> np.ndarray:
     """Monte Carlo Fisher estimate: mean of score outer products.
 
     Samples are drawn in fixed-size chunks with seeds spawned per chunk, so
-    the result depends only on (model, H, v, n_samples, seed).
+    the result depends only on (model, H, v, n_samples, seed). Each chunk
+    adds S^T S, which is exactly symmetric, so the sum is too.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -116,16 +88,17 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
         J += S.T @ S
         done += m
     J /= n_samples
-    return FisherMatrix(entries=0.5 * (J + J.T), n_samples=n_samples)
+    return J
 
 
-def loaded_cholesky(A: np.ndarray, epsilon: EpsilonPolicy = EpsilonPolicy()):
+def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):
     """Cholesky factor of the symmetric matrix A + eps*I, and the eps used.
 
-    A is loaded in place. Raises FactorizationError when A + eps*I is not
-    positive definite.
+    eps = epsilon_rel * max(diag(A)); A is loaded in place. Raises
+    FactorizationError when A + eps*I is not positive definite.
     """
-    eps = epsilon.value(A)
+    check_parameter("epsilon_rel", epsilon_rel, allow_zero=True)
+    eps = epsilon_rel * float(np.max(np.diag(A)))
     A[np.diag_indices_from(A)] += eps
     try:
         return cho_factor(A, lower=True), eps
@@ -133,11 +106,11 @@ def loaded_cholesky(A: np.ndarray, epsilon: EpsilonPolicy = EpsilonPolicy()):
         raise FactorizationError(eps, f"Cholesky of A + eps*I failed (eps={eps!r}): {exc}")
 
 
-def crb_from_fisher(J: FisherMatrix, epsilon: EpsilonPolicy = EpsilonPolicy(),
+def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL,
                     object_shape=None) -> CrbMap:
     """diag((J + eps*I)^-1) via Cholesky and a triangular inverse; the epsilon
-    actually used is recorded."""
-    (c, _lower), eps = loaded_cholesky(np.array(J.entries, dtype=float), epsilon)
+    actually used is recorded. J itself is left unchanged."""
+    (c, _lower), eps = loaded_cholesky(np.array(J, dtype=float), epsilon_rel)
     # cho_factor leaves the entries of A above the diagonal of c; triu of the
     # transpose zeroes them and keeps c column-major, so dtrtri copies nothing
     Linv, info = lapack.dtrtri(np.triu(c.T).T, lower=1, overwrite_c=1)
@@ -145,8 +118,8 @@ def crb_from_fisher(J: FisherMatrix, epsilon: EpsilonPolicy = EpsilonPolicy(),
         raise FactorizationError(eps, f"triangular inverse failed (info={info})")
     values = np.einsum("ij,ij->j", Linv, Linv)
     if object_shape is None:
-        side = int(round(np.sqrt(J.d)))
-        if side * side != J.d:
+        side = int(round(np.sqrt(values.size)))
+        if side * side != values.size:
             raise ValueError("object_shape required for non-square objects")
         object_shape = (side, side)
     return CrbMap(values=values, epsilon_used=eps,

@@ -111,7 +111,7 @@ def build_system_matrix(psf, obj_shape, psf_pad=None) -> SystemMatrix:
     Parameters
     ----------
     psf : array_like
-        2-D non-negative PSF grid.
+        2-D non-negative PSF grid with at least one positive entry.
     obj_shape : (int, int)
         Object grid shape (height, width).
     psf_pad : (int, int), optional
@@ -119,6 +119,8 @@ def build_system_matrix(psf, obj_shape, psf_pad=None) -> SystemMatrix:
         PSF's own shape (plain full convolution).
     """
     p = as_grid(psf)
+    if not np.any(p > 0):
+        raise ValueError("PSF has no positive entry, so H carries no information")
     oh, ow = int(obj_shape[0]), int(obj_shape[1])
     if oh < 1 or ow < 1:
         raise DimensionError("object shape must be positive")
@@ -148,9 +150,9 @@ def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
 
     A scalar weight scales the PSF autocorrelation: entry (a, b) of H^T H is
     the autocorrelation at the lag between object pixels a and b, so the
-    dense H is not needed, and the result is exactly symmetric. A weight
-    vector forms S = diag(sqrt(w)) H and returns S^T S, a symmetric rank-k
-    update.
+    dense H is not needed. A weight vector forms S = diag(sqrt(w)) H and
+    returns S^T S, a symmetric rank-k update. Both branches return an
+    exactly symmetric matrix.
     """
     if np.ndim(w) == 0:
         return _autocorrelation_gram(H.psf, H.obj_shape) * w

@@ -49,7 +49,7 @@ class GaussianNoise:
     def curvature(self, y, mean):
         return 1.0 / self.sigma2
 
-    def fisher(self, H: SystemMatrix, v) -> _fisher.FisherMatrix:
+    def fisher(self, H: SystemMatrix, v) -> np.ndarray:
         """Closed-form Fisher matrix; the object v does not enter it."""
         return _fisher.fisher_gaussian(H, self.sigma2)
 
@@ -77,7 +77,7 @@ class PoissonNoise:
     def curvature(self, y, mean):
         return _poisson_ratio(mean, y) / np.where(mean > 0, mean, 1.0)
 
-    def fisher(self, H: SystemMatrix, v) -> _fisher.FisherMatrix:
+    def fisher(self, H: SystemMatrix, v) -> np.ndarray:
         """Closed-form Fisher matrix at object v."""
         return _fisher.fisher_poisson(H, v, self.background)
 

@@ -173,7 +173,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", [
         ("psf", "--kind", "lenslets", "--size", 16, "--sigma2", -5, "--n-trials", 3),
         ("psf", "--psf-pad", 18), ("object", "--background", 1.0),
-        ("object", "--epsilon-rel", 1e-6), ("object", "--n-samples", 10)])
+        ("object", "--epsilon-rel", 1e-6), ("object", "--n-samples", 10),
+        ("crb", "--n-trials", -3), ("study", "fig2", "--n-samples", 10)])
     def test_generators_reject_pipeline_flags(self, tmp_path, argv):
         with pytest.raises(SystemExit) as info:
             run(*argv, "--out", tmp_path / "o")

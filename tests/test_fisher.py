@@ -3,8 +3,7 @@ import pytest
 
 from lensless_crb import (
     CrbMap,
-    EpsilonPolicy,
-    FisherMatrix,
+    FactorizationError,
     GaussianNoise,
     PoissonNoise,
     SingularRateError,
@@ -21,6 +20,7 @@ from lensless_crb import (
     score,
     vectorize,
 )
+from lensless_crb.fisher import MC_CHUNK
 from lensless_crb.oracles import relative_error
 from lensless_crb.psf import Lenslets, PsfSpec
 
@@ -40,18 +40,18 @@ class TestFisherGaussian:
     def test_identity_diagonal(self):
         H = build_system_matrix(np.ones((1, 1)), (2, 2))
         J = fisher_gaussian(H, 2.0)
-        np.testing.assert_allclose(J.entries, 0.5 * np.eye(4))
+        np.testing.assert_allclose(J, 0.5 * np.eye(4))
 
     def test_matches_triple_loop_oracle(self):
         H = build_system_matrix(np.ones((2, 2)), (2, 2), (2, 2))
         J = fisher_gaussian(H, 1.7)
         expected = triple_loop_weighted_gram(H.matrix, np.full(H.k, 1 / 1.7))
-        np.testing.assert_allclose(J.entries, expected, rtol=1e-12)
+        np.testing.assert_allclose(J, expected, rtol=1e-12)
 
     def test_variance_scaling_exact(self, small_lenslet_h):
         J1 = fisher_gaussian(small_lenslet_h, 1.0)
         J2 = fisher_gaussian(small_lenslet_h, 2.0)
-        np.testing.assert_array_equal(J2.entries, 0.5 * J1.entries)
+        np.testing.assert_array_equal(J2, 0.5 * J1)
 
     @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan])
     def test_bad_variance_rejected(self, small_lenslet_h, sigma2):
@@ -62,21 +62,21 @@ class TestFisherGaussian:
         # the closed form takes no object at all; repeated calls are identical
         a = fisher_gaussian(small_lenslet_h, 1.0)
         b = fisher_gaussian(small_lenslet_h, 1.0)
-        np.testing.assert_array_equal(a.entries, b.entries)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestFisherPoisson:
     def test_identity_diagonal(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
         J = fisher_poisson(H, np.array([4.0, 9.0]), 0.0)
-        np.testing.assert_allclose(J.entries, np.diag([0.25, 1 / 9]))
+        np.testing.assert_allclose(J, np.diag([0.25, 1 / 9]))
 
     def test_brightness_scaling(self, unpadded_lenslet_h):
         rng = np.random.default_rng(0)
         v = rng.uniform(0.5, 2.0, size=unpadded_lenslet_h.d)
         J1 = fisher_poisson(unpadded_lenslet_h, v, 0.0)
         J3 = fisher_poisson(unpadded_lenslet_h, 3.0 * v, 0.0)
-        np.testing.assert_allclose(J3.entries, J1.entries / 3.0, rtol=1e-12)
+        np.testing.assert_allclose(J3, J1 / 3.0, rtol=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         psf = np.zeros((3, 3))
@@ -88,7 +88,7 @@ class TestFisherPoisson:
         beta = 0.01
         J = fisher_poisson(H, v, beta)
         w = 1.0 / (H.matrix @ v + beta)
-        np.testing.assert_allclose(J.entries,
+        np.testing.assert_allclose(J,
                                    triple_loop_weighted_gram(H.matrix, w),
                                    rtol=1e-12)
 
@@ -96,6 +96,16 @@ class TestFisherPoisson:
     def test_bad_background_rejected(self, unpadded_lenslet_h, background):
         with pytest.raises(ValueError):
             fisher_poisson(unpadded_lenslet_h, np.ones(unpadded_lenslet_h.d), background)
+
+    def test_exactly_symmetric(self):
+        from lensless_crb import DenseCells, ObjectSpec, generate_object
+        from lensless_crb.psf import Rml
+
+        psf = generate_psf(PsfSpec(Rml(), (16, 16), 1))
+        obj = generate_object(ObjectSpec(DenseCells(), (16, 16), 100.0, 1))
+        J = fisher_poisson(build_system_matrix(psf, obj.shape, (18, 18)),
+                           vectorize(obj), 1e-3)
+        assert np.array_equal(J, J.T)
 
     def test_zero_rate_rejected(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
@@ -107,14 +117,13 @@ class TestFisherMonteCarlo:
     def test_gaussian_matches_closed_form(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
         J = fisher_monte_carlo(GaussianNoise(1.0), H, np.ones(2), 200_000, seed=0)
-        np.testing.assert_allclose(J.entries, np.eye(2), atol=0.03)
-        assert J.n_samples == 200_000
+        np.testing.assert_allclose(J, np.eye(2), atol=0.03)
 
     def test_poisson_matches_closed_form(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 1))
         J = fisher_monte_carlo(PoissonNoise(0.0), H, np.array([100.0]), 200_000,
                                seed=1)
-        assert J.entries[0, 0] == pytest.approx(0.01, rel=0.03)
+        assert J[0, 0] == pytest.approx(0.01, rel=0.03)
 
     def test_single_sample_is_score_outer_product(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
@@ -125,7 +134,7 @@ class TestFisherMonteCarlo:
         child = np.random.SeedSequence(5).spawn(1)[0]
         noise = np.random.default_rng(child).normal(0, 1.0, size=(1, H.k))
         s = score(model, H, v, forward(H, v) + noise[0])
-        np.testing.assert_allclose(J.entries, np.outer(s, s), rtol=1e-12)
+        np.testing.assert_allclose(J, np.outer(s, s), rtol=1e-12)
 
     @pytest.mark.parametrize("model", [GaussianNoise(1.0), PoissonNoise(1e-3)])
     def test_oracle_equivalence_small_instance(self, model, small_lenslet_h):
@@ -136,13 +145,20 @@ class TestFisherMonteCarlo:
         else:
             closed = fisher_poisson(small_lenslet_h, v, model.background)
         mc = fisher_monte_carlo(model, small_lenslet_h, v, 200_000, seed=3)
-        assert relative_error(mc.entries, closed.entries) < 0.05
+        assert relative_error(mc, closed) < 0.05
 
     def test_invariants(self, small_lenslet_h):
         mc = fisher_monte_carlo(GaussianNoise(1.0), small_lenslet_h,
                                 np.ones(small_lenslet_h.d), 5000, seed=4)
-        assert np.max(np.abs(mc.entries - mc.entries.T)) < 1e-10
-        assert np.linalg.eigvalsh(mc.entries).min() >= -1e-8
+        assert np.array_equal(mc, mc.T)
+        assert np.linalg.eigvalsh(mc).min() >= -1e-8
+
+    def test_exactly_symmetric_across_chunks(self, small_lenslet_h):
+        # a sum of S^T S chunks needs no symmetrizing step
+        v = np.ones(small_lenslet_h.d)
+        mc = fisher_monte_carlo(PoissonNoise(1e-3), small_lenslet_h, v,
+                                MC_CHUNK + 10, seed=8)
+        assert np.array_equal(mc, mc.T)
 
 
 class TestHessianAverageEquivalence:
@@ -152,7 +168,7 @@ class TestHessianAverageEquivalence:
         model = GaussianNoise(1.5)
         y = sample(model, forward(H, v), seed=0)
         neg_hess = -hessian_log_likelihood(model, H, v, y)
-        np.testing.assert_allclose(neg_hess, fisher_gaussian(H, 1.5).entries,
+        np.testing.assert_allclose(neg_hess, fisher_gaussian(H, 1.5),
                                    rtol=1e-12)
 
     def test_poisson_sample_average(self, small_lenslet_h):
@@ -174,15 +190,26 @@ class TestHessianAverageEquivalence:
         y_bar = rng2.poisson(b, size=(n, H.k)).mean(axis=0)
         avg_neg_hess = -hessian_log_likelihood(model, H, v, y_bar)
         closed = fisher_poisson(H, v, model.background)
-        assert relative_error(avg_neg_hess, closed.entries) < 0.05
+        assert relative_error(avg_neg_hess, closed) < 0.05
 
 
 class TestCrb:
     def test_diagonal_inversion(self):
-        J = FisherMatrix(np.diag([0.25, 1 / 9, 1.0, 4.0]))
-        cmap = crb_from_fisher(J, EpsilonPolicy(absolute=0.0))
+        J = np.diag([0.25, 1 / 9, 1.0, 4.0])
+        cmap = crb_from_fisher(J, epsilon_rel=0.0)
         np.testing.assert_allclose(cmap.values, [4.0, 9.0, 1.0, 0.25])
         assert cmap.epsilon_used == 0.0
+
+    def test_fisher_matrix_left_unchanged(self, small_lenslet_h):
+        J = fisher_gaussian(small_lenslet_h, 1.0)
+        before = J.copy()
+        crb_from_fisher(J)
+        np.testing.assert_array_equal(J, before)
+
+    def test_no_information_raises(self):
+        # eps scales with max(diag(J)), so J = 0 gets no loading and no bound
+        with pytest.raises(FactorizationError):
+            crb_from_fisher(np.zeros((2, 2)))
 
     def test_matches_dense_inverse_on_rml_poisson(self):
         from lensless_crb import DenseCells, ObjectSpec, generate_object
@@ -193,7 +220,7 @@ class TestCrb:
         H = build_system_matrix(psf, obj.shape, (18, 18))
         J = fisher_poisson(H, vectorize(obj), 1e-3)
         cmap = crb_from_fisher(J, object_shape=obj.shape)
-        loaded = J.entries + cmap.epsilon_used * np.eye(J.d)
+        loaded = J + cmap.epsilon_used * np.eye(H.d)
         # cond(J) is about 2e7, so LU and Cholesky may differ near 2e7 * 2e-16
         np.testing.assert_allclose(cmap.values, np.diag(np.linalg.inv(loaded)),
                                    rtol=1e-8)
@@ -225,22 +252,21 @@ class TestCrb:
 
     def test_epsilon_monotonicity(self, small_lenslet_h):
         J = fisher_gaussian(small_lenslet_h, 1.0)
-        maps = [crb_from_fisher(J, EpsilonPolicy(relative=r)).values
+        maps = [crb_from_fisher(J, epsilon_rel=r).values
                 for r in (1e-9, 1e-6, 1e-3)]
         assert np.all(maps[1] <= maps[0] + 1e-12)
         assert np.all(maps[2] <= maps[1] + 1e-12)
 
     @pytest.mark.parametrize("kwargs", [
-        {"relative": -0.5}, {"relative": np.nan}, {"relative": np.inf},
-        {"absolute": -1e-9}, {"absolute": np.nan}, {"absolute": np.inf}])
+        {"epsilon_rel": -0.5}, {"epsilon_rel": np.nan}, {"epsilon_rel": np.inf}])
     def test_epsilon_policy_rejects_negative_or_non_finite(self, kwargs):
         with pytest.raises(ValueError):
-            EpsilonPolicy(**kwargs)
+            crb_from_fisher(np.eye(4), **kwargs)
 
     def test_epsilon_recorded(self, small_lenslet_h):
         J = fisher_gaussian(small_lenslet_h, 1.0)
-        cmap = crb_from_fisher(J, EpsilonPolicy(relative=1e-6))
-        assert cmap.epsilon_used == pytest.approx(1e-6 * np.diag(J.entries).max())
+        cmap = crb_from_fisher(J, epsilon_rel=1e-6)
+        assert cmap.epsilon_used == pytest.approx(1e-6 * np.diag(J).max())
 
 
 class TestCrbSummary:

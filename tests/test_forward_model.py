@@ -66,6 +66,12 @@ class TestBuildSystemMatrix:
         with pytest.raises(DimensionError):
             build_system_matrix(np.ones((3, 3)), (4, 4), (2, 4))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
+    def test_psf_without_positive_entry_rejected(self, shape):
+        # an all-zero PSF gives J = 0, whose only "bound" is 1/eps
+        with pytest.raises(ValueError):
+            build_system_matrix(np.zeros(shape), (4, 4))
+
     def test_column_sums_equal_psf_mass(self):
         rng = np.random.default_rng(1)
         psf = rng.uniform(0, 1, size=(4, 4))
@@ -183,6 +189,11 @@ class TestWeightedGram:
         expected = H.matrix.T @ (w[:, None] * H.matrix)
         np.testing.assert_allclose(weighted_gram(H, w), expected, rtol=1e-12,
                                    atol=1e-14 * np.max(expected))
+
+    def test_weight_vector_gram_exactly_symmetric(self, small_lenslet_h):
+        w = np.random.default_rng(8).uniform(0.1, 2, size=small_lenslet_h.k)
+        J = weighted_gram(small_lenslet_h, w)
+        assert np.array_equal(J, J.T)
 
     @pytest.mark.parametrize("bad", [-1e-9, np.nan, np.inf])
     def test_bad_weight_vector_rejected(self, small_lenslet_h, bad):

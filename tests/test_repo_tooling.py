@@ -9,19 +9,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import lensless_crb
 from lensless_crb import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracing_targets():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(m, attr) for m, attr, _name, _counter in module.TARGETS]
+    return module
+
+
+def _tracing_targets():
+    return [(m, attr) for m, attr, _name, _counter in _load_perfbench("tracing").TARGETS]
 
 
 @pytest.mark.parametrize("module, attr", _tracing_targets())
@@ -29,6 +35,24 @@ def test_traced_benchmark_targets_resolve(module, attr):
     # the traced benchmark wraps these module attributes; a missing one
     # crashes `perfbench/run.py --trace 1`
     assert callable(getattr(importlib.import_module(f"lensless_crb.{module}"), attr))
+
+
+def test_benchmark_decoder_workload_runs(tmp_path, monkeypatch):
+    # the decoders workload calls the library API directly, not through the CLI
+    workloads = _load_perfbench("workloads")
+    monkeypatch.setattr(workloads, "MLE_TRIALS", 3)
+    monkeypatch.setattr(workloads, "NNLS_TRIALS", 3)
+    record = workloads.run_decoders(0, 0, tmp_path)
+    for name in ("mle", "nnls"):
+        assert record[name]["n_failed"] == 0
+        assert np.all(np.isfinite(record[name]["mean"]))
+        assert np.all(np.isfinite(record[name]["variance"]))
+    assert np.all(np.isfinite(record["crb"]))
+
+
+def test_public_names_resolve():
+    # a stale export makes `from lensless_crb import *` raise
+    assert [n for n in lensless_crb.__all__ if not hasattr(lensless_crb, n)] == []
 
 
 def test_readme_example_runs():
