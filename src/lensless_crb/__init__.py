@@ -35,6 +35,7 @@ from .fisher import (
 from .forward_model import (
     SystemMatrix,
     VectorizedObject,
+    adjoint,
     build_system_matrix,
     devectorize,
     forward,
@@ -67,8 +68,8 @@ __all__ = [
     "poisson_mle", "run_trials",
     "CrbMap", "crb_from_fisher", "crb_summary",
     "fisher_gaussian", "fisher_monte_carlo", "fisher_poisson",
-    "SystemMatrix", "VectorizedObject", "build_system_matrix", "devectorize",
-    "forward", "pad_psf", "vectorize",
+    "SystemMatrix", "VectorizedObject", "adjoint", "build_system_matrix",
+    "devectorize", "forward", "pad_psf", "vectorize",
     "GaussianNoise", "PoissonNoise", "hessian_log_likelihood", "log_likelihood",
     "sample", "score",
     "DenseCells", "ObjectSpec", "SparseBeads", "generate_object", "sparsity",

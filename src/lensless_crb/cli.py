@@ -326,11 +326,19 @@ def cmd_study(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: dict, inject_negative: bool):
-    """Yield (check name, status, detail); status in PASS/FAIL/SKIP."""
+def _verify_checks(cfg: dict):
+    """Yield (check name, status, detail); status in PASS/FAIL/SKIP.
+
+    Every parameter is checked before the first check runs, so a bad one
+    fails the command before any result is printed.
+    """
     seed = cfg["seed"]
     n_samples = cfg["n_samples"]
     n_trials = cfg["n_trials"]
+    gauss = noise.GaussianNoise(cfg["sigma2"])
+    models = (("gaussian", gauss), ("poisson", noise.PoissonNoise(cfg["background"])))
+    for key in ("epsilon_rel", "n_samples", "n_trials"):
+        fisher.check_parameter(key, cfg[key], allow_zero=True)
     rng = np.random.default_rng(derive_seed(seed, "verify"))
 
     spec = psf.PsfSpec(psf.Lenslets(3), (8, 8), derive_seed(seed, "psf"))
@@ -338,8 +346,6 @@ def _verify_checks(cfg: dict, inject_negative: bool):
     obj = objects.generate_object(objects.ObjectSpec(
         objects.DenseCells(n_blobs=3), (8, 8), 50.0, derive_seed(seed, "object")))
     H = build_system_matrix(psf_grid, obj.shape, (10, 10))
-    if inject_negative:
-        H.matrix[0, 0] = -1e-3
     v = vectorize(obj)
 
     # structural invariants of H
@@ -349,9 +355,6 @@ def _verify_checks(cfg: dict, inject_negative: bool):
         f"min entry {H.matrix.min():.3g}"
     if not ok:
         return
-
-    gauss = noise.GaussianNoise(cfg["sigma2"])
-    models = (("gaussian", gauss), ("poisson", noise.PoissonNoise(cfg["background"])))
 
     # Monte Carlo Fisher vs closed forms
     if n_samples < MC_MIN_SAMPLES:
@@ -399,7 +402,7 @@ def cmd_verify(args, cfg: dict) -> int:
     out_dir = Path(args.out) if args.out else None
     results = []
     t0 = time.perf_counter()
-    for name, status, detail in _verify_checks(cfg, args.inject_negative_entry):
+    for name, status, detail in _verify_checks(cfg):
         print(f"{status:4s} {name}: {detail}")
         results.append({"check": name, "status": status, "detail": detail})
     elapsed = time.perf_counter() - t0
@@ -462,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle suite at reduced size")
     p.add_argument("--config")
     p.add_argument("--out")
-    p.add_argument("--inject-negative-entry", action="store_true",
-                   help=argparse.SUPPRESS)   # test hook: corrupt H
     p.add_argument("--n-trials", dest="n_trials", type=int)
     p.add_argument("--n-samples", dest="n_samples", type=int)
     _add_pipeline_flags(p)

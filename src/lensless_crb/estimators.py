@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from . import fisher
 from .errors import TrialFailureError
 from .fisher import CrbMap, loaded_cholesky
-from .forward_model import SystemMatrix, forward, object_values, weighted_gram
+from .forward_model import SystemMatrix, adjoint, forward, object_values, weighted_gram
 from .noise import sample
 
 DEFAULT_TRIAL_CHUNK = 1000
@@ -38,11 +39,10 @@ def make_gls_solver(H: SystemMatrix):
 
     The solver accepts y of shape (k,) or (k, n) and may return negatives.
     """
-    M = H.matrix
     c, _ = loaded_cholesky(weighted_gram(H))
 
     def solve(y):
-        return fisher.cho_solve(c, M.T @ np.asarray(y, dtype=float))
+        return fisher.cho_solve(c, adjoint(H, y))
 
     return solve
 
@@ -66,32 +66,23 @@ class NnlsResult(NamedTuple):
     n_iters: int
 
 
-def _largest_eigenvalue(A, iters=100):
-    x = np.ones(A.shape[0])
-    for _ in range(iters):
-        x = A @ x
-        x /= np.linalg.norm(x)
-    return float(x @ (A @ x))
-
-
 def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
                   tol: float = 1e-9) -> NnlsResult:
     """Projected gradient descent on ||y - Hv||^2 with v >= 0.
 
-    Step 1/L with L the largest eigenvalue of H^T H (power iteration);
+    Step 1/L with L the largest eigenvalue of H^T H (LAPACK);
     stops when the relative objective decrease drops below tol. Supports
     y of shape (k,) or (k, n); non-convergence returns the last iterate
     with converged=False.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    M = H.matrix
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     Y = y[:, None] if single else y
     A = weighted_gram(H)
-    L = _largest_eigenvalue(A)
-    MtY = M.T @ Y
+    L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
+    HtY = adjoint(H, Y)
     V = np.zeros((H.d, Y.shape[1]))
     active = np.ones(Y.shape[1], dtype=bool)
     obj = np.sum(Y ** 2, axis=0)
@@ -99,10 +90,10 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
     while it < max_iters and np.any(active):
         idx = np.flatnonzero(active)       # converged columns stop updating
         Va = V[:, idx]
-        grad = A @ Va - MtY[:, idx]        # half-gradient of the objective
+        grad = A @ Va - HtY[:, idx]        # half-gradient of the objective
         Va = np.maximum(Va - grad / L, 0.0)
         V[:, idx] = Va
-        new_obj = np.sum((Y[:, idx] - M @ Va) ** 2, axis=0)
+        new_obj = np.sum((Y[:, idx] - forward(H, Va)) ** 2, axis=0)
         rel_drop = (obj[idx] - new_obj) / np.maximum(obj[idx], 1e-300)
         active[idx[rel_drop < tol]] = False
         obj[idx] = new_obj
@@ -135,31 +126,32 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     """Richardson-Lucy iterations for the Poisson likelihood.
 
     v <- v * [H^T (y / (Hv + background))] / H^T 1, started uniform positive;
-    stops when the relative log-likelihood change drops below tol. Supports
-    y of shape (k,) or (k, n).
+    H^T 1 is the PSF mass at every pixel. Stops when the relative
+    log-likelihood change drops below tol. Supports y of shape (k,) or (k, n).
     """
-    M = H.matrix
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     Y = y[:, None] if single else y
     if np.any(Y < 0):
         raise ValueError("Poisson measurements must be non-negative")
-    colsum = M.sum(axis=0)
+    mass = H.psf.sum()
 
     n_cols = Y.shape[1]
-    V = np.full((H.d, n_cols), max(Y.mean() / colsum.mean(), 1e-12))
-    obj = _poisson_objective(Y, M @ V + background)
+    V = np.full((H.d, n_cols), max(Y.mean() / mass, 1e-12))
+    obj = _poisson_objective(Y, forward(H, V) + background)
     trace = [obj.copy()]
     active = np.ones(n_cols, dtype=bool)
     it = 0
     while it < max_iters and np.any(active):
         idx = np.flatnonzero(active)       # converged columns stop updating
         Va, Ya = V[:, idx], Y[:, idx]
-        B = M @ Va + background
+        B = forward(H, Va) + background
         ratio = np.where(Ya > 0, Ya / np.maximum(B, 1e-300), 0.0)
-        Va = Va * ((M.T @ ratio) / colsum[:, None])
+        Va = Va * (adjoint(H, ratio) / mass)
         V[:, idx] = Va
-        new_obj = _poisson_objective(Ya, M @ Va + background)
+        new_obj = _poisson_objective(Ya, forward(H, Va) + background)
         rel = np.abs(new_obj - obj[idx]) / np.maximum(np.abs(obj[idx]), 1e-300)
         active[idx[rel < tol]] = False
         obj[idx] = new_obj

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
 from .errors import FactorizationError, SingularRateError
-from .forward_model import SystemMatrix, forward, weighted_gram
+from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 
 MC_CHUNK = 20_000
 EPSILON_REL = 1e-9    # default diagonal loading, relative to max(diag(J))
@@ -84,7 +84,7 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     for child in children:
         m = min(MC_CHUNK, n_samples - done)
         Y = model.draw(np.random.default_rng(child), mean, (m, H.k))
-        S = model.score_weights(Y, mean) @ H.matrix
+        S = adjoint(H, model.score_weights(Y, mean).T).T
         J += S.T @ S
         done += m
     J /= n_samples

@@ -5,7 +5,9 @@ Image formation is full 2-D convolution with a fixed PSF, realized as a
 system matrix H so that the noiseless measurement is b = H v for the
 row-major vectorized object v. H keeps the padded PSF and builds its dense
 k x d matrix on first use; the constant-weight Gram H^T H never needs it,
-since it is the PSF autocorrelation laid out block-Toeplitz. The PSF may be
+since it is the PSF autocorrelation laid out block-Toeplitz. ``forward``
+(H v) and ``adjoint`` (H^T r) are the only products with H that other
+modules use, so this module alone knows how H is stored. The PSF may be
 zero-padded before building H; padding to (psf + 2) per axis turns 32x32
 objects into 65x65 measurements.
 """
@@ -137,11 +139,21 @@ def object_values(v) -> np.ndarray:
 
 
 def forward(H: SystemMatrix, v) -> np.ndarray:
-    """Noiseless measurement b = H v."""
+    """Noiseless measurement b = H v of one object (d,) or of a batch of
+    objects in the columns of a (d, n) array."""
     values = object_values(v)
-    if values.shape[0] != H.d:
-        raise DimensionError(f"object length {values.shape[0]} != H columns {H.d}")
+    if values.shape[:1] != (H.d,):
+        raise DimensionError(f"object shape {values.shape} does not match H columns {H.d}")
     return H.matrix @ values
+
+
+def adjoint(H: SystemMatrix, r) -> np.ndarray:
+    """Back-projection H^T r of one measurement-plane vector (k,) or of a
+    batch in the columns of a (k, n) array."""
+    r = np.asarray(r, dtype=float)
+    if r.shape[:1] != (H.k,):
+        raise DimensionError(f"measurement shape {r.shape} does not match H rows {H.k}")
+    return H.matrix.T @ r
 
 
 def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:

@@ -24,7 +24,7 @@ from scipy.special import gammaln
 
 from . import fisher as _fisher
 from .errors import DimensionError, SingularRateError
-from .forward_model import SystemMatrix, forward, weighted_gram
+from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def log_likelihood(model, H: SystemMatrix, v, y) -> float:
 def score(model, H: SystemMatrix, v, y) -> np.ndarray:
     """Gradient of the log-likelihood with respect to the object pixels."""
     y = np.asarray(y, dtype=float)
-    return H.matrix.T @ model.score_weights(y, _mean(model, H, v))
+    return adjoint(H, model.score_weights(y, _mean(model, H, v)))
 
 
 def hessian_log_likelihood(model, H: SystemMatrix, v, y) -> np.ndarray:

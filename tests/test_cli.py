@@ -215,11 +215,28 @@ class TestVerifyCommand:
         assert run("verify", "--n-samples", 100, "--n-trials", 1000) == 3
         assert "20/1000 estimator failures" in capsys.readouterr().err
 
-    def test_injected_corruption_fails(self, capsys):
-        code = run("verify", "--n-samples", 100, "--n-trials", 10,
-                   "--inject-negative-entry")
+    def test_injected_corruption_fails(self, monkeypatch, capsys):
+        build = cli.build_system_matrix
+
+        def corrupted(*args, **kwargs):
+            H = build(*args, **kwargs)
+            H.matrix[0, 0] = -1e-3
+            return H
+
+        monkeypatch.setattr(cli, "build_system_matrix", corrupted)
+        code = run("verify", "--n-samples", 100, "--n-trials", 10)
         assert code == 3
         assert "FAIL system_matrix_invariants" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan"),
+                                       ("--sigma2", -1), ("--background", "inf"),
+                                       ("--n-samples", -5), ("--n-trials", -5)])
+    def test_bad_parameter_fails_before_any_check(self, tmp_path, capsys, flags):
+        out = tmp_path / "v"
+        code = run("verify", "--n-samples", 100, "--n-trials", 10, *flags, "--out", out)
+        assert code == 2
+        assert "PASS" not in capsys.readouterr().out
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

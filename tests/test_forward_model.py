@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from lensless_crb import (
     DimensionError,
+    adjoint,
     build_system_matrix,
     devectorize,
     forward,
@@ -144,6 +145,45 @@ class TestForward:
         lhs = forward(H, v) @ y
         rhs = v @ (H.matrix.T @ y)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("psf_shape, obj_shape, pad", [
+        ((3, 2), (4, 5), None),      # unpadded
+        ((3, 2), (4, 5), (5, 6)),    # padded
+        ((1, 1), (3, 3), (3, 1)),    # padded delta
+    ])
+    def test_operator_pair_matches_bruteforce(self, psf_shape, obj_shape, pad):
+        rng = np.random.default_rng(sum(obj_shape))
+        psf = rng.uniform(0.1, 1, size=psf_shape)
+        H = build_system_matrix(psf, obj_shape, pad)
+        M = conv_matrix_bruteforce(pad_psf(psf, H.psf.shape), obj_shape)
+        v, V = rng.uniform(0, 1, size=H.d), rng.uniform(0, 1, size=(H.d, 3))
+        r, R = rng.normal(size=H.k), rng.normal(size=(H.k, 3))
+        for got, expected in [(forward(H, v), M @ v), (forward(H, V), M @ V),
+                              (adjoint(H, r), M.T @ r), (adjoint(H, R), M.T @ R)]:
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((4, 2)), 1.0])
+    def test_dimension_mismatch(self, identity_h, bad):
+        with pytest.raises(DimensionError):
+            adjoint(identity_h, bad)
+        with pytest.raises(DimensionError):
+            forward(identity_h, bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ph=st.integers(1, 5), pw=st.integers(1, 5), oh=st.integers(1, 5),
+           ow=st.integers(1, 5), n=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_inner_products_agree_property(self, ph, pw, oh, ow, n, seed):
+        # <H v, r> = <v, H^T r> column by column
+        rng = np.random.default_rng(seed)
+        H = build_system_matrix(rng.uniform(0.1, 1, size=(ph, pw)), (oh, ow))
+        V, R = rng.normal(size=(H.d, n)), rng.normal(size=(H.k, n))
+        lhs = np.sum(forward(H, V) * R, axis=0)
+        rhs = np.sum(V * adjoint(H, R), axis=0)
+        scale = np.sum(np.abs(forward(H, np.abs(V))) * np.abs(R), axis=0)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 def assert_gram_matches_dense(psf, obj_shape, psf_pad=None):

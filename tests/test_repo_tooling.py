@@ -1,5 +1,6 @@
 """Checks on files outside the package that depend on its layout."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -85,3 +86,31 @@ def test_import_loads_no_heavy_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == ""
+
+
+def _matrix_reads(tree):
+    """(enclosing function name or None, line) of every ``.matrix`` attribute."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "matrix":
+                found.append((func, child.lineno))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_forward_model_reads_the_dense_system_matrix():
+    # forward and adjoint are the one way to apply H, so how H is stored is
+    # decided in forward_model alone; verify's invariant oracle reads the
+    # dense matrix on purpose
+    allowed = {("cli.py", "_verify_checks")}
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted((ROOT / "src" / "lensless_crb").glob("*.py"))
+                 if path.name != "forward_model.py"
+                 for func, line in _matrix_reads(ast.parse(path.read_text()))
+                 if (path.name, func) not in allowed]
+    assert offenders == []
