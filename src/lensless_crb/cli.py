@@ -400,18 +400,27 @@ def _verify_checks(cfg: dict):
 
 def cmd_verify(args, cfg: dict) -> int:
     out_dir = Path(args.out) if args.out else None
-    results = []
-    t0 = time.perf_counter()
+    results, check_s = [], {}
+    t0 = t_check = time.perf_counter()
     for name, status, detail in _verify_checks(cfg):
+        # a check's time runs from the end of the previous one, so the first
+        # check carries the set-up of H and the object
+        check_s[name] = time.perf_counter() - t_check
         print(f"{status:4s} {name}: {detail}")
         results.append({"check": name, "status": status, "detail": detail})
+        t_check = time.perf_counter()
     elapsed = time.perf_counter() - t0
     failed = [r["check"] for r in results if r["status"] == "FAIL"]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = base_manifest(cfg, "verify")
         manifest["checks"] = results
-        finish_manifest(manifest, out_dir, {"verify": elapsed})
+        manifest["monte_carlo"] = {
+            "workers": fisher.monte_carlo_workers(cfg["n_samples"]),
+            "chunk_samples": fisher.MC_CHUNK,
+            "block_bytes": fisher.MC_BLOCK_BYTES,
+        }
+        finish_manifest(manifest, out_dir, {"verify": elapsed, **check_s})
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,7 +13,11 @@ eps = epsilon_rel * max(diag(J)), so Gaussian and Poisson scales both
 behave: diag((L L^T)^-1) holds the squared column norms of L^-1.
 """
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 # cho_solve pairs with loaded_cholesky; the GLS solver calls it as fisher.cho_solve
@@ -22,7 +26,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F40
 from .errors import FactorizationError, SingularRateError
 from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 
-MC_CHUNK = 20_000
+MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
+MC_BLOCK_BYTES = 8 << 20    # draws one Monte Carlo worker holds at a time
 EPSILON_REL = 1e-9    # default diagonal loading, relative to max(diag(J))
 
 
@@ -69,26 +74,78 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
                        seed: int = 0) -> np.ndarray:
     """Monte Carlo Fisher estimate: mean of score outer products.
 
-    Samples are drawn in fixed-size chunks with seeds spawned per chunk, so
-    the result depends only on (model, H, v, n_samples, seed). Each chunk
-    adds S^T S, which is exactly symmetric, so the sum is too.
+    Samples come in chunks of MC_CHUNK, each drawn from its own generator
+    seeded by one child of SeedSequence(seed). The chunks run on
+    monte_carlo_workers(n_samples) threads (NumPy releases the GIL in the
+    draws, the score-weight ufuncs and the BLAS products), and the main
+    thread adds their S^T S partials in chunk order. So the result depends
+    only on (model, H, v, n_samples, seed), bitwise, whatever the thread
+    count; each partial is exactly symmetric, and so is the sum.
+
+    Memory is bounded whatever n_samples is: a worker draws and projects its
+    chunk in row blocks of at most MC_BLOCK_BYTES of measurements (one row
+    if a row is larger), and holds at most four block-sized arrays at once
+    (the draws, their score weights and two ufunc temporaries). Beyond its
+    d x d partials the call allocates less than
+    workers * 4 * MC_BLOCK_BYTES.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    # forward builds H's cached dense matrix here, before any worker reads it
     mean = forward(H, v) + model.background
+    # spawned one at a time, the children are those of spawn(n_chunks), and
+    # no per-chunk object outlives its chunk
     ss = np.random.SeedSequence(seed)
-    n_chunks = (n_samples + MC_CHUNK - 1) // MC_CHUNK
-    children = ss.spawn(n_chunks)
+    chunks = (partial(_chunk_gram, model, H, mean, ss.spawn(1)[0],
+                      min(MC_CHUNK, n_samples - start))
+              for start in range(0, n_samples, MC_CHUNK))
+    workers = monte_carlo_workers(n_samples)
     J = np.zeros((H.d, H.d))
-    done = 0
-    for child in children:
-        m = min(MC_CHUNK, n_samples - done)
-        Y = model.draw(np.random.default_rng(child), mean, (m, H.k))
-        S = adjoint(H, model.score_weights(Y, mean).T).T
-        J += S.T @ S
-        done += m
+    if workers == 1:
+        for chunk in chunks:
+            J += chunk()
+    else:
+        # at most 2 * workers chunks are queued or done but not yet added
+        pool = ThreadPoolExecutor(workers)
+        try:
+            pending = deque()
+            for chunk in chunks:
+                pending.append(pool.submit(chunk))
+                if len(pending) == 2 * workers:
+                    J += pending.popleft().result()
+            while pending:
+                J += pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
     J /= n_samples
     return J
+
+
+def monte_carlo_workers(n_samples: int) -> int:
+    """Threads fisher_monte_carlo uses: the usable CPUs, at most one per chunk."""
+    return min(_cpu_count(), -(-n_samples // MC_CHUNK))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_gram(model, H: SystemMatrix, mean, seed_seq, m: int) -> np.ndarray:
+    """S^T S over m samples from one seed chunk, in row blocks of at most
+    MC_BLOCK_BYTES; a generator's draws split into blocks are the draws of
+    one call."""
+    rng = np.random.default_rng(seed_seq)
+    rows = max(1, MC_BLOCK_BYTES // (8 * H.k))
+    G = np.zeros((H.d, H.d))
+    for start in range(0, m, rows):
+        Y = model.draw(rng, mean, (min(rows, m - start), H.k))
+        S = adjoint(H, model.score_weights(Y, mean).T).T
+        G += S.T @ S
+    return G
 
 
 def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):

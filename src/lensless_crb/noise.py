@@ -94,6 +94,14 @@ def _poisson_ratio(b, y):
         return np.where(y > 0, y / b, 0.0)
 
 
+def _measurement(H: SystemMatrix, y) -> np.ndarray:
+    """y as a float array; DimensionError unless it is one measurement (k,)."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (H.k,):
+        raise DimensionError(f"measurement shape {y.shape} != ({H.k},) of H rows")
+    return y
+
+
 def _mean(model, H: SystemMatrix, v) -> np.ndarray:
     return forward(H, v) + model.background
 
@@ -108,19 +116,17 @@ def sample(model, b, seed) -> np.ndarray:
 
 def log_likelihood(model, H: SystemMatrix, v, y) -> float:
     """ln p(y; v). Poisson returns -inf when a zero rate meets a nonzero count."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != H.k:
-        raise DimensionError(f"measurement length {y.shape[0]} != H rows {H.k}")
+    y = _measurement(H, y)
     return model.log_pdf(y, _mean(model, H, v))
 
 
 def score(model, H: SystemMatrix, v, y) -> np.ndarray:
     """Gradient of the log-likelihood with respect to the object pixels."""
-    y = np.asarray(y, dtype=float)
+    y = _measurement(H, y)
     return adjoint(H, model.score_weights(y, _mean(model, H, v)))
 
 
 def hessian_log_likelihood(model, H: SystemMatrix, v, y) -> np.ndarray:
     """Hessian of the log-likelihood; Gaussian is y-independent."""
-    y = np.asarray(y, dtype=float)
+    y = _measurement(H, y)
     return -weighted_gram(H, model.curvature(y, _mean(model, H, v)))

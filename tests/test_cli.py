@@ -199,6 +199,23 @@ class TestVerifyCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {c["status"] for c in manifest["checks"]} == {"PASS"}
 
+    def test_manifest_times_each_check_and_records_monte_carlo(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fisher, "_cpu_count", lambda: 3)
+        out = tmp_path / "v"
+        assert run("verify", "--n-samples", 2 * fisher.MC_CHUNK, "--n-trials", 0,
+                   "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        checks = [c["check"] for c in manifest["checks"]]
+        timings = manifest["timings"]
+        assert sorted(timings) == sorted(["verify"] + checks)
+        assert all(timings[c] >= 0 for c in checks)
+        assert sum(timings[c] for c in checks) <= timings["verify"] + 1e-5
+        # two chunks cap the three CPUs at two workers
+        assert manifest["monte_carlo"] == {"workers": 2,
+                                           "chunk_samples": fisher.MC_CHUNK,
+                                           "block_bytes": fisher.MC_BLOCK_BYTES}
+
     def test_insufficient_budget_skips(self, capsys):
         code = run("verify", "--n-samples", 100, "--n-trials", 10)
         lines = capsys.readouterr().out.strip().splitlines()

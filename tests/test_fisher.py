@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,8 @@ from lensless_crb import (
     score,
     vectorize,
 )
-from lensless_crb.fisher import MC_CHUNK
+from lensless_crb import fisher
+from lensless_crb.fisher import MC_BLOCK_BYTES, MC_CHUNK
 from lensless_crb.oracles import relative_error
 from lensless_crb.psf import Lenslets, PsfSpec
 
@@ -159,6 +164,105 @@ class TestFisherMonteCarlo:
         mc = fisher_monte_carlo(PoissonNoise(1e-3), small_lenslet_h, v,
                                 MC_CHUNK + 10, seed=8)
         assert np.array_equal(mc, mc.T)
+
+
+def serial_monte_carlo(model, H, v, n_samples, seed):
+    """Monte Carlo Fisher with whole-chunk draws, summed one chunk after another."""
+    mean = forward(H, v) + model.background
+    n_chunks = -(-n_samples // MC_CHUNK)
+    J = np.zeros((H.d, H.d))
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        m = min(MC_CHUNK, n_samples - i * MC_CHUNK)
+        Y = model.draw(np.random.default_rng(child), mean, (m, H.k))
+        S = model.score_weights(Y, mean) @ H.matrix
+        J += S.T @ S
+    return J / n_samples
+
+
+class _ChunkError(RuntimeError):
+    pass
+
+
+class FailingModel:
+    """Stub noise model whose score weights fail in the second seed chunk."""
+
+    background = 0.0
+
+    def draw(self, rng, mean, shape):
+        # the last entry of a spawned child's key is its chunk index
+        return np.full(shape, float(rng.bit_generator.seed_seq.spawn_key[-1]))
+
+    def score_weights(self, y, mean):
+        if y[0, 0] == 1.0:
+            raise _ChunkError("chunk 2")
+        return y - mean
+
+
+class TestMonteCarloChunks:
+    """fisher_monte_carlo runs its seed chunks on a thread pool."""
+
+    N = 2 * MC_CHUNK + 123    # three chunks, the last a short one
+
+    @pytest.mark.parametrize("model", [GaussianNoise(1.0), PoissonNoise(1e-3)])
+    def test_bitwise_equal_across_worker_counts(self, model, small_lenslet_h,
+                                                monkeypatch):
+        v = np.linspace(1.0, 40.0, small_lenslet_h.d)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # more thread switches, more interleavings
+        try:
+            for workers in (1, 2, 3, 3):
+                monkeypatch.setattr(fisher, "_cpu_count", lambda w=workers: w)
+                results.append(fisher_monte_carlo(model, small_lenslet_h, v, self.N,
+                                                  seed=9))
+        finally:
+            sys.setswitchinterval(interval)
+        for J in results[1:]:
+            np.testing.assert_array_equal(J, results[0])
+
+    @pytest.mark.parametrize("model", [GaussianNoise(1.0), PoissonNoise(1e-3)])
+    def test_matches_serial_whole_chunk_reference(self, model, small_lenslet_h):
+        # k = 289 splits each chunk into row blocks, so the draws of one
+        # chunk come from several generator calls
+        assert MC_BLOCK_BYTES // (8 * small_lenslet_h.k) < MC_CHUNK
+        v = np.linspace(1.0, 40.0, small_lenslet_h.d)
+        J = fisher_monte_carlo(model, small_lenslet_h, v, self.N, seed=10)
+        reference = serial_monte_carlo(model, small_lenslet_h, v, self.N, seed=10)
+        assert relative_error(J, reference) < 1e-13
+        assert np.array_equal(J, J.T)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunk_exception_reaches_caller(self, workers, monkeypatch):
+        monkeypatch.setattr(fisher, "_cpu_count", lambda: workers)
+        H = build_system_matrix(np.ones((1, 1)), (1, 2))
+        threads = threading.active_count()
+        with pytest.raises(_ChunkError):
+            fisher_monte_carlo(FailingModel(), H, np.ones(2), 3 * MC_CHUNK, seed=0)
+        assert threading.active_count() == threads
+
+    def test_memory_bounded_in_sample_count(self, small_lenslet_h, monkeypatch):
+        H = small_lenslet_h
+        model = PoissonNoise(1e-3)   # its draws and weights need the most temporaries
+        v = np.linspace(1.0, 40.0, H.d)
+
+        def peak_bytes(n_samples):
+            tracemalloc.start()
+            try:
+                fisher_monte_carlo(model, H, v, n_samples, seed=11)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one worker makes the allocation sequence, and so the peak, repeatable;
+        # the slack covers allocator bookkeeping, not a chunk's draws
+        monkeypatch.setattr(fisher, "_cpu_count", lambda: 1)
+        peak_bytes(1)
+        assert peak_bytes(4 * MC_CHUNK) <= peak_bytes(2 * MC_CHUNK) + (64 << 10)
+        # the docstring's bound, with every worker busy
+        workers = 3
+        monkeypatch.setattr(fisher, "_cpu_count", lambda: workers)
+        assert fisher.monte_carlo_workers(4 * MC_CHUNK) == workers
+        assert peak_bytes(4 * MC_CHUNK) < workers * 4 * MC_BLOCK_BYTES
 
 
 class TestHessianAverageEquivalence:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lensless_crb import (
+    DimensionError,
     GaussianNoise,
     PoissonNoise,
     SingularRateError,
@@ -168,3 +169,13 @@ class TestHessian:
                 y = np.abs(y)
             hess = hessian_log_likelihood(model, H, v, y)
             assert np.linalg.eigvalsh(hess).max() <= 1e-10
+
+
+@pytest.mark.parametrize("fn", [log_likelihood, score, hessian_log_likelihood])
+@pytest.mark.parametrize("y", [1.0, np.ones(4), np.ones((9, 1))],
+                         ids=["scalar", "short", "column"])
+def test_measurement_shape_checked(fn, y, identity_h):
+    # a scalar would broadcast as a measurement, a wrong length would reach
+    # NumPy's broadcasting error; both are one DimensionError instead
+    with pytest.raises(DimensionError):
+        fn(GaussianNoise(1.0), identity_h, np.ones(9), y)

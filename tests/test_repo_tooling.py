@@ -8,13 +8,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lensless_crb
-from lensless_crb import cli
+from lensless_crb import build_system_matrix, cli, fisher, noise
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +37,26 @@ def test_traced_benchmark_targets_resolve(module, attr):
     # the traced benchmark wraps these module attributes; a missing one
     # crashes `perfbench/run.py --trace 1`
     assert callable(getattr(importlib.import_module(f"lensless_crb.{module}"), attr))
+
+
+def test_tracer_accounts_for_threaded_monte_carlo(monkeypatch):
+    # the tracer keeps one open-span stack, so the Monte Carlo worker threads
+    # must call no traced attribute; the monkeypatch undoes the install
+    tracing = _load_perfbench("tracing")
+    for module, attr, _name, _counter in tracing.TARGETS:
+        target = importlib.import_module(f"lensless_crb.{module}")
+        monkeypatch.setattr(target, attr, getattr(target, attr))
+    monkeypatch.setattr(fisher, "_cpu_count", lambda: 3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    H = build_system_matrix(np.ones((2, 2)), (3, 3))
+    t0 = time.perf_counter()
+    fisher.fisher_monte_carlo(noise.PoissonNoise(1e-3), H, np.ones(H.d),
+                              2 * fisher.MC_CHUNK + 1, seed=0)
+    summary = tracer.summary(time.perf_counter() - t0, 0.0)
+    assert tracing.accounting_error(summary) < 1e-6
+    assert list(summary["layers"]) == ["fisher.fisher_monte_carlo"]
+    assert summary["layers"]["fisher.fisher_monte_carlo"]["calls"] == 1
 
 
 def test_benchmark_decoder_workload_runs(tmp_path, monkeypatch):
