@@ -415,8 +415,11 @@ def cmd_verify(args, cfg: dict) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = base_manifest(cfg, "verify")
         manifest["checks"] = results
+        n_samples = cfg["n_samples"]
         manifest["monte_carlo"] = {
-            "workers": fisher.monte_carlo_workers(cfg["n_samples"]),
+            # no worker runs when the Monte Carlo checks are skipped
+            "workers": (fisher.monte_carlo_workers(n_samples)
+                        if n_samples >= MC_MIN_SAMPLES else 0),
             "chunk_samples": fisher.MC_CHUNK,
             "block_bytes": fisher.MC_BLOCK_BYTES,
         }

@@ -101,22 +101,18 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
               for start in range(0, n_samples, MC_CHUNK))
     workers = monte_carlo_workers(n_samples)
     J = np.zeros((H.d, H.d))
-    if workers == 1:
+    # at most 2 * workers chunks are queued or done but not yet added
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
         for chunk in chunks:
-            J += chunk()
-    else:
-        # at most 2 * workers chunks are queued or done but not yet added
-        pool = ThreadPoolExecutor(workers)
-        try:
-            pending = deque()
-            for chunk in chunks:
-                pending.append(pool.submit(chunk))
-                if len(pending) == 2 * workers:
-                    J += pending.popleft().result()
-            while pending:
+            pending.append(pool.submit(chunk))
+            if len(pending) == 2 * workers:
                 J += pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+        while pending:
+            J += pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     J /= n_samples
     return J
 

@@ -216,6 +216,15 @@ class TestVerifyCommand:
                                            "chunk_samples": fisher.MC_CHUNK,
                                            "block_bytes": fisher.MC_BLOCK_BYTES}
 
+    def test_manifest_records_no_monte_carlo_workers_when_skipped(self, tmp_path):
+        out = tmp_path / "v"
+        assert run("verify", "--n-samples", 100, "--n-trials", 0, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {c["check"]: c["status"] for c in manifest["checks"]
+                if c["check"].startswith("mc_fisher")} == \
+            {"mc_fisher_gaussian": "SKIP", "mc_fisher_poisson": "SKIP"}
+        assert manifest["monte_carlo"]["workers"] == 0
+
     def test_insufficient_budget_skips(self, capsys):
         code = run("verify", "--n-samples", 100, "--n-trials", 10)
         lines = capsys.readouterr().out.strip().splitlines()
