@@ -18,7 +18,6 @@ from .errors import (
 )
 from .estimators import (
     TrialReport,
-    gls_estimate,
     make_gls_solver,
     nnls_estimate,
     poisson_mle,
@@ -37,7 +36,6 @@ from .forward_model import (
     VectorizedObject,
     adjoint,
     build_system_matrix,
-    devectorize,
     forward,
     pad_psf,
     vectorize,
@@ -64,12 +62,11 @@ from .psf import (
 __all__ = [
     "ConfigError", "DimensionError", "FactorizationError", "PlacementError",
     "SingularRateError", "TrialFailureError",
-    "TrialReport", "gls_estimate", "make_gls_solver", "nnls_estimate",
-    "poisson_mle", "run_trials",
+    "TrialReport", "make_gls_solver", "nnls_estimate", "poisson_mle", "run_trials",
     "CrbMap", "crb_from_fisher", "crb_summary",
     "fisher_gaussian", "fisher_monte_carlo", "fisher_poisson",
     "SystemMatrix", "VectorizedObject", "adjoint", "build_system_matrix",
-    "devectorize", "forward", "pad_psf", "vectorize",
+    "forward", "pad_psf", "vectorize",
     "GaussianNoise", "PoissonNoise", "hessian_log_likelihood", "log_likelihood",
     "sample", "score",
     "DenseCells", "ObjectSpec", "SparseBeads", "generate_object", "sparsity",

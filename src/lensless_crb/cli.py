@@ -124,6 +124,8 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
                     cfg[key] = str(value)
             except ValueError:
                 raise ConfigError(f"bad value for {key}: {value!r}")
+            if key in _FLOAT_KEYS and not np.isfinite(cfg[key]):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
     for key, table in (("psf_kind", PSF_KINDS), ("object_kind", OBJECT_KINDS),
                        ("noise", NOISE_MODELS)):
         if cfg[key] not in table:
@@ -194,8 +196,7 @@ def write_case_outputs(out_dir: Path, cmap) -> dict:
     storage.write_grid_csv(out_dir / "crb.csv", grid)
     scale = storage.write_pgm16(out_dir / "crb.pgm", grid)
     summary = fisher.crb_summary(cmap)
-    storage.write_grid_csv(out_dir / "cross_section.csv",
-                           summary["cross_section"][None, :])
+    storage.write_grid_csv(out_dir / "cross_section.csv", summary["cross_section"])
     return {"pgm_scale": scale, "epsilon_used": cmap.epsilon_used,
             "summary": {k: summary[k] for k in ("mean", "median", "max")}}
 
@@ -256,7 +257,7 @@ def cmd_crb(args, cfg: dict) -> int:
     H = build_system_matrix(psf_grid, obj.shape,
                             pad_shape(cfg, impulse=cfg["psf_kind"] == "delta"))
     cmap = fisher.crb_from_fisher(model.fisher(H, vectorize(obj)),
-                                  cfg["epsilon_rel"], H.obj_shape)
+                                  cfg["epsilon_rel"], object_shape=H.obj_shape)
     t2 = time.perf_counter()
     info = write_case_outputs(out_dir, cmap)
     manifest = base_manifest(cfg, "crb")
@@ -306,7 +307,7 @@ def cmd_study(args, cfg: dict) -> int:
             # fig2's Gaussian Fisher matrix takes no object
             v = None if obj is None else vectorize(obj)
             cmap = fisher.crb_from_fisher(model.fisher(H, v), cfg["epsilon_rel"],
-                                          H.obj_shape)
+                                          object_shape=H.obj_shape)
             case_dir = out_dir / (prefix + psf_name)
             cases[prefix + psf_name] = write_case_outputs(case_dir, cmap)
             storage.write_grid_csv(case_dir / "psf.csv", psf_grid)
@@ -390,7 +391,7 @@ def _verify_checks(cfg: dict):
         spec1 = psf.PsfSpec(psf.Lenslets(1), (8, 8), derive_seed(seed, "psf"))
         H1 = build_system_matrix(psf.generate_psf(spec1), (8, 8), (10, 10))
         cmap = fisher.crb_from_fisher(gauss.fisher(H1, None), cfg["epsilon_rel"],
-                                      H1.obj_shape)
+                                      object_shape=H1.obj_shape)
         report = run_trials(gauss, H1, v_small, "gls", n_trials,
                             derive_seed(seed, "trials"), crb=cmap)
         med = float(np.median(report.efficiency))
@@ -415,11 +416,11 @@ def cmd_verify(args, cfg: dict) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = base_manifest(cfg, "verify")
         manifest["checks"] = results
-        n_samples = cfg["n_samples"]
+        # workers ran only if a Monte Carlo check did
+        ran_mc = any(r["check"].startswith("mc_fisher_") and r["status"] != "SKIP"
+                     for r in results)
         manifest["monte_carlo"] = {
-            # no worker runs when the Monte Carlo checks are skipped
-            "workers": (fisher.monte_carlo_workers(n_samples)
-                        if n_samples >= MC_MIN_SAMPLES else 0),
+            "workers": fisher.monte_carlo_workers(cfg["n_samples"]) if ran_mc else 0,
             "chunk_samples": fisher.MC_CHUNK,
             "block_bytes": fisher.MC_BLOCK_BYTES,
         }

@@ -20,12 +20,12 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from . import fisher
-from .errors import TrialFailureError
+from .errors import DimensionError, TrialFailureError
 from .fisher import CrbMap, loaded_cholesky
-from .forward_model import SystemMatrix, adjoint, forward, object_values, weighted_gram
+from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 from .noise import sample
 
-DEFAULT_TRIAL_CHUNK = 1000
+TRIAL_CHUNK = 1000    # trials sampled and decoded as one batch
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +47,17 @@ def make_gls_solver(H: SystemMatrix):
     return solve
 
 
-def gls_estimate(H: SystemMatrix, y) -> np.ndarray:
-    """argmin ||y - Hv||^2, non-negativity NOT enforced.
-
-    Under i.i.d. noise the variance cancels, so no noise model is needed.
-    """
-    return make_gls_solver(H)(y)
-
-
 # ---------------------------------------------------------------------------
 # Non-negative least squares
 # ---------------------------------------------------------------------------
+
+
+def _batch(y) -> np.ndarray:
+    """A (k, n) batch of measurements, one per column, as floats."""
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim != 2:
+        raise DimensionError(f"decoders take a (k, n) batch, got ndim={Y.ndim}")
+    return Y
 
 
 class NnlsResult(NamedTuple):
@@ -70,16 +70,14 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
                   tol: float = 1e-9) -> NnlsResult:
     """Projected gradient descent on ||y - Hv||^2 with v >= 0.
 
-    Step 1/L with L the largest eigenvalue of H^T H (LAPACK);
-    stops when the relative objective decrease drops below tol. Supports
-    y of shape (k,) or (k, n); non-convergence returns the last iterate
-    with converged=False.
+    Step 1/L with L the largest eigenvalue of H^T H (LAPACK); each column
+    of the (k, n) batch y stops when its relative objective decrease drops
+    below tol. Non-convergence returns the last iterate with
+    converged=False.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    Y = y[:, None] if single else y
+    Y = _batch(y)
     A = weighted_gram(H)
     L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
     HtY = adjoint(H, Y)
@@ -98,8 +96,7 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
         active[idx[rel_drop < tol]] = False
         obj[idx] = new_obj
         it += 1
-    result = V[:, 0] if single else V
-    return NnlsResult(result, converged=not np.any(active), n_iters=it)
+    return NnlsResult(V, converged=not np.any(active), n_iters=it)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +108,7 @@ class MleResult(NamedTuple):
     values: np.ndarray
     converged: bool
     n_iters: int
-    loglik_trace: np.ndarray   # per-iteration ln p(y; v), additive constant dropped
+    loglik_trace: np.ndarray   # (iters + 1, n) ln p(y; v), additive constant dropped
 
 
 def _poisson_objective(Y, B):
@@ -126,14 +123,12 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     """Richardson-Lucy iterations for the Poisson likelihood.
 
     v <- v * [H^T (y / (Hv + background))] / H^T 1, started uniform positive;
-    H^T 1 is the PSF mass at every pixel. Stops when the relative
-    log-likelihood change drops below tol. Supports y of shape (k,) or (k, n).
+    H^T 1 is the PSF mass at every pixel. Each column of the (k, n) batch
+    y stops when its relative log-likelihood change drops below tol.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    Y = y[:, None] if single else y
+    Y = _batch(y)
     if np.any(Y < 0):
         raise ValueError("Poisson measurements must be non-negative")
     mass = H.psf.sum()
@@ -157,10 +152,7 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
         obj[idx] = new_obj
         trace.append(obj.copy())
         it += 1
-    trace = np.array(trace)
-    if single:
-        return MleResult(V[:, 0], not np.any(active), it, trace[:, 0])
-    return MleResult(V, not np.any(active), it, trace)
+    return MleResult(V, not np.any(active), it, np.array(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +165,6 @@ class TrialReport:
     n_trials: int
     per_pixel_mean: np.ndarray
     per_pixel_variance: np.ndarray
-    per_pixel_bias: np.ndarray
-    crb: CrbMap | None
     efficiency: np.ndarray | None   # variance / CRB, elementwise
     n_failed: int = 0
 
@@ -190,11 +180,11 @@ def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
 
 def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
                seed: int, crb: CrbMap | None = None,
-               chunk_size: int = DEFAULT_TRIAL_CHUNK,
                estimator_options: dict | None = None) -> TrialReport:
     """Sample -> estimate n_trials times; report per-pixel moments and efficiency.
 
-    Trial i uses seed ``seed + i`` so any subset of trials is reproducible.
+    Trial i uses seed ``seed + i`` so any subset of trials is reproducible;
+    trials are decoded in batches of TRIAL_CHUNK.
     Estimates containing non-finite values count as failures; more than 1%
     failures raises TrialFailureError.
     """
@@ -211,13 +201,12 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
             return poisson_mle(H, Y, background=model.background, **options).values
     else:
         raise ValueError(f"unknown estimator: {estimator!r}")
-    v = object_values(v_true)
-    b = forward(H, v)
+    b = forward(H, v_true)
 
     n_acc, mean_acc, m2_acc = 0, np.zeros(H.d), np.zeros(H.d)
     n_failed = 0
-    for start in range(0, n_trials, chunk_size):
-        m = min(chunk_size, n_trials - start)
+    for start in range(0, n_trials, TRIAL_CHUNK):
+        m = min(TRIAL_CHUNK, n_trials - start)
         Y = np.empty((H.k, m))
         for i in range(m):
             Y[:, i] = sample(model, b, seed + start + i)
@@ -235,11 +224,10 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     if n_failed > 0.01 * n_trials:
         raise TrialFailureError(n_failed, n_trials)
     variance = m2_acc / (n_acc - 1)
-    bias = mean_acc - v
     efficiency = None
     if crb is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
             efficiency = np.where(crb.values > 0, variance / crb.values, np.inf)
     return TrialReport(n_trials=n_acc, per_pixel_mean=mean_acc,
-                       per_pixel_variance=variance, per_pixel_bias=bias,
-                       crb=crb, efficiency=efficiency, n_failed=n_failed)
+                       per_pixel_variance=variance, efficiency=efficiency,
+                       n_failed=n_failed)

@@ -159,10 +159,11 @@ def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):
         raise FactorizationError(eps, f"Cholesky of A + eps*I failed (eps={eps!r}): {exc}")
 
 
-def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL,
-                    object_shape=None) -> CrbMap:
-    """diag((J + eps*I)^-1) via Cholesky and a triangular inverse; the epsilon
-    actually used is recorded. J itself is left unchanged."""
+def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL, *,
+                    object_shape) -> CrbMap:
+    """diag((J + eps*I)^-1) via Cholesky and a triangular inverse, laid out on
+    the (height, width) object_shape; the epsilon actually used is recorded.
+    J itself is left unchanged."""
     (c, _lower), eps = loaded_cholesky(np.array(J, dtype=float), epsilon_rel)
     # cho_factor leaves the entries of A above the diagonal of c; triu of the
     # transpose zeroes them and keeps c column-major, so dtrtri copies nothing
@@ -170,11 +171,6 @@ def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL,
     if info != 0:
         raise FactorizationError(eps, f"triangular inverse failed (info={info})")
     values = np.einsum("ij,ij->j", Linv, Linv)
-    if object_shape is None:
-        side = int(round(np.sqrt(values.size)))
-        if side * side != values.size:
-            raise ValueError("object_shape required for non-square objects")
-        object_shape = (side, side)
     return CrbMap(values=values, epsilon_used=eps,
                   object_shape=(int(object_shape[0]), int(object_shape[1])))
 

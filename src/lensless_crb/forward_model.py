@@ -33,25 +33,14 @@ def as_grid(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VectorizedObject:
-    """Row-major flattening of an object grid, with the shape kept for round-trips."""
+    """Row-major flattening of an object grid."""
 
     values: np.ndarray          # 1-D, non-negative
-    shape: tuple[int, int]      # (height, width)
-
-    @property
-    def d(self) -> int:
-        return self.values.size
 
 
 def vectorize(grid) -> VectorizedObject:
     """Flatten a 2-D grid row-major into a vectorized object."""
-    a = as_grid(grid)
-    return VectorizedObject(values=a.ravel().copy(), shape=a.shape)
-
-
-def devectorize(obj: VectorizedObject) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    return obj.values.reshape(obj.shape).copy()
+    return VectorizedObject(values=as_grid(grid).ravel().copy())
 
 
 @dataclass(frozen=True)
@@ -80,12 +69,11 @@ class SystemMatrix:
     def matrix(self) -> np.ndarray:
         """Dense (k, d) matrix; column j is the PSF shifted to object pixel j."""
         oh, ow = self.obj_shape
-        ph, pw = self.psf.shape
-        # fill H^T row by row so each PSF copy is a contiguous-row write
-        HT = np.zeros((oh, ow) + self.out_shape)
-        for r in range(oh):
-            for c in range(ow):
-                HT[r, c, r:r + ph, c:c + pw] = self.psf
+        # row (r, c) of H^T, the PSF placed at (r, c) of the output plane, is
+        # the window at (oh-1-r, ow-1-c) of the padded PSF, as in the Gram;
+        # copying the windows makes H^T contiguous and its reshape writable
+        padded = np.pad(self.psf, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
+        HT = sliding_window_view(padded, self.out_shape)[::-1, ::-1].copy()
         return HT.reshape(self.d, self.k).T
 
 

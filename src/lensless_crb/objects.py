@@ -73,8 +73,8 @@ def generate_object(spec: ObjectSpec) -> np.ndarray:
     h, w = spec.size
     if h < 8 or w < 8:
         raise DimensionError("object grids must be at least 8x8")
-    if spec.peak_photons <= 0:
-        raise ValueError("peak_photons must be positive")
+    if not 0 < spec.peak_photons < np.inf:
+        raise ValueError("peak_photons must be finite and positive")
     if not hasattr(spec.kind, "grid"):
         raise TypeError(f"unknown object kind: {spec.kind!r}")
     grid = spec.kind.grid(h, w, spec_rng(spec.seed, spec))

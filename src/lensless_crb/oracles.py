@@ -6,26 +6,28 @@ scores and Hessians against derivative-free evaluations of the likelihood.
 
 import numpy as np
 
+FD_STEP = 1e-5    # central-difference step, in the units of x
 
-def fd_gradient(f, x, step: float = 1e-5) -> np.ndarray:
+
+def fd_gradient(f, x) -> np.ndarray:
     """Central-difference gradient of a scalar function at x."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
+        e[i] = FD_STEP
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * FD_STEP)
     return g
 
 
-def fd_jacobian(g, x, step: float = 1e-5) -> np.ndarray:
+def fd_jacobian(g, x) -> np.ndarray:
     """Central-difference Jacobian of a vector function at x."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = step
-        cols.append((g(x + e) - g(x - e)) / (2.0 * step))
+        e[i] = FD_STEP
+        cols.append((g(x + e) - g(x - e)) / (2.0 * FD_STEP))
     return np.stack(cols, axis=1)
 
 

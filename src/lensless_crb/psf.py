@@ -81,8 +81,8 @@ class Rml:
     def grid(self, h, w, rng):
         if self.n_spots < 1:
             raise ValueError("spot count must be >= 1")
-        if self.width_range[0] > self.width_range[1]:
-            raise ValueError("width_range min must be <= max")
+        if not 0 < self.width_range[0] <= self.width_range[1] < np.inf:
+            raise ValueError("width_range must be finite, with 0 < min <= max")
         _need_8x8(h, w)
         margin = 2.0
         positions = []
@@ -111,8 +111,10 @@ class Diffuser:
     contrast: float = 2.0
 
     def grid(self, h, w, rng):
-        if self.correlation_length < 1:
-            raise ValueError("correlation_length must be >= 1")
+        if not 1 <= self.correlation_length < np.inf:
+            raise ValueError("correlation_length must be finite and >= 1")
+        if not np.isfinite(self.contrast):
+            raise ValueError("contrast must be finite")
         z = gaussian_filter(rng.standard_normal((h, w)), sigma=self.correlation_length,
                             mode="wrap")
         z = (z - z.mean()) / z.std()

@@ -19,11 +19,6 @@ def substream(master_seed: int, name: str) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(master_seed), _tag(name)])
 
 
-def rng_for(master_seed: int, name: str) -> np.random.Generator:
-    """Generator for the named substream of a master seed."""
-    return np.random.default_rng(substream(master_seed, name))
-
-
 def spec_rng(seed: int, spec) -> np.random.Generator:
     """Generator keyed to (seed, spec) so each spec owns an independent stream.
 

@@ -67,11 +67,11 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def checksum_tree(root, exclude=("manifest.json",)) -> dict[str, str]:
-    """sha256 of every file under root (relative paths), manifest excluded."""
+def checksum_tree(root) -> dict[str, str]:
+    """sha256 of every file under root (relative paths), manifest.json excluded."""
     root = Path(root)
     return {
         str(p.relative_to(root)): sha256_file(p)
         for p in sorted(root.rglob("*"))
-        if p.is_file() and p.name not in exclude
+        if p.is_file() and p.name != "manifest.json"
     }

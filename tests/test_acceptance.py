@@ -61,7 +61,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         psf = generate_psf(PsfSpec(Diffuser(), (32, 32), 0))
         H = build_system_matrix(psf, (32, 32), (34, 34))
-        crb_from_fisher(fisher_gaussian(H, 1.0))
+        crb_from_fisher(fisher_gaussian(H, 1.0), object_shape=H.obj_shape)
         single_case = time.perf_counter() - t0
         ok = H.matrix.shape == (4225, 1024) and H.out_shape == (65, 65)
         ok = ok and single_case < 60.0
@@ -77,11 +77,13 @@ class TestAcceptance:
 
     def test_2_trivial_case_exactness(self):
         H = build_system_matrix(np.ones((1, 1)), (8, 8))
-        gauss = crb_from_fisher(fisher_gaussian(H, 2.5), epsilon_rel=1e-9)
+        gauss = crb_from_fisher(fisher_gaussian(H, 2.5), epsilon_rel=1e-9,
+                                object_shape=(8, 8))
         ok = np.max(np.abs(gauss.values - 2.5) / 2.5) < 1e-6
         rng = np.random.default_rng(0)
         v = rng.uniform(1.0, 10.0, size=64)
-        poiss = crb_from_fisher(fisher_poisson(H, v, 0.0), epsilon_rel=1e-9)
+        poiss = crb_from_fisher(fisher_poisson(H, v, 0.0), epsilon_rel=1e-9,
+                                object_shape=(8, 8))
         ok = ok and np.max(np.abs(poiss.values - v) / v) < 1e-6
         report(2, "trivial_case_exactness", ok)
 
@@ -166,13 +168,14 @@ class TestAcceptance:
         # no zero padding: beta=0 needs every measurement rate strictly positive
         psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
         H = build_system_matrix(psf, (8, 8), (8, 8))
-        base = crb_from_fisher(fisher_gaussian(H, 1.0)).values
-        scaled = crb_from_fisher(fisher_gaussian(H, 7.0)).values
+        base = crb_from_fisher(fisher_gaussian(H, 1.0), object_shape=(8, 8)).values
+        scaled = crb_from_fisher(fisher_gaussian(H, 7.0), object_shape=(8, 8)).values
         ok = np.max(np.abs(scaled - 7.0 * base) / (7.0 * base)) < 1e-9
         rng = np.random.default_rng(5)
         v = rng.uniform(0.5, 2.0, size=H.d)
-        base = crb_from_fisher(fisher_poisson(H, v, 0.0)).values
-        scaled = crb_from_fisher(fisher_poisson(H, 3.0 * v, 0.0)).values
+        base = crb_from_fisher(fisher_poisson(H, v, 0.0), object_shape=(8, 8)).values
+        scaled = crb_from_fisher(fisher_poisson(H, 3.0 * v, 0.0),
+                                 object_shape=(8, 8)).values
         ok = ok and np.max(np.abs(scaled - 3.0 * base) / (3.0 * base)) < 1e-9
         report(8, "scaling_laws", ok)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lensless_crb import TrialFailureError, cli, fisher, objects
+from lensless_crb import ConfigError, TrialFailureError, cli, fisher, objects
 from lensless_crb.cli import main
 from lensless_crb.storage import read_grid_csv, sha256_file
 
@@ -153,6 +153,28 @@ class TestConfigHandling:
         assert run("crb", "--config", cfg, *flags, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "crb.csv").exists()
 
+    @pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_key_is_config_error(self, key, value):
+        with pytest.raises(ConfigError):
+            cli.resolve_config({key: value}, {})
+
+    @pytest.mark.parametrize("argv, config", [
+        (("object", "--kind", "beads", "--peak", "nan"), None),
+        (("object", "--kind", "beads", "--peak", "inf"), None),
+        (("crb",), "psf_kind = diffuser\npsf_corr_length = nan"),
+        (("crb",), "psf_kind = rml\npsf_width_max = inf"),
+        (("crb",), "psf_kind = rml\npsf_width_min = nan"),
+        (("crb",), "psf_kind = diffuser\npsf_contrast = -inf")])
+    def test_non_finite_generator_parameter_is_config_error(self, tmp_path, argv,
+                                                            config):
+        if config is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"psf_size = 16\nobject_size = 8\n{config}\n")
+            argv += ("--config", cfg)
+        assert run(*argv, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line", ["psf_kind = lens", "object_kind = cell",
                                       "noise = laplace"])
     def test_unknown_kind_name_is_config_error(self, tmp_path, line):
@@ -241,7 +263,7 @@ class TestVerifyCommand:
         assert run("verify", "--n-samples", 100, "--n-trials", 1000) == 3
         assert "20/1000 estimator failures" in capsys.readouterr().err
 
-    def test_injected_corruption_fails(self, monkeypatch, capsys):
+    def test_injected_corruption_fails(self, tmp_path, monkeypatch, capsys):
         build = cli.build_system_matrix
 
         def corrupted(*args, **kwargs):
@@ -253,6 +275,13 @@ class TestVerifyCommand:
         code = run("verify", "--n-samples", 100, "--n-trials", 10)
         assert code == 3
         assert "FAIL system_matrix_invariants" in capsys.readouterr().out
+        # the Monte Carlo budget is met, but the checks stop at the first FAIL
+        out = tmp_path / "v"
+        assert run("verify", "--n-samples", 20_000, "--n-trials", 10,
+                   "--out", out) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [c["status"] for c in manifest["checks"]] == ["FAIL"]
+        assert manifest["monte_carlo"]["workers"] == 0
 
     @pytest.mark.parametrize("flags", [("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan"),
                                        ("--sigma2", -1), ("--background", "inf"),

@@ -300,20 +300,20 @@ class TestHessianAverageEquivalence:
 class TestCrb:
     def test_diagonal_inversion(self):
         J = np.diag([0.25, 1 / 9, 1.0, 4.0])
-        cmap = crb_from_fisher(J, epsilon_rel=0.0)
+        cmap = crb_from_fisher(J, epsilon_rel=0.0, object_shape=(2, 2))
         np.testing.assert_allclose(cmap.values, [4.0, 9.0, 1.0, 0.25])
         assert cmap.epsilon_used == 0.0
 
     def test_fisher_matrix_left_unchanged(self, small_lenslet_h):
         J = fisher_gaussian(small_lenslet_h, 1.0)
         before = J.copy()
-        crb_from_fisher(J)
+        crb_from_fisher(J, object_shape=small_lenslet_h.obj_shape)
         np.testing.assert_array_equal(J, before)
 
     def test_no_information_raises(self):
         # eps scales with max(diag(J)), so J = 0 gets no loading and no bound
         with pytest.raises(FactorizationError):
-            crb_from_fisher(np.zeros((2, 2)))
+            crb_from_fisher(np.zeros((2, 2)), object_shape=(1, 2))
 
     def test_matches_dense_inverse_on_rml_poisson(self):
         from lensless_crb import DenseCells, ObjectSpec, generate_object
@@ -331,32 +331,36 @@ class TestCrb:
 
     def test_identity_gaussian_crb_is_sigma2(self):
         H = build_system_matrix(np.ones((1, 1)), (4, 4))
-        cmap = crb_from_fisher(fisher_gaussian(H, 1.0))
+        cmap = crb_from_fisher(fisher_gaussian(H, 1.0), object_shape=H.obj_shape)
         np.testing.assert_allclose(cmap.values, 1.0, rtol=1e-6)
 
     def test_center_worse_than_corner_for_two_lenslets(self):
         psf = generate_psf(PsfSpec(Lenslets(2), (8, 8), 0))
         H = build_system_matrix(psf, (8, 8), (10, 10))
-        grid = crb_from_fisher(fisher_gaussian(H, 1.0)).grid()
+        grid = crb_from_fisher(fisher_gaussian(H, 1.0), object_shape=H.obj_shape).grid()
         assert grid[4, 4] > grid[0, 0]
 
     def test_sigma2_scaling_linear(self, small_lenslet_h):
         c = 3.5
-        crb1 = crb_from_fisher(fisher_gaussian(small_lenslet_h, 1.0))
-        crbc = crb_from_fisher(fisher_gaussian(small_lenslet_h, c))
+        shape = small_lenslet_h.obj_shape
+        crb1 = crb_from_fisher(fisher_gaussian(small_lenslet_h, 1.0), object_shape=shape)
+        crbc = crb_from_fisher(fisher_gaussian(small_lenslet_h, c), object_shape=shape)
         np.testing.assert_allclose(crbc.values, c * crb1.values, rtol=1e-9)
 
     def test_brightness_scaling_linear(self, unpadded_lenslet_h):
         rng = np.random.default_rng(3)
         v = rng.uniform(0.5, 2.0, size=unpadded_lenslet_h.d)
         c = 4.0
-        crb1 = crb_from_fisher(fisher_poisson(unpadded_lenslet_h, v, 0.0))
-        crbc = crb_from_fisher(fisher_poisson(unpadded_lenslet_h, c * v, 0.0))
+        shape = unpadded_lenslet_h.obj_shape
+        crb1 = crb_from_fisher(fisher_poisson(unpadded_lenslet_h, v, 0.0),
+                               object_shape=shape)
+        crbc = crb_from_fisher(fisher_poisson(unpadded_lenslet_h, c * v, 0.0),
+                               object_shape=shape)
         np.testing.assert_allclose(crbc.values, c * crb1.values, rtol=1e-9)
 
     def test_epsilon_monotonicity(self, small_lenslet_h):
         J = fisher_gaussian(small_lenslet_h, 1.0)
-        maps = [crb_from_fisher(J, epsilon_rel=r).values
+        maps = [crb_from_fisher(J, epsilon_rel=r, object_shape=(8, 8)).values
                 for r in (1e-9, 1e-6, 1e-3)]
         assert np.all(maps[1] <= maps[0] + 1e-12)
         assert np.all(maps[2] <= maps[1] + 1e-12)
@@ -365,11 +369,11 @@ class TestCrb:
         {"epsilon_rel": -0.5}, {"epsilon_rel": np.nan}, {"epsilon_rel": np.inf}])
     def test_epsilon_policy_rejects_negative_or_non_finite(self, kwargs):
         with pytest.raises(ValueError):
-            crb_from_fisher(np.eye(4), **kwargs)
+            crb_from_fisher(np.eye(4), object_shape=(2, 2), **kwargs)
 
     def test_epsilon_recorded(self, small_lenslet_h):
         J = fisher_gaussian(small_lenslet_h, 1.0)
-        cmap = crb_from_fisher(J, epsilon_rel=1e-6)
+        cmap = crb_from_fisher(J, epsilon_rel=1e-6, object_shape=(8, 8))
         assert cmap.epsilon_used == pytest.approx(1e-6 * np.diag(J).max())
 
 

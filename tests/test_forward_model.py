@@ -7,7 +7,6 @@ from lensless_crb import (
     DimensionError,
     adjoint,
     build_system_matrix,
-    devectorize,
     forward,
     pad_psf,
     vectorize,
@@ -20,7 +19,6 @@ class TestVectorize:
     def test_row_major(self):
         v = vectorize([[1, 2], [3, 4]])
         np.testing.assert_array_equal(v.values, [1, 2, 3, 4])
-        assert v.shape == (2, 2)
 
     def test_single_pixel(self):
         v = vectorize([[5]])
@@ -28,12 +26,7 @@ class TestVectorize:
 
     def test_full_scale_length(self):
         v = vectorize(np.ones((32, 32)))
-        assert v.d == 1024
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(0)
-        g = rng.uniform(0, 10, size=(5, 7))
-        np.testing.assert_array_equal(devectorize(vectorize(g)), g)
+        assert v.values.shape == (1024,)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +186,8 @@ def assert_gram_matches_dense(psf, obj_shape, psf_pad=None):
     np.testing.assert_array_equal(J, J.T)
     M = conv_matrix_bruteforce(pad_psf(psf, H.psf.shape), obj_shape)
     np.testing.assert_array_equal(H.matrix, M)
+    # the cached matrix is column-major and writable whatever the object shape
+    assert H.matrix.flags.f_contiguous and H.matrix.flags.writeable
     dense = M.T @ M
     assert np.max(np.abs(J - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -204,6 +199,8 @@ class TestWeightedGram:
         ((1, 1), (8, 8), None),      # delta PSF: lags span the object, not the PSF
         ((4, 3), (5, 5), (4, 3)),    # psf_pad equal to the PSF size
         ((4, 3), (5, 6), (6, 5)),    # psf_pad of size + 2
+        ((2, 3), (1, 4), None),      # single-row object
+        ((2, 3), (4, 1), (4, 3)),    # single-column object
     ])
     def test_scalar_weight_matches_dense_gram(self, psf_shape, obj_shape, pad):
         psf = np.random.default_rng(sum(psf_shape)).uniform(0, 1, size=psf_shape)

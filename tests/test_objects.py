@@ -38,6 +38,13 @@ class TestDenseCells:
             assert g.max() == 100.0 and g.min() >= 0
 
 
+@pytest.mark.parametrize("peak", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("kind", [SparseBeads(), DenseCells()])
+def test_peak_must_be_finite_and_positive(kind, peak):
+    with pytest.raises(ValueError):
+        generate_object(ObjectSpec(kind, (16, 16), peak, 0))
+
+
 class TestUnknownKind:
     @pytest.mark.parametrize("kind", ["beads", None, SparseBeads])
     def test_non_kind_rejected(self, kind):

@@ -58,6 +58,13 @@ class TestRml:
         with pytest.raises(PlacementError):
             generate_psf(PsfSpec(Rml(n_spots=40), (8, 8), 0))
 
+    @pytest.mark.parametrize("widths", [(0.0, 0.0), (-1.0, 2.0), (2.0, 1.0),
+                                        (0.6, np.inf), (np.nan, 2.0), (0.6, np.nan)])
+    def test_widths_must_be_finite_and_positive(self, widths):
+        # (0, 0) would divide by a zero width and give a NaN PSF
+        with pytest.raises(ValueError):
+            generate_psf(PsfSpec(Rml(width_range=widths), (16, 16), 0))
+
 
 class TestDiffuser:
     def test_high_multiplexing_occupancy(self):
@@ -69,6 +76,14 @@ class TestDiffuser:
     def test_deterministic(self):
         spec = PsfSpec(Diffuser(), (32, 32), 7)
         np.testing.assert_array_equal(generate_psf(spec), generate_psf(spec))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"correlation_length": 0.5}, {"correlation_length": np.nan},
+        {"correlation_length": np.inf}, {"contrast": np.nan},
+        {"contrast": np.inf}, {"contrast": -np.inf}])
+    def test_parameters_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            generate_psf(PsfSpec(Diffuser(**kwargs), (16, 16), 0))
 
 
 class TestUnknownKind:

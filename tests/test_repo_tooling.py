@@ -77,6 +77,28 @@ def test_public_names_resolve():
     assert [n for n in lensless_crb.__all__ if not hasattr(lensless_crb, n)] == []
 
 
+def _names_used(path):
+    """Names, attributes and import aliases that appear in one module."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a public name stays only while the package itself or the benchmark
+    # uses it; the package's __init__ only re-exports
+    modules = [path for path in (ROOT / "src" / "lensless_crb").glob("*.py")
+               if path.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(_names_used(path) for path in modules))
+    assert sorted(set(lensless_crb.__all__) - used) == []
+
+
 def test_readme_example_runs():
     text = (ROOT / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)

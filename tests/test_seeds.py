@@ -1,6 +1,6 @@
 import numpy as np
 
-from lensless_crb.seeds import rng_for, spec_rng, substream
+from lensless_crb.seeds import spec_rng, substream
 
 
 class TestSubstream:
@@ -18,13 +18,6 @@ class TestSubstream:
         a = substream(7, "psf").generate_state(4)
         b = substream(8, "psf").generate_state(4)
         assert not np.array_equal(a, b)
-
-
-class TestRngFor:
-    def test_same_stream_same_draws(self):
-        x = rng_for(3, "noise").standard_normal(5)
-        y = rng_for(3, "noise").standard_normal(5)
-        np.testing.assert_array_equal(x, y)
 
 
 class TestSpecRng:
