@@ -51,6 +51,11 @@ SURROGATE_NOTE = ("PSF and object generators are statistical surrogates; only "
 MC_MIN_SAMPLES = 10_000
 EFF_MIN_TRIALS = 1_000
 
+# the statistics of a CRB map that manifests and summary.csv report
+SUMMARY_STATS = ("mean", "median", "max")
+# the noise model of each canned study
+STUDY_NOISE = {"fig2": "gaussian", "fig3": "poisson"}
+
 
 def derive_seed(master: int, name: str) -> int:
     return int(substream(master, name).generate_state(1)[0])
@@ -76,18 +81,12 @@ DEFAULTS = {
     "psf_corr_length": 3.0,
     "psf_contrast": 2.0,
     "psf_size": 32,
-    "psf_pad": None,          # None -> psf_size + 2 (delta kind: 1)
+    "psf_pad": None,          # None -> PSF side + 2
     "object_kind": "cells",
     "object_n": None,         # blobs or beads; None -> kind default
     "object_peak": 100.0,
     "object_size": 32,
 }
-
-_INT_KEYS = {"seed", "n_samples", "n_trials", "psf_n", "psf_n_spots",
-             "psf_size", "psf_pad", "object_n", "object_size"}
-_FLOAT_KEYS = {"sigma2", "background", "epsilon_rel", "psf_width_min",
-               "psf_width_max", "psf_corr_length", "psf_contrast",
-               "object_peak"}
 
 
 def parse_config_file(path) -> dict:
@@ -108,6 +107,8 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(file_cfg: dict, overrides: dict) -> dict:
+    """DEFAULTS updated by the file, then by the flags; each value takes the
+    type of its default (int where the default is None)."""
     cfg = dict(DEFAULTS)
     for source in (file_cfg, overrides):
         for key, value in source.items():
@@ -115,16 +116,12 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
                 continue
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key: {key}")
+            kind = int if DEFAULTS[key] is None else type(DEFAULTS[key])
             try:
-                if key in _INT_KEYS:
-                    cfg[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    cfg[key] = float(value)
-                else:
-                    cfg[key] = str(value)
+                cfg[key] = kind(value)
             except ValueError:
                 raise ConfigError(f"bad value for {key}: {value!r}")
-            if key in _FLOAT_KEYS and not np.isfinite(cfg[key]):
+            if kind is float and not np.isfinite(cfg[key]):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
     for key, table in (("psf_kind", PSF_KINDS), ("object_kind", OBJECT_KINDS),
                        ("noise", NOISE_MODELS)):
@@ -149,39 +146,38 @@ NOISE_MODELS = {
 }
 
 
-def make_psf_grid(cfg: dict, seed: int) -> np.ndarray:
-    """PSF grid per the config; the delta kind is a 1x1 unit impulse."""
+def make_psf_grid(cfg: dict) -> np.ndarray:
+    """PSF grid per the config, seeded by the master seed's "psf" substream;
+    the delta kind is a 1x1 unit impulse."""
     make_kind = PSF_KINDS[cfg["psf_kind"]]
     if make_kind is None:
         return np.ones((1, 1))
     size = (cfg["psf_size"], cfg["psf_size"])
-    return psf.generate_psf(psf.PsfSpec(make_kind(cfg), size, seed))
+    return psf.generate_psf(psf.PsfSpec(make_kind(cfg), size,
+                                        derive_seed(cfg["seed"], "psf")))
 
 
-def pad_shape(cfg: dict, impulse: bool = False) -> tuple[int, int]:
-    """Padded PSF shape: psf_pad if set, else 1 for the delta impulse, else
-    psf_size + 2."""
+def pad_shape(cfg: dict, psf_grid) -> tuple[int, int]:
+    """Padded PSF shape: psf_pad per axis if set, else the PSF grid's shape
+    + 2 per axis."""
     if cfg["psf_pad"] is not None:
-        pad = cfg["psf_pad"]
-    else:
-        pad = 1 if impulse else cfg["psf_size"] + 2
-    return pad, pad
+        return cfg["psf_pad"], cfg["psf_pad"]
+    return psf_grid.shape[0] + 2, psf_grid.shape[1] + 2
 
 
-def object_spec(cfg: dict, kind, seed: int) -> objects.ObjectSpec:
-    size = (cfg["object_size"], cfg["object_size"])
-    return objects.ObjectSpec(kind, size, cfg["object_peak"], seed)
-
-
-def make_object_grid(cfg: dict, seed: int) -> np.ndarray:
-    """Object grid per the config."""
+def make_object_grid(cfg: dict) -> np.ndarray:
+    """Object grid per the config, seeded by the master seed's "object"
+    substream."""
     kind_cls = OBJECT_KINDS[cfg["object_kind"]]
     kind = kind_cls() if cfg["object_n"] is None else kind_cls(cfg["object_n"])
-    return objects.generate_object(object_spec(cfg, kind, seed))
+    size = (cfg["object_size"], cfg["object_size"])
+    return objects.generate_object(objects.ObjectSpec(
+        kind, size, cfg["object_peak"], derive_seed(cfg["seed"], "object")))
 
 
-def noise_model_from_config(cfg: dict):
-    return NOISE_MODELS[cfg["noise"]](cfg)
+def background(cfg: dict):
+    """The manifest's background: its value for a Poisson run, else None."""
+    return cfg["background"] if cfg["noise"] == "poisson" else None
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +185,11 @@ def noise_model_from_config(cfg: dict):
 # ---------------------------------------------------------------------------
 
 
-def write_case_outputs(out_dir: Path, cmap) -> dict:
-    """Write crb.csv / crb.pgm / cross_section.csv; return pgm scale info."""
+def write_case(out_dir: Path, cfg: dict, model, H, v) -> dict:
+    """CRB map of one case (noise model, H, object v); write crb.csv /
+    crb.pgm / cross_section.csv and return its manifest entry."""
+    cmap = fisher.crb_from_fisher(model.fisher(H, v), cfg["epsilon_rel"],
+                                  object_shape=H.obj_shape)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cmap.grid()
     storage.write_grid_csv(out_dir / "crb.csv", grid)
@@ -198,7 +197,7 @@ def write_case_outputs(out_dir: Path, cmap) -> dict:
     summary = fisher.crb_summary(cmap)
     storage.write_grid_csv(out_dir / "cross_section.csv", summary["cross_section"])
     return {"pgm_scale": scale, "epsilon_used": cmap.epsilon_used,
-            "summary": {k: summary[k] for k in ("mean", "median", "max")}}
+            "summary": {k: summary[k] for k in SUMMARY_STATS}}
 
 
 def base_manifest(cfg: dict, command: str) -> dict:
@@ -236,13 +235,13 @@ def _write_grid_command(out, name: str, cfg: dict, grid, stat: str, value) -> in
 
 
 def cmd_psf(args, cfg: dict) -> int:
-    grid = make_psf_grid(cfg, cfg["seed"])
+    grid = make_psf_grid(cfg)
     return _write_grid_command(args.out, "psf", cfg, grid, "multiplexing_index",
                                psf.multiplexing_index(grid))
 
 
 def cmd_object(args, cfg: dict) -> int:
-    grid = make_object_grid(cfg, cfg["seed"])
+    grid = make_object_grid(cfg)
     return _write_grid_command(args.out, "object", cfg, grid, "sparsity",
                                objects.sparsity(grid))
 
@@ -250,19 +249,16 @@ def cmd_object(args, cfg: dict) -> int:
 def cmd_crb(args, cfg: dict) -> int:
     out_dir = Path(args.out)
     t0 = time.perf_counter()
-    obj = make_object_grid(cfg, derive_seed(cfg["seed"], "object"))
-    psf_grid = make_psf_grid(cfg, derive_seed(cfg["seed"], "psf"))
-    model = noise_model_from_config(cfg)
+    obj = make_object_grid(cfg)
+    psf_grid = make_psf_grid(cfg)
+    model = NOISE_MODELS[cfg["noise"]](cfg)
     t1 = time.perf_counter()
-    H = build_system_matrix(psf_grid, obj.shape,
-                            pad_shape(cfg, impulse=cfg["psf_kind"] == "delta"))
-    cmap = fisher.crb_from_fisher(model.fisher(H, vectorize(obj)),
-                                  cfg["epsilon_rel"], object_shape=H.obj_shape)
+    H = build_system_matrix(psf_grid, obj.shape, pad_shape(cfg, psf_grid))
+    info = write_case(out_dir, cfg, model, H, vectorize(obj))
     t2 = time.perf_counter()
-    info = write_case_outputs(out_dir, cmap)
     manifest = base_manifest(cfg, "crb")
     manifest.update(info)
-    manifest["background"] = cfg["background"] if cfg["noise"] == "poisson" else None
+    manifest["background"] = background(cfg)
     finish_manifest(manifest, out_dir,
                     {"generate": t1 - t0, "pipeline": t2 - t1})
     print(f"wrote {out_dir / 'crb.csv'} (mean CRB "
@@ -270,46 +266,43 @@ def cmd_crb(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _study_objects(name: str, cfg: dict):
+def _study_objects(cfg: dict):
     """(case-name prefix, object grid or None) for each object of a study.
 
-    fig2 is Gaussian, whose bound does not depend on the object, so it has
-    one object-free case per PSF.
+    The Gaussian bound does not depend on the object, so a Gaussian study
+    has one object-free case per PSF. The others take each object kind at
+    its default count.
     """
-    if name == "fig2":
+    if cfg["noise"] == "gaussian":
         return [("", None)]
-    seed = derive_seed(cfg["seed"], "object")
-    return [(prefix, objects.generate_object(object_spec(cfg, kind, seed)))
-            for prefix, kind in (("dense_", objects.DenseCells()),
-                                 ("sparse_", objects.SparseBeads()))]
+    return [(prefix, make_object_grid({**cfg, "object_kind": kind, "object_n": None}))
+            for prefix, kind in (("dense_", "cells"), ("sparse_", "beads"))]
 
 
 def cmd_study(args, cfg: dict) -> int:
     name = args.name
-    cfg["noise"] = "gaussian" if name == "fig2" else "poisson"
-    model = noise_model_from_config(cfg)
+    cfg["noise"] = STUDY_NOISE[name]
+    model = NOISE_MODELS[cfg["noise"]](cfg)
     out_dir = Path(args.out) / name
     manifest = base_manifest(cfg, f"study {name}")
-    manifest["background"] = cfg["background"] if name == "fig3" else None
+    manifest["background"] = background(cfg)
     size = (cfg["object_size"], cfg["object_size"])
     specs = psf.default_study_specs(size=(cfg["psf_size"], cfg["psf_size"]),
                                     seed=derive_seed(cfg["seed"], "psf"))
     # every PSF and object is generated, and the first H built, before
     # anything is written, so a study that cannot run writes nothing
     psf_grids = {psf_name: psf.generate_psf(spec) for psf_name, spec in specs.items()}
-    study_objects = _study_objects(name, cfg)
+    study_objects = _study_objects(cfg)
     cases, timings = {}, {}
     # PSF-major, so each H is built once; timings are per PSF
     for psf_name, psf_grid in psf_grids.items():
         t0 = time.perf_counter()
-        H = build_system_matrix(psf_grid, size, pad_shape(cfg))
+        H = build_system_matrix(psf_grid, size, pad_shape(cfg, psf_grid))
         for prefix, obj in study_objects:
-            # fig2's Gaussian Fisher matrix takes no object
-            v = None if obj is None else vectorize(obj)
-            cmap = fisher.crb_from_fisher(model.fisher(H, v), cfg["epsilon_rel"],
-                                          object_shape=H.obj_shape)
             case_dir = out_dir / (prefix + psf_name)
-            cases[prefix + psf_name] = write_case_outputs(case_dir, cmap)
+            # the Gaussian Fisher matrix takes no object
+            v = None if obj is None else vectorize(obj)
+            cases[prefix + psf_name] = write_case(case_dir, cfg, model, H, v)
             storage.write_grid_csv(case_dir / "psf.csv", psf_grid)
             if obj is not None:
                 storage.write_grid_csv(case_dir / "object.csv", obj)
@@ -317,10 +310,10 @@ def cmd_study(args, cfg: dict) -> int:
     # cases are listed object-major: every dense_* case before any sparse_*
     order = [prefix + psf_name for prefix, _ in study_objects for psf_name in specs]
     manifest["cases"] = {case: cases[case] for case in order}
-    rows = ["case,mean,median,max"]
+    rows = [",".join(("case",) + SUMMARY_STATS)]
     for case in order:
-        s = cases[case]["summary"]
-        rows.append(f"{case},{s['mean']!r},{s['median']!r},{s['max']!r}")
+        rows.append(",".join([case] + [repr(cases[case]["summary"][stat])
+                                       for stat in SUMMARY_STATS]))
     (out_dir / "summary.csv").write_text("\n".join(rows) + "\n")
     finish_manifest(manifest, out_dir, timings)
     print(f"study {name}: {len(manifest['cases'])} cases -> {out_dir}")
@@ -437,6 +430,7 @@ def cmd_verify(args, cfg: dict) -> int:
 
 def _add_pipeline_flags(p):
     """Flags of the commands that compute bounds (crb, verify, study)."""
+    p.add_argument("--config")
     p.add_argument("--sigma2", type=float, help="Gaussian per-pixel variance")
     p.add_argument("--background", type=float, help="Poisson background floor")
     p.add_argument("--epsilon-rel", dest="epsilon_rel", type=float,
@@ -469,14 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_object)
 
     p = sub.add_parser("crb", help="run one CRB pipeline from a config")
-    p.add_argument("--config")
     p.add_argument("--noise", choices=list(NOISE_MODELS))
     p.add_argument("--out", required=True)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_crb)
 
     p = sub.add_parser("verify", help="run the oracle suite at reduced size")
-    p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--n-trials", dest="n_trials", type=int)
     p.add_argument("--n-samples", dest="n_samples", type=int)
@@ -484,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("study", help="run a canned multiplexing study")
-    p.add_argument("name", choices=["fig2", "fig3"])
-    p.add_argument("--config")
+    p.add_argument("name", choices=list(STUDY_NOISE))
     p.add_argument("--out", required=True)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_study)

@@ -12,17 +12,17 @@ class PlacementError(RuntimeError):
 class SingularRateError(ValueError):
     """A Poisson rate is zero where the likelihood requires it positive."""
 
-    def __init__(self, pixel: int, message: str | None = None):
+    def __init__(self, pixel: int):
         self.pixel = pixel
-        super().__init__(message or f"zero Poisson rate at measurement pixel {pixel}")
+        super().__init__(f"zero Poisson rate at measurement pixel {pixel}")
 
 
 class FactorizationError(RuntimeError):
     """Symmetric positive-definite factorization failed even after regularization."""
 
-    def __init__(self, epsilon: float, message: str | None = None):
+    def __init__(self, epsilon: float, message: str):
         self.epsilon = epsilon
-        super().__init__(message or f"SPD factorization failed with epsilon={epsilon!r}")
+        super().__init__(message)
 
 
 class TrialFailureError(RuntimeError):

@@ -23,7 +23,7 @@ import numpy as np
 # cho_solve pairs with loaded_cholesky; the GLS solver calls it as fisher.cho_solve
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
-from .errors import FactorizationError, SingularRateError
+from .errors import DimensionError, FactorizationError, SingularRateError
 from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
@@ -163,7 +163,11 @@ def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL, *,
                     object_shape) -> CrbMap:
     """diag((J + eps*I)^-1) via Cholesky and a triangular inverse, laid out on
     the (height, width) object_shape; the epsilon actually used is recorded.
-    J itself is left unchanged."""
+    J itself is left unchanged; DimensionError unless object_shape has one
+    pixel per row of J."""
+    h, w = int(object_shape[0]), int(object_shape[1])
+    if h * w != len(J):
+        raise DimensionError(f"object shape {(h, w)} does not match J of size {len(J)}")
     (c, _lower), eps = loaded_cholesky(np.array(J, dtype=float), epsilon_rel)
     # cho_factor leaves the entries of A above the diagonal of c; triu of the
     # transpose zeroes them and keeps c column-major, so dtrtri copies nothing
@@ -171,8 +175,7 @@ def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL, *,
     if info != 0:
         raise FactorizationError(eps, f"triangular inverse failed (info={info})")
     values = np.einsum("ij,ij->j", Linv, Linv)
-    return CrbMap(values=values, epsilon_used=eps,
-                  object_shape=(int(object_shape[0]), int(object_shape[1])))
+    return CrbMap(values=values, epsilon_used=eps, object_shape=(h, w))
 
 
 def crb_summary(cmap: CrbMap) -> dict:

@@ -113,8 +113,10 @@ class Diffuser:
     def grid(self, h, w, rng):
         if not 1 <= self.correlation_length < np.inf:
             raise ValueError("correlation_length must be finite and >= 1")
-        if not np.isfinite(self.contrast):
-            raise ValueError("contrast must be finite")
+        # exp(contrast * z) with |z| <= 1.5 below must not overflow
+        if not 1.5 * abs(self.contrast) < np.log(np.finfo(float).max):
+            raise ValueError("contrast must be finite, with |contrast| below "
+                             "log(largest float) / 1.5, about 473.2")
         z = gaussian_filter(rng.standard_normal((h, w)), sigma=self.correlation_length,
                             mode="wrap")
         z = (z - z.mean()) / z.std()
@@ -137,7 +139,11 @@ def generate_psf(spec: PsfSpec) -> np.ndarray:
     if not hasattr(spec.kind, "grid"):
         raise TypeError(f"unknown PSF kind: {spec.kind!r}")
     grid = spec.kind.grid(*spec.size, spec_rng(spec.seed, spec))
-    return grid / grid.sum()
+    with np.errstate(over="ignore"):
+        mass = float(grid.sum())
+    if not 0 < mass < np.inf:
+        raise ValueError(f"PSF mass must be finite and positive, got {mass!r}")
+    return grid / mass
 
 
 def multiplexing_index(psf) -> float:

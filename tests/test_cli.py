@@ -153,7 +153,8 @@ class TestConfigHandling:
         assert run("crb", "--config", cfg, *flags, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "crb.csv").exists()
 
-    @pytest.mark.parametrize("key", sorted(cli._FLOAT_KEYS))
+    @pytest.mark.parametrize("key", sorted(key for key, value in cli.DEFAULTS.items()
+                                           if isinstance(value, float)))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_key_is_config_error(self, key, value):
         with pytest.raises(ConfigError):
@@ -173,6 +174,16 @@ class TestConfigHandling:
             cfg.write_text(f"psf_size = 16\nobject_size = 8\n{config}\n")
             argv += ("--config", cfg)
         assert run(*argv, "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("contrast", [1000, -1000])
+    def test_diffuser_contrast_that_overflows_is_config_error(self, tmp_path, capsys,
+                                                              contrast):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"psf_kind = diffuser\npsf_contrast = {contrast}\n"
+                       "psf_size = 16\nobject_size = 8\n")
+        assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "contrast" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line", ["psf_kind = lens", "object_kind = cell",
@@ -336,6 +347,22 @@ class TestStudyCommand:
         lenslets = [means[f"lenslets{n}"] for n in range(1, 6)]
         assert all(a <= b for a, b in zip(lenslets, lenslets[1:]))
         assert means["diffuser"] >= means["lenslets5"]
+
+
+def test_psf_and_object_commands_write_the_grids_a_study_uses(tmp_path):
+    # every command draws its PSF and object from the same substreams of --seed
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 16\nobject_size = 16\n")
+    assert run("study", "fig3", "--config", cfg, "--seed", 3, "--out", tmp_path) == 0
+    assert run("psf", "--kind", "diffuser", "--size", 16, "--seed", 3,
+               "--out", tmp_path / "psf") == 0
+    assert run("object", "--kind", "beads", "--size", 16, "--seed", 3,
+               "--out", tmp_path / "object") == 0
+    study = tmp_path / "fig3"
+    assert sha256_file(tmp_path / "psf" / "psf.csv") \
+        == sha256_file(study / "dense_diffuser" / "psf.csv")
+    assert sha256_file(tmp_path / "object" / "object.csv") \
+        == sha256_file(study / "sparse_rml" / "object.csv")
 
 
 def test_study_ignores_delta_psf_kind(tmp_path):

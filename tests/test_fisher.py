@@ -7,6 +7,7 @@ import pytest
 
 from lensless_crb import (
     CrbMap,
+    DimensionError,
     FactorizationError,
     GaussianNoise,
     PoissonNoise,
@@ -309,6 +310,10 @@ class TestCrb:
         before = J.copy()
         crb_from_fisher(J, object_shape=small_lenslet_h.obj_shape)
         np.testing.assert_array_equal(J, before)
+
+    def test_object_shape_must_match_fisher_size(self):
+        with pytest.raises(DimensionError):
+            crb_from_fisher(np.eye(4), object_shape=(3, 3))
 
     def test_no_information_raises(self):
         # eps scales with max(diag(J)), so J = 0 gets no loading and no bound

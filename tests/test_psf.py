@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,16 @@ from lensless_crb import (
     generate_psf,
     multiplexing_index,
 )
+
+
+@dataclass(frozen=True)
+class _Constant:
+    """A PSF kind whose grid holds one value."""
+
+    value: float
+
+    def grid(self, h, w, rng):
+        return np.full((h, w), self.value)
 
 
 def local_maxima(grid):
@@ -85,6 +97,12 @@ class TestDiffuser:
         with pytest.raises(ValueError):
             generate_psf(PsfSpec(Diffuser(**kwargs), (16, 16), 0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("contrast", [1000, -1000])
+    def test_contrast_that_overflows_is_rejected(self, contrast):
+        with pytest.raises(ValueError, match="contrast"):
+            generate_psf(PsfSpec(Diffuser(contrast=contrast), (16, 16), 0))
+
 
 class TestUnknownKind:
     @pytest.mark.parametrize("kind", ["lenslets", None, Lenslets])
@@ -99,6 +117,15 @@ class TestNormalization:
         p = generate_psf(default_study_specs(seed=11)[name])
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p >= 0)
+
+    # 1.5 * 473 is just below log(largest float), so no exp overflows, but
+    # the sum of the grid does
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [Diffuser(contrast=473), Diffuser(contrast=-473),
+                                      _Constant(0.0), _Constant(np.nan)])
+    def test_mass_must_be_finite_and_positive(self, kind):
+        with pytest.raises(ValueError, match="mass"):
+            generate_psf(PsfSpec(kind, (16, 16), 0))
 
 
 class TestMultiplexingIndex:

@@ -131,13 +131,15 @@ def test_import_loads_no_heavy_scipy_subpackage():
     assert out.stdout.strip() == ""
 
 
-def _matrix_reads(tree):
-    """(enclosing function name or None, line) of every ``.matrix`` attribute."""
+def _uses(tree, name):
+    """(enclosing function name or None, line) of every ``.name`` attribute
+    and every bare ``name``."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "matrix":
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Name) and child.id == name):
                 found.append((func, child.lineno))
             is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_func else func)
@@ -154,6 +156,15 @@ def test_only_forward_model_reads_the_dense_system_matrix():
     offenders = [f"{path.name}:{line}"
                  for path in sorted((ROOT / "src" / "lensless_crb").glob("*.py"))
                  if path.name != "forward_model.py"
-                 for func, line in _matrix_reads(ast.parse(path.read_text()))
+                 for func, line in _uses(ast.parse(path.read_text()), "matrix")
                  if (path.name, func) not in allowed]
+    assert offenders == []
+
+
+def test_cli_computes_bounds_only_in_the_case_path():
+    # crb and study share write_case, so how a case's CRB is computed and
+    # summarised is decided once; verify's GLS check bounds its own trials
+    tree = ast.parse((ROOT / "src" / "lensless_crb" / "cli.py").read_text())
+    offenders = [f"cli.py:{line}" for func, line in _uses(tree, "crb_from_fisher")
+                 if func not in ("write_case", "_verify_checks")]
     assert offenders == []
