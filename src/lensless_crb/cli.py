@@ -9,7 +9,8 @@ verify  run the Monte Carlo / finite-difference / efficiency oracle suite
 study   run the canned Gaussian (fig2) or Poisson (fig3) multiplexing study
 
 Configuration is a flat ``key = value`` text file; CLI flags override file
-keys. All randomness flows from one master seed through named substreams.
+keys. Each command takes only the keys it reads (``COMMAND_KEYS``). All
+randomness flows from one master seed through named substreams.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure or failed
 verification check, 4 I/O error.
@@ -50,6 +51,12 @@ SURROGATE_NOTE = ("PSF and object generators are statistical surrogates; only "
 # minimum sample / trial counts below which statistical checks are skipped
 MC_MIN_SAMPLES = 10_000
 EFF_MIN_TRIALS = 1_000
+# the limit each verify check is held to: relative errors of the Monte Carlo
+# Fisher, the FD score and the FD Hessian, and the GLS variance/CRB band
+MC_FISHER_LIMIT = 0.05
+FD_SCORE_LIMIT = 1e-5
+FD_HESSIAN_LIMIT = 1e-4
+GLS_EFFICIENCY_BAND = (0.9, 1.1)
 
 # the statistics of a CRB map that manifests and summary.csv report
 SUMMARY_STATS = ("mean", "median", "max")
@@ -88,6 +95,18 @@ DEFAULTS = {
     "object_size": 32,
 }
 
+# The config keys each command's code can read; any other key is an error.
+COMMAND_KEYS = {
+    "psf": {"seed", "psf_kind", "psf_n", "psf_n_spots", "psf_width_min", "psf_width_max",
+            "psf_corr_length", "psf_contrast", "psf_size"},
+    "object": {"seed", "object_kind", "object_n", "object_peak", "object_size"},
+    "crb": set(DEFAULTS) - {"n_samples", "n_trials"},
+    "verify": {"seed", "sigma2", "background", "epsilon_rel", "n_samples", "n_trials"},
+    "study fig2": {"seed", "sigma2", "epsilon_rel", "psf_size", "psf_pad", "object_size"},
+    "study fig3": {"seed", "background", "epsilon_rel", "psf_size", "psf_pad",
+                   "object_size", "object_peak"},
+}
+
 
 def parse_config_file(path) -> dict:
     cfg = {}
@@ -106,16 +125,18 @@ def parse_config_file(path) -> dict:
     return cfg
 
 
-def resolve_config(file_cfg: dict, overrides: dict) -> dict:
-    """DEFAULTS updated by the file, then by the flags; each value takes the
-    type of its default (int where the default is None)."""
-    cfg = dict(DEFAULTS)
+def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
+    """The DEFAULTS of the command's keys updated by the file, then by the
+    flags; each value takes the type of its default (int where the default
+    is None), and an int may not be negative."""
+    keys = COMMAND_KEYS[command]
+    cfg = {key: DEFAULTS[key] for key in keys}
     for source in (file_cfg, overrides):
         for key, value in source.items():
             if value is None:
                 continue
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key: {key}")
+            if key not in keys:
+                raise ConfigError(f"{command} does not read config key {key!r}")
             kind = int if DEFAULTS[key] is None else type(DEFAULTS[key])
             try:
                 cfg[key] = kind(value)
@@ -123,9 +144,11 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
                 raise ConfigError(f"bad value for {key}: {value!r}")
             if kind is float and not np.isfinite(cfg[key]):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+            if kind is int and cfg[key] < 0:
+                raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
     for key, table in (("psf_kind", PSF_KINDS), ("object_kind", OBJECT_KINDS),
                        ("noise", NOISE_MODELS)):
-        if cfg[key] not in table:
+        if key in cfg and cfg[key] not in table:
             raise ConfigError(f"unknown {key}: {cfg[key]!r}")
     return cfg
 
@@ -175,9 +198,9 @@ def make_object_grid(cfg: dict) -> np.ndarray:
         kind, size, cfg["object_peak"], derive_seed(cfg["seed"], "object")))
 
 
-def background(cfg: dict):
+def background(cfg: dict, noise_name: str):
     """The manifest's background: its value for a Poisson run, else None."""
-    return cfg["background"] if cfg["noise"] == "poisson" else None
+    return cfg["background"] if noise_name == "poisson" else None
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +228,8 @@ def base_manifest(cfg: dict, command: str) -> dict:
         "toolkit_version": __version__,
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},
-        "notes": {"psf_pad": PAD_NOTE, "surrogates": SURROGATE_NOTE},
+        "notes": {"surrogates": SURROGATE_NOTE,
+                  **({"psf_pad": PAD_NOTE} if "psf_pad" in cfg else {})},
         "psf_surrogate": True,
     }
 
@@ -258,7 +282,7 @@ def cmd_crb(args, cfg: dict) -> int:
     t2 = time.perf_counter()
     manifest = base_manifest(cfg, "crb")
     manifest.update(info)
-    manifest["background"] = background(cfg)
+    manifest["background"] = background(cfg, cfg["noise"])
     finish_manifest(manifest, out_dir,
                     {"generate": t1 - t0, "pipeline": t2 - t1})
     print(f"wrote {out_dir / 'crb.csv'} (mean CRB "
@@ -266,14 +290,14 @@ def cmd_crb(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _study_objects(cfg: dict):
+def _study_objects(cfg: dict, noise_name: str):
     """(case-name prefix, object grid or None) for each object of a study.
 
     The Gaussian bound does not depend on the object, so a Gaussian study
     has one object-free case per PSF. The others take each object kind at
     its default count.
     """
-    if cfg["noise"] == "gaussian":
+    if noise_name == "gaussian":
         return [("", None)]
     return [(prefix, make_object_grid({**cfg, "object_kind": kind, "object_n": None}))
             for prefix, kind in (("dense_", "cells"), ("sparse_", "beads"))]
@@ -281,18 +305,18 @@ def _study_objects(cfg: dict):
 
 def cmd_study(args, cfg: dict) -> int:
     name = args.name
-    cfg["noise"] = STUDY_NOISE[name]
-    model = NOISE_MODELS[cfg["noise"]](cfg)
+    noise_name = STUDY_NOISE[name]
+    model = NOISE_MODELS[noise_name](cfg)
     out_dir = Path(args.out) / name
     manifest = base_manifest(cfg, f"study {name}")
-    manifest["background"] = background(cfg)
+    manifest["background"] = background(cfg, noise_name)
     size = (cfg["object_size"], cfg["object_size"])
     specs = psf.default_study_specs(size=(cfg["psf_size"], cfg["psf_size"]),
                                     seed=derive_seed(cfg["seed"], "psf"))
     # every PSF and object is generated, and the first H built, before
     # anything is written, so a study that cannot run writes nothing
     psf_grids = {psf_name: psf.generate_psf(spec) for psf_name, spec in specs.items()}
-    study_objects = _study_objects(cfg)
+    study_objects = _study_objects(cfg, noise_name)
     cases, timings = {}, {}
     # PSF-major, so each H is built once; timings are per PSF
     for psf_name, psf_grid in psf_grids.items():
@@ -331,8 +355,7 @@ def _verify_checks(cfg: dict):
     n_trials = cfg["n_trials"]
     gauss = noise.GaussianNoise(cfg["sigma2"])
     models = (("gaussian", gauss), ("poisson", noise.PoissonNoise(cfg["background"])))
-    for key in ("epsilon_rel", "n_samples", "n_trials"):
-        fisher.check_parameter(key, cfg[key], allow_zero=True)
+    fisher.check_parameter("epsilon_rel", cfg["epsilon_rel"], allow_zero=True)
     rng = np.random.default_rng(derive_seed(seed, "verify"))
 
     spec = psf.PsfSpec(psf.Lenslets(3), (8, 8), derive_seed(seed, "psf"))
@@ -359,8 +382,8 @@ def _verify_checks(cfg: dict):
             mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
                                            derive_seed(seed, f"mc-{label}"))
             err = relative_error(mc, model.fisher(H, v))
-            yield f"mc_fisher_{label}", "PASS" if err < 0.05 else "FAIL", \
-                f"rel Frobenius error {err:.4f} (n={n_samples})"
+            yield f"mc_fisher_{label}", "PASS" if err < MC_FISHER_LIMIT else "FAIL", \
+                f"rel Frobenius error {err:.4f} (limit {MC_FISHER_LIMIT:g}, n={n_samples})"
 
     # finite-difference cross-checks of score and Hessian
     v_small = rng.uniform(0.5, 2.0, size=H.d)
@@ -369,13 +392,13 @@ def _verify_checks(cfg: dict):
         g = noise.score(model, H, v_small, y)
         g_fd = fd_gradient(lambda x: noise.log_likelihood(model, H, x, y), v_small)
         err = relative_error(g_fd, g)
-        yield f"fd_score_{label}", "PASS" if err < 1e-5 else "FAIL", \
-            f"rel error {err:.3g}"
+        yield f"fd_score_{label}", "PASS" if err < FD_SCORE_LIMIT else "FAIL", \
+            f"rel error {err:.3g} (limit {FD_SCORE_LIMIT:g})"
         hess = noise.hessian_log_likelihood(model, H, v_small, y)
         h_fd = fd_jacobian(lambda x: noise.score(model, H, x, y), v_small)
         err = relative_error(h_fd, hess)
-        yield f"fd_hessian_{label}", "PASS" if err < 1e-4 else "FAIL", \
-            f"rel error {err:.3g}"
+        yield f"fd_hessian_{label}", "PASS" if err < FD_HESSIAN_LIMIT else "FAIL", \
+            f"rel error {err:.3g} (limit {FD_HESSIAN_LIMIT:g})"
 
     # GLS efficiency against the Gaussian CRB
     if n_trials < EFF_MIN_TRIALS:
@@ -388,8 +411,9 @@ def _verify_checks(cfg: dict):
         report = run_trials(gauss, H1, v_small, "gls", n_trials,
                             derive_seed(seed, "trials"), crb=cmap)
         med = float(np.median(report.efficiency))
-        yield "gls_efficiency", "PASS" if 0.9 <= med <= 1.1 else "FAIL", \
-            f"median variance/CRB {med:.4f} (n={n_trials})"
+        lo, hi = GLS_EFFICIENCY_BAND
+        yield "gls_efficiency", "PASS" if lo <= med <= hi else "FAIL", \
+            f"median variance/CRB {med:.4f} (limits {lo:g}-{hi:g}, n={n_trials})"
 
 
 def cmd_verify(args, cfg: dict) -> int:
@@ -435,8 +459,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--background", type=float, help="Poisson background floor")
     p.add_argument("--epsilon-rel", dest="epsilon_rel", type=float,
                    help="relative diagonal loading before inversion")
-    p.add_argument("--psf-pad", dest="psf_pad", type=int,
-                   help="padded PSF size (default: PSF size + 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,6 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_study)
 
+    for name in ("crb", "study"):
+        sub.choices[name].add_argument("--psf-pad", dest="psf_pad", type=int,
+                                       help="padded PSF size (default: PSF size + 2)")
     for p in sub.choices.values():
         p.add_argument("--seed", type=int, help="master seed")
     return parser
@@ -488,10 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the two studies read different keys, so each is its own command
+    command = f"{args.command} {args.name}" if "name" in args else args.command
     try:
         # flags whose dest is a config key override the config file
         config = getattr(args, "config", None)
-        cfg = resolve_config(parse_config_file(config) if config else {},
+        cfg = resolve_config(command, parse_config_file(config) if config else {},
                              {k: v for k, v in vars(args).items() if k in DEFAULTS})
         return args.func(args, cfg)
     except (SingularRateError, FactorizationError, TrialFailureError,

@@ -128,6 +128,7 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    fisher.check_parameter("background", background, allow_zero=True)
     Y = _batch(y)
     if np.any(Y < 0):
         raise ValueError("Poisson measurements must be non-negative")

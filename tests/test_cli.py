@@ -158,7 +158,15 @@ class TestConfigHandling:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_key_is_config_error(self, key, value):
         with pytest.raises(ConfigError):
-            cli.resolve_config({key: value}, {})
+            cli.resolve_config("crb", {key: value}, {})
+
+    @pytest.mark.parametrize("key", sorted(key for key, value in cli.DEFAULTS.items()
+                                           if value is None or isinstance(value, int)))
+    def test_negative_int_key_is_config_error(self, key):
+        command = next(c for c, keys in cli.COMMAND_KEYS.items() if key in keys)
+        with pytest.raises(ConfigError, match=key):
+            cli.resolve_config(command, {key: "-1"}, {})
+        assert cli.resolve_config(command, {key: "0"}, {})[key] == 0
 
     @pytest.mark.parametrize("argv, config", [
         (("object", "--kind", "beads", "--peak", "nan"), None),
@@ -219,6 +227,52 @@ class TestConfigHandling:
         blocker.write_text("x")
         assert run("psf", "--kind", "lenslets", "--size", 16,
                    "--out", blocker / "sub") == 4
+
+
+class TestCommandKeys:
+    @pytest.mark.parametrize("command, argv", [
+        ("psf", ("psf", "--size", 16)),
+        ("object", ("object", "--size", 16)),
+        ("crb", ("crb", "--config", "small.cfg")),
+        ("verify", ("verify", "--n-samples", 100, "--n-trials", 0)),
+        ("study fig2", ("study", "fig2", "--config", "small.cfg")),
+        ("study fig3", ("study", "fig3", "--config", "small.cfg"))])
+    def test_manifest_config_lists_the_keys_the_command_reads(self, tmp_path,
+                                                              monkeypatch, command, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "small.cfg").write_text("psf_size = 16\nobject_size = 8\n")
+        assert run(*argv, "--out", "o") == 0
+        manifest = next((tmp_path / "o").rglob("manifest.json"))
+        manifest = json.loads(manifest.read_text())
+        assert manifest["command"] == command
+        assert set(manifest["config"]) == cli.COMMAND_KEYS[command]
+        assert ("psf_pad" in manifest["notes"]) == ("psf_pad" in manifest["config"])
+
+    @pytest.mark.parametrize("argv, config, key", [
+        (("study", "fig3"), "psf_kind = rml", "psf_kind"),
+        (("study", "fig3"), "object_kind = beads", "object_kind"),
+        (("study", "fig3"), "n_trials = 5", "n_trials"),
+        (("study", "fig3"), "noise = gaussian", "noise"),
+        (("study", "fig3", "--sigma2", 2), "", "sigma2"),
+        (("study", "fig2", "--background", 1), "", "background"),
+        (("crb",), "n_trials = -3", "n_trials"),
+        (("crb", "--seed", -5), "", "seed"),
+        (("verify",), "psf_pad = 50", "psf_pad")])
+    def test_unread_key_or_negative_int_is_config_error(self, tmp_path, capsys,
+                                                         argv, config, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{config}\n")
+        out = tmp_path / "o"
+        assert run(*argv, "--config", cfg, "--out", out) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_has_no_psf_pad_flag(self, tmp_path):
+        # verify pads its fixed 8x8 PSFs to 10x10 whatever the config says
+        with pytest.raises(SystemExit) as info:
+            run("verify", "--psf-pad", 50, "--out", tmp_path / "o")
+        assert info.value.code == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerifyCommand:
@@ -365,12 +419,14 @@ def test_psf_and_object_commands_write_the_grids_a_study_uses(tmp_path):
         == sha256_file(study / "sparse_rml" / "object.csv")
 
 
-def test_study_ignores_delta_psf_kind(tmp_path):
-    # the studies run their own encoders, so psf_kind does not set their pad
+def test_study_rejects_psf_kind(tmp_path, capsys):
+    # the studies run their own encoders, so psf_kind is not theirs to read
     cfg = tmp_path / "small.cfg"
     cfg.write_text("psf_kind = delta\npsf_size = 16\nobject_size = 8\n")
-    assert run("study", "fig2", "--config", cfg, "--out", tmp_path) == 0
-    assert read_grid_csv(tmp_path / "fig2" / "rml" / "psf.csv").shape == (16, 16)
+    out = tmp_path / "out"
+    assert run("study", "fig2", "--config", cfg, "--out", out) == 2
+    assert "'psf_kind'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("study", ["fig2", "fig3"])

@@ -132,6 +132,13 @@ class TestPoissonMle:
         with pytest.raises(ValueError):
             poisson_mle(H, np.array([[-1.0]]))
 
+    @pytest.mark.parametrize("background", [-1.0, np.nan, np.inf])
+    def test_bad_background_rejected(self, background):
+        # a negative or non-finite floor gives NaN or all-zero estimates
+        H = build_system_matrix(np.ones((1, 1)), (1, 1))
+        with pytest.raises(ValueError, match="background"):
+            poisson_mle(H, np.array([[7.0]]), background=background)
+
 
 @pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
                          ids=lambda f: f.__name__)

@@ -1,5 +1,6 @@
 """Checks on files outside the package that depend on its layout."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -167,4 +168,18 @@ def test_cli_computes_bounds_only_in_the_case_path():
     tree = ast.parse((ROOT / "src" / "lensless_crb" / "cli.py").read_text())
     offenders = [f"cli.py:{line}" for func, line in _uses(tree, "crb_from_fisher")
                  if func not in ("write_case", "_verify_checks")]
+    assert offenders == []
+
+
+def test_every_flag_sets_a_key_its_command_reads():
+    # a flag whose key the command does not read would be refused by
+    # resolve_config on every use; the two studies share one subparser
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offenders = []
+    for name, p in sub.choices.items():
+        reads = set().union(*(keys for command, keys in cli.COMMAND_KEYS.items()
+                              if command.split()[0] == name))
+        offenders += [f"{name} {a.dest}" for a in p._actions
+                      if a.dest not in {"help", "out", "config", "name"} | reads]
     assert offenders == []
