@@ -8,9 +8,12 @@ Three estimators probe the bounds empirically:
 * Poisson maximum likelihood via Richardson-Lucy multiplicative updates,
   which preserve positivity and never decrease the likelihood.
 
+The two iterative decoders give only their start value, step and objective
+to one per-column loop, ``_iterate``, and return its ``DecoderResult``.
+
 ``run_trials`` repeats sample -> estimate over many seeds and accumulates
 per-pixel mean/variance with chunked Welford merges, so the statistics are
-independent of chunk size and thread count.
+independent of the chunk size.
 """
 
 from dataclasses import dataclass
@@ -48,67 +51,80 @@ def make_gls_solver(H: SystemMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Non-negative least squares
+# Iterative decoders
 # ---------------------------------------------------------------------------
 
 
-def _batch(y) -> np.ndarray:
-    """A (k, n) batch of measurements, one per column, as floats."""
-    Y = np.asarray(y, dtype=float)
-    if Y.ndim != 2:
-        raise DimensionError(f"decoders take a (k, n) batch, got ndim={Y.ndim}")
-    return Y
+class DecoderResult(NamedTuple):
+    values: np.ndarray            # (d, n) last iterate of each column
+    converged: bool               # every column met the stopping rule
+    n_iters: int                  # iterations of the slowest column
+    objective_trace: np.ndarray   # (n_iters + 1, n); a stopped column keeps its last value
 
 
-class NnlsResult(NamedTuple):
-    values: np.ndarray
-    converged: bool
-    n_iters: int
+def _iterate(H: SystemMatrix, y, setup, objective, max_iters: int, tol: float,
+             background: float = 0.0) -> DecoderResult:
+    """Iterate each column of the (k, n) batch y until its objective settles.
 
-
-def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
-                  tol: float = 1e-9) -> NnlsResult:
-    """Projected gradient descent on ||y - Hv||^2 with v >= 0.
-
-    Step 1/L with L the largest eigenvalue of H^T H (LAPACK); each column
-    of the (k, n) batch y stops when its relative objective decrease drops
-    below tol. Non-convergence returns the last iterate with
-    converged=False.
+    setup(Y) returns the start (d, n) and step(V, Y, B, cols), which maps the
+    running columns V to their next iterate; B = HV + background is their
+    image and cols their indices in the batch. objective(Y, B) gives one value
+    per column. The image of each iterate is formed once and serves both the
+    objective and the next step. A column stops when its objective changes by
+    less than tol relative; it is then written back and dropped, so the
+    running columns stay one contiguous array.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    Y = _batch(y)
-    A = weighted_gram(H)
-    L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
-    HtY = adjoint(H, Y)
-    V = np.zeros((H.d, Y.shape[1]))
-    active = np.ones(Y.shape[1], dtype=bool)
-    obj = np.sum(Y ** 2, axis=0)
-    it = 0
-    while it < max_iters and np.any(active):
-        idx = np.flatnonzero(active)       # converged columns stop updating
-        Va = V[:, idx]
-        grad = A @ Va - HtY[:, idx]        # half-gradient of the objective
-        Va = np.maximum(Va - grad / L, 0.0)
-        V[:, idx] = Va
-        new_obj = np.sum((Y[:, idx] - forward(H, Va)) ** 2, axis=0)
-        rel_drop = (obj[idx] - new_obj) / np.maximum(obj[idx], 1e-300)
-        active[idx[rel_drop < tol]] = False
-        obj[idx] = new_obj
-        it += 1
-    return NnlsResult(V, converged=not np.any(active), n_iters=it)
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim != 2:
+        raise DimensionError(f"decoders take a (k, n) batch, got ndim={Y.ndim}")
+    V, step = setup(Y)
+    cols = np.arange(Y.shape[1])      # the running columns, in batch order
+    Vr, Yr = V, Y
+    B = forward(H, V) + background
+    f = objective(Y, B)
+    trace = [f.copy()]
+    while len(trace) <= max_iters and cols.size:
+        Vr = step(Vr, Yr, B, cols)
+        B = forward(H, Vr) + background
+        new, old = objective(Yr, B), f[cols]
+        stop = np.abs(new - old) / np.maximum(np.abs(old), 1e-300) < tol
+        f[cols] = new
+        trace.append(f.copy())
+        if np.any(stop):
+            V[:, cols[stop]] = Vr[:, stop]
+            cols, Vr, Yr, B = cols[~stop], Vr[:, ~stop], Yr[:, ~stop], B[:, ~stop]
+    V[:, cols] = Vr
+    return DecoderResult(V, cols.size == 0, len(trace) - 1, np.array(trace))
 
 
-# ---------------------------------------------------------------------------
-# Poisson maximum likelihood (Richardson-Lucy)
-# ---------------------------------------------------------------------------
+def _squared_residual(Y, B):
+    return np.sum((Y - B) ** 2, axis=0)
 
 
-class MleResult(NamedTuple):
-    values: np.ndarray
-    converged: bool
-    n_iters: int
-    loglik_trace: np.ndarray   # (iters + 1, n) ln p(y; v), additive constant dropped
+def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
+                  tol: float = 1e-9) -> DecoderResult:
+    """Projected gradient descent on ||y - Hv||^2 with v >= 0, from v = 0.
+
+    Step 1/L with L the largest eigenvalue of H^T H (LAPACK), so the objective
+    never rises. Non-convergence returns the last iterate with
+    converged=False; the trace holds the objective.
+    """
+    def setup(Y):
+        A = weighted_gram(H)
+        L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
+        HtY = adjoint(H, Y)
+
+        def step(V, Y, B, cols):
+            grad = A @ V - HtY[:, cols]    # half-gradient of the objective
+            return np.maximum(V - grad / L, 0.0)
+
+        return np.zeros((H.d, Y.shape[1])), step
+
+    return _iterate(H, y, setup, _squared_residual, max_iters, tol)
 
 
 def _poisson_objective(Y, B):
@@ -119,41 +135,27 @@ def _poisson_objective(Y, B):
 
 
 def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
-                max_iters: int = 10_000, tol: float = 1e-10) -> MleResult:
+                max_iters: int = 10_000, tol: float = 1e-10) -> DecoderResult:
     """Richardson-Lucy iterations for the Poisson likelihood.
 
     v <- v * [H^T (y / (Hv + background))] / H^T 1, started uniform positive;
-    H^T 1 is the PSF mass at every pixel. Each column of the (k, n) batch
-    y stops when its relative log-likelihood change drops below tol.
+    H^T 1 is the PSF mass at every pixel. The trace holds ln p(y; v) with the
+    additive constant dropped; it never falls.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     fisher.check_parameter("background", background, allow_zero=True)
-    Y = _batch(y)
-    if np.any(Y < 0):
-        raise ValueError("Poisson measurements must be non-negative")
     mass = H.psf.sum()
 
-    n_cols = Y.shape[1]
-    V = np.full((H.d, n_cols), max(Y.mean() / mass, 1e-12))
-    obj = _poisson_objective(Y, forward(H, V) + background)
-    trace = [obj.copy()]
-    active = np.ones(n_cols, dtype=bool)
-    it = 0
-    while it < max_iters and np.any(active):
-        idx = np.flatnonzero(active)       # converged columns stop updating
-        Va, Ya = V[:, idx], Y[:, idx]
-        B = forward(H, Va) + background
-        ratio = np.where(Ya > 0, Ya / np.maximum(B, 1e-300), 0.0)
-        Va = Va * (adjoint(H, ratio) / mass)
-        V[:, idx] = Va
-        new_obj = _poisson_objective(Ya, forward(H, Va) + background)
-        rel = np.abs(new_obj - obj[idx]) / np.maximum(np.abs(obj[idx]), 1e-300)
-        active[idx[rel < tol]] = False
-        obj[idx] = new_obj
-        trace.append(obj.copy())
-        it += 1
-    return MleResult(V, not np.any(active), it, np.array(trace))
+    def setup(Y):
+        if np.any(Y < 0):
+            raise ValueError("Poisson measurements must be non-negative")
+
+        def step(V, Y, B, cols):
+            ratio = np.where(Y > 0, Y / np.maximum(B, 1e-300), 0.0)
+            return V * (adjoint(H, ratio) / mass)
+
+        return np.full((H.d, Y.shape[1]), max(Y.mean() / mass, 1e-12)), step
+
+    return _iterate(H, y, setup, _poisson_objective, max_iters, tol, background)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +195,8 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
         raise ValueError("n_trials must be >= 2")
     options = estimator_options or {}
     if estimator == "gls":
+        if options:
+            raise ValueError(f"gls takes no estimator options, got {sorted(options)}")
         estimate = make_gls_solver(H)
     elif estimator == "nnls":
         def estimate(Y):

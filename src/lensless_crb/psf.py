@@ -117,6 +117,8 @@ class Diffuser:
         if not 1.5 * abs(self.contrast) < np.log(np.finfo(float).max):
             raise ValueError("contrast must be finite, with |contrast| below "
                              "log(largest float) / 1.5, about 473.2")
+        if h * w < 2:
+            raise DimensionError(f"a diffuser needs 2 pixels to vary, got size {h}x{w}")
         z = gaussian_filter(rng.standard_normal((h, w)), sigma=self.correlation_length,
                             mode="wrap")
         z = (z - z.mean()) / z.std()
@@ -138,7 +140,10 @@ def generate_psf(spec: PsfSpec) -> np.ndarray:
     """Generate the PSF grid for a spec; unit mass, deterministic per seed."""
     if not hasattr(spec.kind, "grid"):
         raise TypeError(f"unknown PSF kind: {spec.kind!r}")
-    grid = spec.kind.grid(*spec.size, spec_rng(spec.seed, spec))
+    h, w = spec.size
+    if h < 1 or w < 1:
+        raise DimensionError(f"PSF grids must be at least 1x1, got size {h}x{w}")
+    grid = spec.kind.grid(h, w, spec_rng(spec.seed, spec))
     with np.errstate(over="ignore"):
         mass = float(grid.sum())
     if not 0 < mass < np.inf:

@@ -37,6 +37,14 @@ class TestPsfCommand:
         expected = grid.sum() ** 2 / (grid.size * np.sum(grid ** 2))
         assert manifest["multiplexing_index"] == pytest.approx(expected)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, size", [(("--size", 0), "0x0"),
+                                            (("--kind", "diffuser", "--size", 1), "1x1")])
+    def test_too_small_grid_names_its_size(self, tmp_path, capsys, argv, size):
+        assert run("psf", *argv, "--out", tmp_path / "o") == 2
+        assert f"size {size}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", list(cli.PSF_KINDS))
     def test_every_kind_name(self, tmp_path, kind):
         out = tmp_path / "psf"

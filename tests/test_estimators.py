@@ -115,18 +115,6 @@ class TestPoissonMle:
         ll_true = log_likelihood(model, H, v_true, np.round(y))
         assert ll_hat >= ll_true - 1e-6
 
-    def test_loglik_trace_monotone(self):
-        psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
-        H = build_system_matrix(psf, (8, 8), (10, 10))
-        rng = np.random.default_rng(5)
-        v_true = rng.uniform(0.5, 3, size=H.d)
-        y = rng.poisson(forward(H, v_true)).astype(float)
-        res = poisson_mle(H, y[:, None], max_iters=500, tol=0.0)
-        assert res.loglik_trace.shape == (res.n_iters + 1, 1)
-        trace = res.loglik_trace[:, 0]
-        assert len(trace) >= 100
-        assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
-
     def test_negative_measurement_rejected(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 1))
         with pytest.raises(ValueError):
@@ -140,12 +128,63 @@ class TestPoissonMle:
             poisson_mle(H, np.array([[7.0]]), background=background)
 
 
-@pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
-                         ids=lambda f: f.__name__)
-def test_max_iters_validated(decoder):
+def gls_trials(H, y, **options):
+    return run_trials(GaussianNoise(1.0), H, y[:, 0], "gls", 5, seed=0,
+                      estimator_options=options)
+
+
+@pytest.mark.parametrize("decoder, options", [
+    pytest.param(nnls_estimate, {"max_iters": 0}, id="nnls_estimate"),
+    pytest.param(poisson_mle, {"max_iters": 0}, id="poisson_mle"),
+    pytest.param(nnls_estimate, {"tol": np.nan}, id="nnls_estimate-tol_nan"),
+    pytest.param(poisson_mle, {"tol": np.nan}, id="poisson_mle-tol_nan"),
+    pytest.param(nnls_estimate, {"tol": -1e-9}, id="nnls_estimate-tol_negative"),
+    pytest.param(poisson_mle, {"tol": -1e-9}, id="poisson_mle-tol_negative"),
+    pytest.param(poisson_mle, {"tol": np.inf}, id="poisson_mle-tol_inf"),
+    # GLS has no options, so any it is given are an error, not ignored
+    pytest.param(gls_trials, {"max_iters": 0, "bogus": 1}, id="gls-options"),
+])
+def test_max_iters_validated(decoder, options):
     H = build_system_matrix(np.ones((1, 1)), (1, 1))
     with pytest.raises(ValueError):
-        decoder(H, np.array([[1.0]]), max_iters=0)
+        decoder(H, np.array([[1.0]]), **options)
+
+
+@pytest.mark.parametrize("decoder, sign", [(nnls_estimate, -1.0), (poisson_mle, 1.0)],
+                         ids=["nnls_estimate", "poisson_mle"])
+def test_objective_trace_monotone(decoder, sign):
+    # the NNLS residual never rises and the RL log-likelihood never falls
+    psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
+    H = build_system_matrix(psf, (8, 8), (10, 10))
+    rng = np.random.default_rng(5)
+    v_true = rng.uniform(0.5, 3, size=H.d)
+    y = rng.poisson(forward(H, v_true)).astype(float)
+    res = decoder(H, y[:, None], max_iters=500, tol=0.0)
+    assert res.objective_trace.shape == (res.n_iters + 1, 1)
+    trace = res.objective_trace[:, 0]
+    assert len(trace) >= 100
+    assert np.all(sign * np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
+
+
+@pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
+                         ids=lambda f: f.__name__)
+def test_one_image_per_iteration(decoder, monkeypatch):
+    # the image Hv (+ background) of an iterate serves its objective and the
+    # next step, so a call forms at most one image per iteration plus the start
+    calls = []
+
+    def counted(H, v):
+        calls.append(1)
+        return forward(H, v)
+
+    monkeypatch.setattr(estimators, "forward", counted)
+    psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
+    H = build_system_matrix(psf, (8, 8), (10, 10))
+    rng = np.random.default_rng(6)
+    Y = rng.poisson(forward(H, rng.uniform(0.5, 3, size=(H.d, 3)))).astype(float)
+    res = decoder(H, Y, max_iters=300, tol=1e-9)
+    assert res.n_iters > 10
+    assert len(calls) <= res.n_iters + 1
 
 
 @pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],

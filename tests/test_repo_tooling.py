@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lensless_crb
-from lensless_crb import build_system_matrix, cli, fisher, noise
+from lensless_crb import build_system_matrix, cli, estimators, fisher, noise
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,16 +40,22 @@ def test_traced_benchmark_targets_resolve(module, attr):
     assert callable(getattr(importlib.import_module(f"lensless_crb.{module}"), attr))
 
 
-def test_tracer_accounts_for_threaded_monte_carlo(monkeypatch):
-    # the tracer keeps one open-span stack, so the Monte Carlo worker threads
-    # must call no traced attribute; the monkeypatch undoes the install
+def _installed_tracer(monkeypatch):
+    """A perfbench Tracer wrapped around the package; the monkeypatch undoes it."""
     tracing = _load_perfbench("tracing")
     for module, attr, _name, _counter in tracing.TARGETS:
         target = importlib.import_module(f"lensless_crb.{module}")
         monkeypatch.setattr(target, attr, getattr(target, attr))
-    monkeypatch.setattr(fisher, "_cpu_count", lambda: 3)
     tracer = tracing.Tracer()
     tracer.install()
+    return tracing, tracer
+
+
+def test_tracer_accounts_for_threaded_monte_carlo(monkeypatch):
+    # the tracer keeps one open-span stack, so the Monte Carlo worker threads
+    # must call no traced attribute
+    monkeypatch.setattr(fisher, "_cpu_count", lambda: 3)
+    tracing, tracer = _installed_tracer(monkeypatch)
     H = build_system_matrix(np.ones((2, 2)), (3, 3))
     t0 = time.perf_counter()
     fisher.fisher_monte_carlo(noise.PoissonNoise(1e-3), H, np.ones(H.d),
@@ -58,6 +64,19 @@ def test_tracer_accounts_for_threaded_monte_carlo(monkeypatch):
     assert tracing.accounting_error(summary) < 1e-6
     assert list(summary["layers"]) == ["fisher.fisher_monte_carlo"]
     assert summary["layers"]["fisher.fisher_monte_carlo"]["calls"] == 1
+
+
+def test_tracer_counts_decoder_results(monkeypatch):
+    # the traced benchmark reads these fields of the decoders' results
+    _tracing, tracer = _installed_tracer(monkeypatch)
+    H = build_system_matrix(np.ones((2, 2)), (3, 3))
+    Y = np.arange(1.0, 33.0).reshape(16, 2)
+    results = {"nnls_estimate": estimators.nnls_estimate(H, Y, max_iters=3),
+               "poisson_mle": estimators.poisson_mle(H, Y)}
+    for name, res in results.items():
+        assert tracer.counters[f"estimators.{name}.iters"] == res.n_iters
+        assert tracer.counters[f"estimators.{name}.converged"] == int(res.converged)
+    assert {res.converged for res in results.values()} == {False, True}
 
 
 def test_benchmark_decoder_workload_runs(tmp_path, monkeypatch):
