@@ -17,11 +17,14 @@ verification check, 4 I/O error.
 """
 
 import argparse
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, fisher, noise, objects, psf, storage
 from .errors import (
@@ -210,17 +213,49 @@ def background(cfg: dict, noise_name: str):
 
 def write_case(out_dir: Path, cfg: dict, model, H, v) -> dict:
     """CRB map of one case (noise model, H, object v); write crb.csv /
-    crb.pgm / cross_section.csv and return its manifest entry."""
-    cmap = fisher.crb_from_fisher(model.fisher(H, v), cfg["epsilon_rel"],
-                                  object_shape=H.obj_shape)
+    crb.pgm / cross_section.csv and return its manifest entry, with the
+    seconds of its fisher, crb and files stages."""
+    t0 = time.perf_counter()
+    J = model.fisher(H, v)
+    t1 = time.perf_counter()
+    cmap = fisher.crb_from_fisher(J, cfg["epsilon_rel"], object_shape=H.obj_shape)
+    summary = fisher.crb_summary(cmap)
+    t2 = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = cmap.grid()
     storage.write_grid_csv(out_dir / "crb.csv", grid)
     scale = storage.write_pgm16(out_dir / "crb.pgm", grid)
-    summary = fisher.crb_summary(cmap)
     storage.write_grid_csv(out_dir / "cross_section.csv", summary["cross_section"])
+    t3 = time.perf_counter()
     return {"pgm_scale": scale, "epsilon_used": cmap.epsilon_used,
-            "summary": {k: summary[k] for k in SUMMARY_STATS}}
+            "summary": {k: summary[k] for k in SUMMARY_STATS},
+            "timings": rounded({"fisher": t1 - t0, "crb": t2 - t1, "files": t3 - t2})}
+
+
+def rounded(timings: dict) -> dict:
+    """Seconds as a manifest records them."""
+    return {k: round(v, 6) for k, v in timings.items()}
+
+
+def _blas(package) -> dict:
+    info = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": info.get("name"), "version": info.get("version")}
+
+
+def environment() -> dict:
+    """What a run's output bytes and times depend on beyond its config: the
+    versions, the BLAS each of NumPy and SciPy bundles, the BLAS thread
+    setting (None if unset; the kernels sum in another order with another
+    thread count, so crb.csv bytes change with it) and the usable CPUs."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": _blas(np),
+        "scipy_blas": _blas(scipy),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "cpu_count": fisher.cpu_count(),
+    }
 
 
 def base_manifest(cfg: dict, command: str) -> dict:
@@ -228,6 +263,7 @@ def base_manifest(cfg: dict, command: str) -> dict:
         "toolkit_version": __version__,
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},
+        "environment": environment(),
         "notes": {"surrogates": SURROGATE_NOTE,
                   **({"psf_pad": PAD_NOTE} if "psf_pad" in cfg else {})},
         "psf_surrogate": True,
@@ -236,7 +272,7 @@ def base_manifest(cfg: dict, command: str) -> dict:
 
 def finish_manifest(manifest: dict, out_dir: Path, timings: dict) -> None:
     manifest["files"] = storage.checksum_tree(out_dir)
-    manifest["timings"] = {k: round(v, 6) for k, v in timings.items()}
+    manifest["timings"] = rounded(timings)
     storage.write_manifest(out_dir / "manifest.json", manifest)
 
 
@@ -283,8 +319,9 @@ def cmd_crb(args, cfg: dict) -> int:
     manifest = base_manifest(cfg, "crb")
     manifest.update(info)
     manifest["background"] = background(cfg, cfg["noise"])
+    # the case's stage timings are part of its pipeline time
     finish_manifest(manifest, out_dir,
-                    {"generate": t1 - t0, "pipeline": t2 - t1})
+                    {"generate": t1 - t0, "pipeline": t2 - t1, **info["timings"]})
     print(f"wrote {out_dir / 'crb.csv'} (mean CRB "
           f"{info['summary']['mean']:.6g}, epsilon {info['epsilon_used']:.3g})")
     return EXIT_OK

@@ -119,10 +119,10 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
 
 def monte_carlo_workers(n_samples: int) -> int:
     """Threads fisher_monte_carlo uses: the usable CPUs, at most one per chunk."""
-    return min(_cpu_count(), -(-n_samples // MC_CHUNK))
+    return min(cpu_count(), -(-n_samples // MC_CHUNK))
 
 
-def _cpu_count() -> int:
+def cpu_count() -> int:
     """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))

@@ -10,6 +10,18 @@ since it is the PSF autocorrelation laid out block-Toeplitz. ``forward``
 modules use, so this module alone knows how H is stored. The PSF may be
 zero-padded before building H; padding to (psf + 2) per axis turns 32x32
 objects into 65x65 measurements.
+
+NumPy and SciPy each bundle their own OpenBLAS, each with its own thread
+pool, and after a call a pool's idle threads keep spinning for a while. The
+products of the Poisson Fisher -> CRB path therefore run on SciPy's OpenBLAS,
+the library whose LAPACK factors and inverts the Fisher matrix next: the
+image H v of one object is ``dgemv`` and the weight-vector Gram is ``dsyrk``.
+Alternating the two libraries on every case left NumPy's helper thread
+spinning beside SciPy's two-thread Cholesky on a 2-vCPU machine, where two
+BLAS threads then ran slower than one. Batched products (a (d, n) array
+in ``forward``, every ``adjoint``) stay on NumPy's ``@``: the decoder loops
+and Monte Carlo chunks make them many times in a row, and the GLS trials
+switch to SciPy's ``cho_solve`` once per chunk of trials, not once per case.
 """
 
 from dataclasses import dataclass
@@ -17,8 +29,11 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import blas
 
 from .errors import DimensionError
+
+MIRROR_BLOCK = 64   # rows per strip when mirroring a Gram's lower triangle
 
 
 def as_grid(values) -> np.ndarray:
@@ -130,8 +145,10 @@ def forward(H: SystemMatrix, v) -> np.ndarray:
     """Noiseless measurement b = H v of one object (d,) or of a batch of
     objects in the columns of a (d, n) array."""
     values = object_values(v)
-    if values.shape[:1] != (H.d,):
-        raise DimensionError(f"object shape {values.shape} does not match H columns {H.d}")
+    if values.ndim > 2 or values.shape[:1] != (H.d,):
+        raise DimensionError(f"object shape {values.shape} is not ({H.d},) or ({H.d}, n)")
+    if values.ndim == 1:
+        return blas.dgemv(1.0, H.matrix, values)
     return H.matrix @ values
 
 
@@ -139,28 +156,47 @@ def adjoint(H: SystemMatrix, r) -> np.ndarray:
     """Back-projection H^T r of one measurement-plane vector (k,) or of a
     batch in the columns of a (k, n) array."""
     r = np.asarray(r, dtype=float)
-    if r.shape[:1] != (H.k,):
-        raise DimensionError(f"measurement shape {r.shape} does not match H rows {H.k}")
+    if r.ndim > 2 or r.shape[:1] != (H.k,):
+        raise DimensionError(f"measurement shape {r.shape} is not ({H.k},) or ({H.k}, n)")
     return H.matrix.T @ r
 
 
 def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
-    """H^T diag(w) H for non-negative per-measurement weights w (length k) or
-    a scalar w.
+    """H^T diag(w) H for non-negative per-measurement weights w of shape
+    (k,) or a scalar w.
 
     A scalar weight scales the PSF autocorrelation: entry (a, b) of H^T H is
     the autocorrelation at the lag between object pixels a and b, so the
-    dense H is not needed. A weight vector forms S = diag(sqrt(w)) H and
-    returns S^T S, a symmetric rank-k update. Both branches return an
-    exactly symmetric matrix.
+    dense H is not needed. A weight vector forms S = diag(sqrt(w)) H; the
+    symmetric rank-k update ``dsyrk`` writes the lower triangle of S^T S,
+    which is then mirrored into the upper one in place. Both branches return
+    an exactly symmetric matrix.
     """
     if np.ndim(w) == 0:
         return _autocorrelation_gram(H.psf, H.obj_shape) * w
     w = np.asarray(w, dtype=float)
+    if w.shape != (H.k,):
+        raise DimensionError(f"weight shape {w.shape} is not () or ({H.k},)")
     if not np.all(np.isfinite(w) & (w >= 0)):
         raise ValueError("Gram weights must be finite and non-negative")
+    # S keeps H's column-major layout, so dsyrk reads it without a copy
     S = np.sqrt(w)[:, None] * H.matrix
-    return S.T @ S
+    G = blas.dsyrk(1.0, S, trans=1, lower=1)
+    _mirror_lower(G)
+    return G
+
+
+def _mirror_lower(G: np.ndarray) -> None:
+    """Copy the lower triangle of the square G into its upper one, in place,
+    one strip of MIRROR_BLOCK rows at a time: first the strip right of its
+    diagonal block, then the block column by column. The strips keep the
+    transposed reads in cache, and no temporary is larger than a strip."""
+    d = len(G)
+    for s in range(0, d, MIRROR_BLOCK):
+        e = min(s + MIRROR_BLOCK, d)
+        G[s:e, e:] = G[e:, s:e].T
+        for j in range(s + 1, e):
+            G[s:j, j] = G[j, s:j]
 
 
 def _autocorrelation_gram(psf: np.ndarray, obj_shape) -> np.ndarray:

@@ -186,6 +186,10 @@ class TestAcceptance:
         ok = checksum_tree(d1) == checksum_tree(d2)
         m1 = json.loads((d1 / "manifest.json").read_text())
         m2 = json.loads((d2 / "manifest.json").read_text())
-        del m1["timings"], m2["timings"]   # wall-clock times legitimately differ
+        # wall-clock times legitimately differ, the run's and each case's
+        for m in (m1, m2):
+            del m["timings"]
+            for case in m["cases"].values():
+                del case["timings"]
         ok = ok and m1 == m2
         report(9, "determinism", ok)

@@ -1,7 +1,10 @@
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from lensless_crb import ConfigError, TrialFailureError, cli, fisher, objects
 from lensless_crb.cli import main
@@ -296,7 +299,7 @@ class TestVerifyCommand:
 
     def test_manifest_times_each_check_and_records_monte_carlo(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fisher, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(fisher, "cpu_count", lambda: 3)
         out = tmp_path / "v"
         assert run("verify", "--n-samples", 2 * fisher.MC_CHUNK, "--n-trials", 0,
                    "--out", out) == 0
@@ -409,6 +412,48 @@ class TestStudyCommand:
         lenslets = [means[f"lenslets{n}"] for n in range(1, 6)]
         assert all(a <= b for a, b in zip(lenslets, lenslets[1:]))
         assert means["diffuser"] >= means["lenslets5"]
+
+
+STAGES = {"fisher", "crb", "files"}
+
+
+def test_cases_record_their_stage_timings(tmp_path):
+    # study: each case's stages sit inside its PSF's time, which also covers
+    # building H and the other object's case
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 16\nobject_size = 16\n")
+    assert run("study", "fig3", "--config", cfg, "--out", tmp_path) == 0
+    manifest = json.loads((tmp_path / "fig3" / "manifest.json").read_text())
+    for psf_name, psf_s in manifest["timings"].items():
+        stages = [manifest["cases"][f"{prefix}_{psf_name}"]["timings"]
+                  for prefix in ("dense", "sparse")]
+        assert all(set(t) == STAGES and min(t.values()) >= 0 for t in stages)
+        assert sum(sum(t.values()) for t in stages) <= psf_s
+    # crb: the one case's stages sit inside its pipeline time
+    out = tmp_path / "crb"
+    assert run("crb", "--config", cfg, "--noise", "poisson", "--out", out) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert min(timings[stage] for stage in STAGES) >= 0
+    assert sum(timings[stage] for stage in STAGES) <= timings["pipeline"]
+
+
+@pytest.mark.parametrize("threads", [None, "1"])
+def test_manifest_records_the_environment(tmp_path, monkeypatch, threads):
+    # crb.csv bytes depend on the BLAS thread count, so a manifest records it
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    assert run("psf", "--size", 16, "--out", tmp_path) == 0
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["openblas_num_threads"] == threads
+    assert env["cpu_count"] == len(os.sched_getaffinity(0))
+    assert (env["python"], env["numpy"], env["scipy"]) == (
+        platform.python_version(), np.__version__, scipy.__version__)
+    for package in (np, scipy):
+        blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env[f"{package.__name__}_blas"] == {"name": blas["name"],
+                                                   "version": blas["version"]}
 
 
 def test_psf_and_object_commands_write_the_grids_a_study_uses(tmp_path):

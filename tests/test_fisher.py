@@ -213,7 +213,7 @@ class TestMonteCarloChunks:
         sys.setswitchinterval(1e-6)   # more thread switches, more interleavings
         try:
             for workers in (1, 2, 3, 3):
-                monkeypatch.setattr(fisher, "_cpu_count", lambda w=workers: w)
+                monkeypatch.setattr(fisher, "cpu_count", lambda w=workers: w)
                 results.append(fisher_monte_carlo(model, small_lenslet_h, v, self.N,
                                                   seed=9))
         finally:
@@ -234,7 +234,7 @@ class TestMonteCarloChunks:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_chunk_exception_reaches_caller(self, workers, monkeypatch):
-        monkeypatch.setattr(fisher, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(fisher, "cpu_count", lambda: workers)
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
         threads = threading.active_count()
         with pytest.raises(_ChunkError):
@@ -256,12 +256,12 @@ class TestMonteCarloChunks:
 
         # one worker makes the allocation sequence, and so the peak, repeatable;
         # the slack covers allocator bookkeeping, not a chunk's draws
-        monkeypatch.setattr(fisher, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(fisher, "cpu_count", lambda: 1)
         peak_bytes(1)
         assert peak_bytes(4 * MC_CHUNK) <= peak_bytes(2 * MC_CHUNK) + (64 << 10)
         # the docstring's bound, with every worker busy
         workers = 3
-        monkeypatch.setattr(fisher, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(fisher, "cpu_count", lambda: workers)
         assert fisher.monte_carlo_workers(4 * MC_CHUNK) == workers
         assert peak_bytes(4 * MC_CHUNK) < workers * 4 * MC_BLOCK_BYTES
 

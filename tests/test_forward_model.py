@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,7 +160,7 @@ class TestAdjoint:
             assert got.shape == expected.shape
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((4, 2)), 1.0])
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((4, 2)), 1.0, np.ones((9, 2, 1))])
     def test_dimension_mismatch(self, identity_h, bad):
         with pytest.raises(DimensionError):
             adjoint(identity_h, bad)
@@ -238,3 +240,62 @@ class TestWeightedGram:
         w[3] = bad
         with pytest.raises(ValueError):
             weighted_gram(small_lenslet_h, w)
+
+    @pytest.mark.parametrize("shape", [(1,), (288,), (290,), (289, 1)])
+    def test_weight_shape_other_than_k_rejected(self, small_lenslet_h, shape):
+        # a length-1 vector would broadcast to w[0] * H^T H
+        with pytest.raises(DimensionError):
+            weighted_gram(small_lenslet_h, np.ones(shape))
+
+
+# the layouts an object or weight vector reaches the BLAS kernels in
+LAYOUTS = {
+    "contiguous": lambda x: np.ascontiguousarray(x),
+    "strided": lambda x: np.repeat(x, 3)[::3],
+    "column_of_c_ordered": lambda x: np.stack([x, 2 * x], axis=1)[:, 0],
+    "integer": lambda x: np.rint(4 * x).astype(np.int64),
+}
+
+
+class TestBlasKernels:
+    """forward on one object and the weight-vector Gram against plain
+    NumPy products, for every input layout, unpadded and padded."""
+
+    @pytest.fixture(scope="class", params=[None, (6, 7)], ids=["unpadded", "padded"])
+    def H(self, request):
+        psf = np.random.default_rng(11).uniform(0.1, 1, size=(4, 5))
+        return build_system_matrix(psf, (5, 6), request.param)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_forward_one_object_matches_matrix_product(self, H, layout):
+        v = LAYOUTS[layout](np.random.default_rng(12).uniform(0, 3, size=H.d))
+        expected = H.matrix @ v.astype(float)
+        got = forward(H, v)
+        assert got.shape == (H.k,)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_weight_vector_gram_matches_scaled_product(self, H, layout):
+        w = LAYOUTS[layout](np.random.default_rng(13).uniform(0, 2, size=H.k))
+        S = np.sqrt(w.astype(float))[:, None] * H.matrix
+        expected = S.T @ S
+        J = weighted_gram(H, w)
+        assert np.array_equal(J, J.T)
+        assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_weight_vector_gram_allocates_one_s_and_one_gram():
+    # S = diag(sqrt w) H and the Gram are the only full-size arrays: the
+    # lower triangle is mirrored in place, never through a d x d temporary
+    psf = np.random.default_rng(14).uniform(0, 1, size=(32, 32))
+    H = build_system_matrix(psf, (32, 32), (34, 34))
+    assert H.matrix.flags.f_contiguous      # built and cached before tracing starts
+    w = np.random.default_rng(15).uniform(0.1, 2, size=H.k)
+    tracemalloc.start()
+    try:
+        J = weighted_gram(H, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert J.shape == (H.d, H.d)
+    assert peak <= 8 * (H.k * H.d + H.d * H.d) + (1 << 20)

@@ -54,7 +54,7 @@ def _installed_tracer(monkeypatch):
 def test_tracer_accounts_for_threaded_monte_carlo(monkeypatch):
     # the tracer keeps one open-span stack, so the Monte Carlo worker threads
     # must call no traced attribute
-    monkeypatch.setattr(fisher, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(fisher, "cpu_count", lambda: 3)
     tracing, tracer = _installed_tracer(monkeypatch)
     H = build_system_matrix(np.ones((2, 2)), (3, 3))
     t0 = time.perf_counter()
