@@ -36,7 +36,7 @@ from .errors import (
     TrialFailureError,
 )
 from .estimators import run_trials
-from .forward_model import build_system_matrix, forward, vectorize
+from .forward_model import blas_thread_cap, build_system_matrix, forward, vectorize
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -470,11 +470,13 @@ def cmd_verify(args, cfg: dict) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = base_manifest(cfg, "verify")
         manifest["checks"] = results
-        # workers ran only if a Monte Carlo check did
+        # workers ran, each at blas_threads (null: not capped), only if a
+        # Monte Carlo check did
         ran_mc = any(r["check"].startswith("mc_fisher_") and r["status"] != "SKIP"
                      for r in results)
         manifest["monte_carlo"] = {
             "workers": fisher.monte_carlo_workers(cfg["n_samples"]) if ran_mc else 0,
+            "blas_threads": blas_thread_cap() if ran_mc else None,
             "chunk_samples": fisher.MC_CHUNK,
             "block_bytes": fisher.MC_BLOCK_BYTES,
         }

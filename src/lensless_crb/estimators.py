@@ -25,7 +25,7 @@ from scipy.linalg import eigvalsh
 from . import fisher
 from .errors import DimensionError, TrialFailureError
 from .fisher import CrbMap, loaded_cholesky
-from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
+from .forward_model import SystemMatrix, adjoint, forward, one_blas_thread, weighted_gram
 from .noise import sample
 
 TRIAL_CHUNK = 1000    # trials sampled and decoded as one batch
@@ -41,11 +41,14 @@ def make_gls_solver(H: SystemMatrix):
     return a solver mapping y -> v.
 
     The solver accepts y of shape (k,) or (k, n) and may return negatives.
+    It runs NumPy's adjoint and SciPy's cho_solve at one BLAS thread, so
+    neither library's idle pool spins beside the other's.
     """
     c, _ = loaded_cholesky(weighted_gram(H))
 
     def solve(y):
-        return fisher.cho_solve(c, adjoint(H, y))
+        with one_blas_thread():
+            return fisher.cho_solve(c, adjoint(H, y))
 
     return solve
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
 from .errors import DimensionError, FactorizationError, SingularRateError
-from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
+from .forward_model import SystemMatrix, adjoint, forward, one_blas_thread, weighted_gram
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
 MC_BLOCK_BYTES = 8 << 20    # draws one Monte Carlo worker holds at a time
@@ -78,9 +78,11 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     seeded by one child of SeedSequence(seed). The chunks run on
     monte_carlo_workers(n_samples) threads (NumPy releases the GIL in the
     draws, the score-weight ufuncs and the BLAS products), and the main
-    thread adds their S^T S partials in chunk order. So the result depends
-    only on (model, H, v, n_samples, seed), bitwise, whatever the thread
-    count; each partial is exactly symmetric, and so is the sum.
+    thread adds their S^T S partials in chunk order. The workers' BLAS calls
+    run at one BLAS thread (forward_model.one_blas_thread). So the result
+    depends only on (model, H, v, n_samples, seed), bitwise, whatever the
+    worker or BLAS thread count; each partial is exactly symmetric, and so
+    is the sum.
 
     Memory is bounded whatever n_samples is: a worker draws and projects its
     chunk in row blocks of at most MC_BLOCK_BYTES of measurements (one row
@@ -101,18 +103,20 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
               for start in range(0, n_samples, MC_CHUNK))
     workers = monte_carlo_workers(n_samples)
     J = np.zeros((H.d, H.d))
-    # at most 2 * workers chunks are queued or done but not yet added
-    pool = ThreadPoolExecutor(workers)
-    try:
-        pending = deque()
-        for chunk in chunks:
-            pending.append(pool.submit(chunk))
-            if len(pending) == 2 * workers:
+    # at most 2 * workers chunks are queued or done but not yet added; one
+    # BLAS thread per worker leaves every CPU to the draws
+    with one_blas_thread():
+        pool = ThreadPoolExecutor(workers)
+        try:
+            pending = deque()
+            for chunk in chunks:
+                pending.append(pool.submit(chunk))
+                if len(pending) == 2 * workers:
+                    J += pending.popleft().result()
+            while pending:
                 J += pending.popleft().result()
-        while pending:
-            J += pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        finally:
+            pool.shutdown(cancel_futures=True)
     J /= n_samples
     return J
 

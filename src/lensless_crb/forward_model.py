@@ -19,21 +19,30 @@ image H v of one object is ``dgemv`` and the weight-vector Gram is ``dsyrk``.
 Alternating the two libraries on every case left NumPy's helper thread
 spinning beside SciPy's two-thread Cholesky on a 2-vCPU machine, where two
 BLAS threads then ran slower than one. Batched products (a (d, n) array
-in ``forward``, every ``adjoint``) stay on NumPy's ``@``: the decoder loops
-and Monte Carlo chunks make them many times in a row, and the GLS trials
-switch to SciPy's ``cho_solve`` once per chunk of trials, not once per case.
+in ``forward``, every ``adjoint``) stay on NumPy's ``@``. The Monte Carlo
+Fisher chunks, one Python worker per CPU, and the GLS solves (NumPy's
+``adjoint``, then SciPy's ``cho_solve``) run inside ``one_blas_thread``,
+which sets both libraries to one thread for its block, so their results do
+not depend on ``OPENBLAS_NUM_THREADS``.
 """
 
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
+import scipy
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas
 
 from .errors import DimensionError
 
 MIRROR_BLOCK = 64   # rows per strip when mirroring a Gram's lower triangle
+# (package, suffix of its OpenBLAS's exported names): NumPy's has 64-bit ints
+OPENBLAS_LIBRARIES = ((np, "64_"), (scipy, ""))
 
 
 def as_grid(values) -> np.ndarray:
@@ -215,3 +224,60 @@ def _autocorrelation_gram(psf: np.ndarray, obj_shape) -> np.ndarray:
     R = 0.5 * (R + R[::-1, ::-1])
     # window [oh-1-r1, ow-1-c1] of R, entry [r2, c2], is R[lag + (oh-1, ow-1)]
     return sliding_window_view(R, (oh, ow))[::-1, ::-1].reshape(oh * ow, oh * ow)
+
+
+@cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of NumPy's and SciPy's bundled
+    OpenBLAS, found by ctypes in ``<package>/../<package>.libs``; None unless
+    both libraries are found."""
+    controls = []
+    for package, suffix in OPENBLAS_LIBRARIES:
+        libs = os.path.join(os.path.dirname(package.__file__), "..",
+                            package.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+        else:
+            return None
+    return tuple(controls)
+
+
+def blas_thread_cap():
+    """The BLAS thread count ``one_blas_thread`` sets: 1, or None where it
+    cannot find both libraries and so changes nothing."""
+    return 1 if _openblas_thread_controls() is not None else None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with NumPy's and SciPy's OpenBLAS at one thread each.
+
+    Each library's thread count is read on entry and restored on exit, also
+    when the block raises. Both libraries are set or neither: where they are
+    not both found, the block runs at the process's own thread counts. The
+    counts are process-wide, so blocks on several threads at once would
+    restore each other's counts; the package enters it from the calling
+    thread only.
+    """
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield
+        return
+    counts = [get() for get, _set in controls]
+    for _get, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_get, set_threads), n in zip(controls, counts):
+            set_threads(n)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lensless_crb import build_system_matrix, generate_psf
+from lensless_crb import build_system_matrix, forward_model, generate_psf
 from lensless_crb.psf import Lenslets, PsfSpec
 
 
@@ -46,3 +46,20 @@ def unpadded_lenslet_h():
     strictly positive, as required for beta=0 Poisson Fisher matrices."""
     grid = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
     return build_system_matrix(grid, (8, 8), (8, 8))
+
+
+@pytest.fixture
+def blas_threads_at_two():
+    """NumPy's and SciPy's OpenBLAS both at two threads for the test, and at
+    their own counts again after it. Yields a function that reads the two
+    counts, or None where the two libraries are not both found."""
+    controls = forward_model._openblas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    before = [get() for get, _set in controls]
+    for _get, set_threads in controls:
+        set_threads(2)
+    yield lambda: [get() for get, _set in controls]
+    for (_get, set_threads), n in zip(controls, before):
+        set_threads(n)

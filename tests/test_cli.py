@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from lensless_crb import ConfigError, TrialFailureError, cli, fisher, objects
+from lensless_crb import ConfigError, TrialFailureError, cli, fisher, forward_model, objects
 from lensless_crb.cli import main
 from lensless_crb.storage import read_grid_csv, sha256_file
 
@@ -309,10 +309,21 @@ class TestVerifyCommand:
         assert sorted(timings) == sorted(["verify"] + checks)
         assert all(timings[c] >= 0 for c in checks)
         assert sum(timings[c] for c in checks) <= timings["verify"] + 1e-5
-        # two chunks cap the three CPUs at two workers
+        # two chunks cap the three CPUs at two workers, each at one BLAS thread
         assert manifest["monte_carlo"] == {"workers": 2,
+                                           "blas_threads": forward_model.blas_thread_cap(),
                                            "chunk_samples": fisher.MC_CHUNK,
                                            "block_bytes": fisher.MC_BLOCK_BYTES}
+
+    def test_manifest_records_uncapped_blas_threads_as_null(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.setattr(forward_model, "_openblas_thread_controls", lambda: None)
+        out = tmp_path / "v"
+        assert run("verify", "--n-samples", fisher.MC_CHUNK, "--n-trials", 0,
+                   "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["monte_carlo"]["workers"] == 1
+        assert manifest["monte_carlo"]["blas_threads"] is None
 
     def test_manifest_records_no_monte_carlo_workers_when_skipped(self, tmp_path):
         out = tmp_path / "v"
@@ -322,6 +333,7 @@ class TestVerifyCommand:
                 if c["check"].startswith("mc_fisher")} == \
             {"mc_fisher_gaussian": "SKIP", "mc_fisher_poisson": "SKIP"}
         assert manifest["monte_carlo"]["workers"] == 0
+        assert manifest["monte_carlo"]["blas_threads"] is None
 
     def test_insufficient_budget_skips(self, capsys):
         code = run("verify", "--n-samples", 100, "--n-trials", 10)

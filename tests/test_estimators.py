@@ -23,7 +23,7 @@ from lensless_crb import (
     run_trials,
     vectorize,
 )
-from lensless_crb import estimators
+from lensless_crb import estimators, fisher
 from lensless_crb.psf import Lenslets, PsfSpec
 
 
@@ -53,6 +53,22 @@ class TestGls:
         batched = solve(Y)
         for j in range(4):
             np.testing.assert_allclose(batched[:, j], solve(Y[:, j]), rtol=1e-12)
+
+    def test_solve_runs_at_one_blas_thread(self, monkeypatch, blas_threads_at_two):
+        if blas_threads_at_two is None:
+            pytest.skip("NumPy's and SciPy's OpenBLAS were not both found")
+        seen = []
+        cho_solve = fisher.cho_solve
+
+        def recording_cho_solve(c, b):
+            seen.append(blas_threads_at_two())
+            return cho_solve(c, b)
+
+        monkeypatch.setattr(fisher, "cho_solve", recording_cho_solve)
+        H = lenslet1_8x8()
+        make_gls_solver(H)(np.ones((H.k, 3)))
+        assert seen == [[1, 1]]
+        assert blas_threads_at_two() == [2, 2]
 
     def test_attains_gaussian_crb(self):
         H = lenslet1_8x8()

@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,13 +236,32 @@ class TestMonteCarloChunks:
         assert np.array_equal(J, J.T)
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_chunk_exception_reaches_caller(self, workers, monkeypatch):
+    def test_chunk_exception_reaches_caller(self, workers, monkeypatch,
+                                            blas_threads_at_two):
         monkeypatch.setattr(fisher, "cpu_count", lambda: workers)
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
         threads = threading.active_count()
         with pytest.raises(_ChunkError):
             fisher_monte_carlo(FailingModel(), H, np.ones(2), 3 * MC_CHUNK, seed=0)
         assert threading.active_count() == threads
+        if blas_threads_at_two is not None:
+            assert blas_threads_at_two() == [2, 2]
+
+    def test_draws_run_at_one_blas_thread_and_counts_restored(
+            self, small_lenslet_h, blas_threads_at_two):
+        if blas_threads_at_two is None:
+            pytest.skip("NumPy's and SciPy's OpenBLAS were not both found")
+        seen = []
+
+        class Recording(GaussianNoise):
+            def draw(self, rng, mean, shape):
+                seen.append(blas_threads_at_two())
+                return super().draw(rng, mean, shape)
+
+        fisher_monte_carlo(Recording(1.0), small_lenslet_h,
+                           np.ones(small_lenslet_h.d), 2 * MC_CHUNK, seed=0)
+        assert seen and all(counts == [1, 1] for counts in seen)
+        assert blas_threads_at_two() == [2, 2]
 
     def test_memory_bounded_in_sample_count(self, small_lenslet_h, monkeypatch):
         H = small_lenslet_h
@@ -264,6 +286,33 @@ class TestMonteCarloChunks:
         monkeypatch.setattr(fisher, "cpu_count", lambda: workers)
         assert fisher.monte_carlo_workers(4 * MC_CHUNK) == workers
         assert peak_bytes(4 * MC_CHUNK) < workers * 4 * MC_BLOCK_BYTES
+
+
+def test_monte_carlo_bitwise_independent_of_blas_threads():
+    # the 8x8 lenslets3 operator over three seed chunks, in fresh processes
+    # at one and at two OpenBLAS threads
+    code = (
+        "import hashlib, numpy as np\n"
+        "from lensless_crb import GaussianNoise, PoissonNoise, build_system_matrix, "
+        "fisher_monte_carlo, generate_psf\n"
+        "from lensless_crb.psf import Lenslets, PsfSpec\n"
+        "H = build_system_matrix(generate_psf(PsfSpec(Lenslets(3), (8, 8), 0)), "
+        "(8, 8), (10, 10))\n"
+        "v = np.linspace(1.0, 40.0, H.d)\n"
+        "for model in (GaussianNoise(1.0), PoissonNoise(1e-3)):\n"
+        f"    J = fisher_monte_carlo(model, H, v, {TestMonteCarloChunks.N}, seed=9)\n"
+        "    print(hashlib.sha256(J.tobytes()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        outputs.append(out.stdout.split())
+    assert len(outputs[0]) == 2
+    assert outputs[0] == outputs[1]
 
 
 class TestHessianAverageEquivalence:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from lensless_crb import (
     pad_psf,
     vectorize,
 )
-from lensless_crb.forward_model import weighted_gram
+from lensless_crb import forward_model
+from lensless_crb.forward_model import blas_thread_cap, one_blas_thread, weighted_gram
 from conftest import conv_matrix_bruteforce, fft_convolve_full
 
 
@@ -299,3 +301,28 @@ def test_weight_vector_gram_allocates_one_s_and_one_gram():
         tracemalloc.stop()
     assert J.shape == (H.d, H.d)
     assert peak <= 8 * (H.k * H.d + H.d * H.d) + (1 << 20)
+
+
+def _bundles_scipy_openblas(package):
+    return package.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] \
+        == "scipy-openblas"
+
+
+class TestOneBlasThread:
+    @pytest.mark.skipif(
+        not (_bundles_scipy_openblas(np) and _bundles_scipy_openblas(scipy)),
+        reason="NumPy and SciPy do not both bundle scipy-openblas")
+    def test_caps_both_bundled_libraries(self, blas_threads_at_two):
+        assert blas_threads_at_two is not None     # both libraries were found
+        assert blas_thread_cap() == 1
+        with one_blas_thread():
+            assert blas_threads_at_two() == [1, 1]
+        assert blas_threads_at_two() == [2, 2]
+
+    def test_changes_nothing_without_both_libraries(self, monkeypatch,
+                                                    blas_threads_at_two):
+        monkeypatch.setattr(forward_model, "_openblas_thread_controls", lambda: None)
+        assert blas_thread_cap() is None
+        with one_blas_thread():
+            if blas_threads_at_two is not None:
+                assert blas_threads_at_two() == [2, 2]
