@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvalsh
+from scipy.linalg import blas, eigvalsh
 
 from . import fisher
 from .errors import DimensionError, TrialFailureError
 from .fisher import CrbMap, loaded_cholesky
-from .forward_model import SystemMatrix, adjoint, forward, one_blas_thread, weighted_gram
+from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 from .noise import sample
 
 TRIAL_CHUNK = 1000    # trials sampled and decoded as one batch
@@ -41,14 +41,11 @@ def make_gls_solver(H: SystemMatrix):
     return a solver mapping y -> v.
 
     The solver accepts y of shape (k,) or (k, n) and may return negatives.
-    It runs NumPy's adjoint and SciPy's cho_solve at one BLAS thread, so
-    neither library's idle pool spins beside the other's.
     """
     c, _ = loaded_cholesky(weighted_gram(H))
 
     def solve(y):
-        with one_blas_thread():
-            return fisher.cho_solve(c, adjoint(H, y))
+        return fisher.cho_solve(c, adjoint(H, y))
 
     return solve
 
@@ -59,10 +56,9 @@ def make_gls_solver(H: SystemMatrix):
 
 
 class DecoderResult(NamedTuple):
-    values: np.ndarray            # (d, n) last iterate of each column
-    converged: bool               # every column met the stopping rule
-    n_iters: int                  # iterations of the slowest column
-    objective_trace: np.ndarray   # (n_iters + 1, n); a stopped column keeps its last value
+    values: np.ndarray    # (d, n) last iterate of each column
+    converged: bool       # every column met the stopping rule
+    n_iters: int          # iterations of the slowest column
 
 
 def _iterate(H: SystemMatrix, y, setup, objective, max_iters: int, tol: float,
@@ -89,19 +85,19 @@ def _iterate(H: SystemMatrix, y, setup, objective, max_iters: int, tol: float,
     Vr, Yr = V, Y
     B = forward(H, V) + background
     f = objective(Y, B)
-    trace = [f.copy()]
-    while len(trace) <= max_iters and cols.size:
+    n_iters = 0
+    while n_iters < max_iters and cols.size:
+        n_iters += 1
         Vr = step(Vr, Yr, B, cols)
         B = forward(H, Vr) + background
         new, old = objective(Yr, B), f[cols]
         stop = np.abs(new - old) / np.maximum(np.abs(old), 1e-300) < tol
         f[cols] = new
-        trace.append(f.copy())
         if np.any(stop):
             V[:, cols[stop]] = Vr[:, stop]
             cols, Vr, Yr, B = cols[~stop], Vr[:, ~stop], Yr[:, ~stop], B[:, ~stop]
     V[:, cols] = Vr
-    return DecoderResult(V, cols.size == 0, len(trace) - 1, np.array(trace))
+    return DecoderResult(V, cols.size == 0, n_iters)
 
 
 def _squared_residual(Y, B):
@@ -114,15 +110,18 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
 
     Step 1/L with L the largest eigenvalue of H^T H (LAPACK), so the objective
     never rises. Non-convergence returns the last iterate with
-    converged=False; the trace holds the objective.
+    converged=False.
     """
     def setup(Y):
         A = weighted_gram(H)
         L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
         HtY = adjoint(H, Y)
+        AT = A.T    # column-major; A is exactly symmetric, so A V = (V^T A^T)^T
 
         def step(V, Y, B, cols):
-            grad = A @ V - HtY[:, cols]    # half-gradient of the objective
+            # V is row-major, so dgemm reads V.T and A.T without a copy, and
+            # the half-gradient of the objective comes out row-major like V
+            grad = blas.dgemm(1.0, V.T, AT).T - HtY[:, cols]
             return np.maximum(V - grad / L, 0.0)
 
         return np.zeros((H.d, Y.shape[1])), step
@@ -142,8 +141,8 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     """Richardson-Lucy iterations for the Poisson likelihood.
 
     v <- v * [H^T (y / (Hv + background))] / H^T 1, started uniform positive;
-    H^T 1 is the PSF mass at every pixel. The trace holds ln p(y; v) with the
-    additive constant dropped; it never falls.
+    H^T 1 is the PSF mass at every pixel. The objective is ln p(y; v) with
+    the additive constant dropped; it never falls.
     """
     fisher.check_parameter("background", background, allow_zero=True)
     mass = H.psf.sum()

@@ -21,10 +21,11 @@ from functools import partial
 
 import numpy as np
 # cho_solve pairs with loaded_cholesky; the GLS solver calls it as fisher.cho_solve
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
+from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, lapack  # noqa: F401
 
 from .errors import DimensionError, FactorizationError, SingularRateError
-from .forward_model import SystemMatrix, adjoint, forward, one_blas_thread, weighted_gram
+from .forward_model import (SystemMatrix, _mirror_lower, adjoint, forward, one_blas_thread,
+                            weighted_gram)
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
 MC_BLOCK_BYTES = 8 << 20    # draws one Monte Carlo worker holds at a time
@@ -77,12 +78,13 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     Samples come in chunks of MC_CHUNK, each drawn from its own generator
     seeded by one child of SeedSequence(seed). The chunks run on
     monte_carlo_workers(n_samples) threads (NumPy releases the GIL in the
-    draws, the score-weight ufuncs and the BLAS products), and the main
-    thread adds their S^T S partials in chunk order. The workers' BLAS calls
-    run at one BLAS thread (forward_model.one_blas_thread). So the result
-    depends only on (model, H, v, n_samples, seed), bitwise, whatever the
-    worker or BLAS thread count; each partial is exactly symmetric, and so
-    is the sum.
+    draws and the score-weight ufuncs; SciPy's BLAS wrappers hold it, so the
+    workers' products take turns), and the main thread adds the lower
+    triangles of their S^T S partials in chunk order, then mirrors the sum
+    once. The workers' BLAS calls run at one BLAS thread
+    (forward_model.one_blas_thread). So the result depends only on (model,
+    H, v, n_samples, seed), bitwise, whatever the worker or BLAS thread
+    count, and it is exactly symmetric.
 
     Memory is bounded whatever n_samples is: a worker draws and projects its
     chunk in row blocks of at most MC_BLOCK_BYTES of measurements (one row
@@ -102,7 +104,7 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
                       min(MC_CHUNK, n_samples - start))
               for start in range(0, n_samples, MC_CHUNK))
     workers = monte_carlo_workers(n_samples)
-    J = np.zeros((H.d, H.d))
+    J = np.zeros((H.d, H.d), order="F")
     # at most 2 * workers chunks are queued or done but not yet added; one
     # BLAS thread per worker leaves every CPU to the draws
     with one_blas_thread():
@@ -118,6 +120,7 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
         finally:
             pool.shutdown(cancel_futures=True)
     J /= n_samples
+    _mirror_lower(J)
     return J
 
 
@@ -135,16 +138,19 @@ def cpu_count() -> int:
 
 
 def _chunk_gram(model, H: SystemMatrix, mean, seed_seq, m: int) -> np.ndarray:
-    """S^T S over m samples from one seed chunk, in row blocks of at most
-    MC_BLOCK_BYTES; a generator's draws split into blocks are the draws of
-    one call."""
+    """Lower triangle of S^T S over m samples from one seed chunk, in row
+    blocks of at most MC_BLOCK_BYTES; a generator's draws split into blocks
+    are the draws of one call. Each block's ``dsyrk`` adds into one
+    column-major partial, in place; its upper triangle stays zero."""
     rng = np.random.default_rng(seed_seq)
     rows = max(1, MC_BLOCK_BYTES // (8 * H.k))
-    G = np.zeros((H.d, H.d))
+    G = np.zeros((H.d, H.d), order="F")
     for start in range(0, m, rows):
         Y = model.draw(rng, mean, (min(rows, m - start), H.k))
+        # adjoint returns the row-major H^T W^T, so S = W H is column-major
+        # and dsyrk reads it without a copy
         S = adjoint(H, model.score_weights(Y, mean).T).T
-        G += S.T @ S
+        G = blas.dsyrk(1.0, S, beta=1.0, c=G, trans=1, lower=1, overwrite_c=1)
     return G
 
 

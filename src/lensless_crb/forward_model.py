@@ -11,19 +11,12 @@ modules use, so this module alone knows how H is stored. The PSF may be
 zero-padded before building H; padding to (psf + 2) per axis turns 32x32
 objects into 65x65 measurements.
 
-NumPy and SciPy each bundle their own OpenBLAS, each with its own thread
-pool, and after a call a pool's idle threads keep spinning for a while. The
-products of the Poisson Fisher -> CRB path therefore run on SciPy's OpenBLAS,
-the library whose LAPACK factors and inverts the Fisher matrix next: the
-image H v of one object is ``dgemv`` and the weight-vector Gram is ``dsyrk``.
-Alternating the two libraries on every case left NumPy's helper thread
-spinning beside SciPy's two-thread Cholesky on a 2-vCPU machine, where two
-BLAS threads then ran slower than one. Batched products (a (d, n) array
-in ``forward``, every ``adjoint``) stay on NumPy's ``@``. The Monte Carlo
-Fisher chunks, one Python worker per CPU, and the GLS solves (NumPy's
-``adjoint``, then SciPy's ``cho_solve``) run inside ``one_blas_thread``,
-which sets both libraries to one thread for its block, so their results do
-not depend on ``OPENBLAS_NUM_THREADS``.
+Every product runs on SciPy's bundled OpenBLAS, the library whose LAPACK
+factors and inverts the Fisher matrix: ``forward`` and ``adjoint`` are
+``dgemv`` for one vector and ``dgemm`` for a batch, and the weight-vector
+Gram is ``dsyrk``. NumPy bundles an OpenBLAS of its own, with its own
+thread pool, whose idle threads would spin beside SciPy's; the package
+calls only SciPy's, so ``one_blas_thread`` has one library to set.
 """
 
 import ctypes
@@ -41,8 +34,6 @@ from scipy.linalg import blas
 from .errors import DimensionError
 
 MIRROR_BLOCK = 64   # rows per strip when mirroring a Gram's lower triangle
-# (package, suffix of its OpenBLAS's exported names): NumPy's has 64-bit ints
-OPENBLAS_LIBRARIES = ((np, "64_"), (scipy, ""))
 
 
 def as_grid(values) -> np.ndarray:
@@ -156,9 +147,7 @@ def forward(H: SystemMatrix, v) -> np.ndarray:
     values = object_values(v)
     if values.ndim > 2 or values.shape[:1] != (H.d,):
         raise DimensionError(f"object shape {values.shape} is not ({H.d},) or ({H.d}, n)")
-    if values.ndim == 1:
-        return blas.dgemv(1.0, H.matrix, values)
-    return H.matrix @ values
+    return _product(H.matrix, values, trans=0)
 
 
 def adjoint(H: SystemMatrix, r) -> np.ndarray:
@@ -167,7 +156,21 @@ def adjoint(H: SystemMatrix, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.ndim > 2 or r.shape[:1] != (H.k,):
         raise DimensionError(f"measurement shape {r.shape} is not ({H.k},) or ({H.k}, n)")
-    return H.matrix.T @ r
+    return _product(H.matrix, r, trans=1)
+
+
+def _product(M: np.ndarray, x: np.ndarray, trans: int) -> np.ndarray:
+    """M x (trans=0) or M^T x (trans=1) of a vector, or of the columns of a
+    matrix x, on SciPy's BLAS; H's column-major matrix is read in place.
+
+    A batch is formed as the transpose of x^T op(M)^T, with x^T taken as the
+    column-major x.T when x is row-major, so dgemm copies neither operand
+    of a contiguous x; this operand order also ran faster than op(M) x.
+    """
+    if x.ndim == 1:
+        return blas.dgemv(1.0, M, x, trans=trans)
+    xt, trans_x = (x.T, 0) if x.flags.c_contiguous else (x, 1)
+    return blas.dgemm(1.0, xt, M, trans_a=trans_x, trans_b=1 - trans).T
 
 
 def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
@@ -228,56 +231,47 @@ def _autocorrelation_gram(psf: np.ndarray, obj_shape) -> np.ndarray:
 
 @cache
 def _openblas_thread_controls():
-    """(get, set) thread-count functions of NumPy's and SciPy's bundled
-    OpenBLAS, found by ctypes in ``<package>/../<package>.libs``; None unless
-    both libraries are found."""
-    controls = []
-    for package, suffix in OPENBLAS_LIBRARIES:
-        libs = os.path.join(os.path.dirname(package.__file__), "..",
-                            package.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-        else:
-            return None
-    return tuple(controls)
+    """(get, set) thread-count functions of SciPy's bundled OpenBLAS, found by
+    ctypes in ``scipy/../scipy.libs``; None where it is not found."""
+    libs = os.path.join(os.path.dirname(scipy.__file__), "..", "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 def blas_thread_cap():
     """The BLAS thread count ``one_blas_thread`` sets: 1, or None where it
-    cannot find both libraries and so changes nothing."""
+    cannot find SciPy's OpenBLAS and so changes nothing."""
     return 1 if _openblas_thread_controls() is not None else None
 
 
 @contextmanager
 def one_blas_thread():
-    """Run the block with NumPy's and SciPy's OpenBLAS at one thread each.
+    """Run the block with SciPy's OpenBLAS at one thread.
 
-    Each library's thread count is read on entry and restored on exit, also
-    when the block raises. Both libraries are set or neither: where they are
-    not both found, the block runs at the process's own thread counts. The
-    counts are process-wide, so blocks on several threads at once would
-    restore each other's counts; the package enters it from the calling
-    thread only.
+    The thread count is read on entry and restored on exit, also when the
+    block raises. Where the library is not found, the block runs at the
+    process's own thread count. The count is process-wide, so blocks on
+    several threads at once would restore each other's counts; the package
+    enters it from the calling thread only.
     """
     controls = _openblas_thread_controls()
     if controls is None:
         yield
         return
-    counts = [get() for get, _set in controls]
-    for _get, set_threads in controls:
-        set_threads(1)
+    get, set_threads = controls
+    n = get()
+    set_threads(1)
     try:
         yield
     finally:
-        for (_get, set_threads), n in zip(controls, counts):
-            set_threads(n)
+        set_threads(n)

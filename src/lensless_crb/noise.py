@@ -40,7 +40,7 @@ class GaussianNoise:
 
     def log_pdf(self, y, mean) -> float:
         r = y - mean
-        return float(-0.5 * (r @ r) / self.sigma2
+        return float(-0.5 * np.sum(r * r) / self.sigma2
                      - 0.5 * y.size * np.log(2.0 * np.pi * self.sigma2))
 
     def score_weights(self, y, mean):

@@ -50,16 +50,15 @@ def unpadded_lenslet_h():
 
 @pytest.fixture
 def blas_threads_at_two():
-    """NumPy's and SciPy's OpenBLAS both at two threads for the test, and at
-    their own counts again after it. Yields a function that reads the two
-    counts, or None where the two libraries are not both found."""
+    """SciPy's OpenBLAS at two threads for the test, and at its own count
+    again after it. Yields a function that reads the count, or None where
+    the library is not found."""
     controls = forward_model._openblas_thread_controls()
     if controls is None:
         yield None
         return
-    before = [get() for get, _set in controls]
-    for _get, set_threads in controls:
-        set_threads(2)
-    yield lambda: [get() for get, _set in controls]
-    for (_get, set_threads), n in zip(controls, before):
-        set_threads(n)
+    get, set_threads = controls
+    before = get()
+    set_threads(2)
+    yield get
+    set_threads(before)

@@ -371,6 +371,19 @@ class TestVerifyCommand:
         assert [c["status"] for c in manifest["checks"]] == ["FAIL"]
         assert manifest["monte_carlo"]["workers"] == 0
 
+    def test_zero_poisson_rate_fails_before_any_check(self, tmp_path, capsys):
+        # the padded 10x10 operator has measurement pixels that no object
+        # pixel reaches, so at zero background the Poisson closed form that
+        # the Monte Carlo check compares with has a zero rate
+        out = tmp_path / "v"
+        assert run("verify", "--background", 0, "--n-trials", 0, "--out", out) == 3
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "zero Poisson rate" in captured.err
+        assert not out.exists()
+        # without the Monte Carlo checks, the finite differences handle zero rates
+        assert run("verify", "--background", 0, "--n-samples", 100, "--n-trials", 0) == 0
+
     @pytest.mark.parametrize("flags", [("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan"),
                                        ("--sigma2", -1), ("--background", "inf"),
                                        ("--n-samples", -5), ("--n-trials", -5)])

@@ -54,22 +54,6 @@ class TestGls:
         for j in range(4):
             np.testing.assert_allclose(batched[:, j], solve(Y[:, j]), rtol=1e-12)
 
-    def test_solve_runs_at_one_blas_thread(self, monkeypatch, blas_threads_at_two):
-        if blas_threads_at_two is None:
-            pytest.skip("NumPy's and SciPy's OpenBLAS were not both found")
-        seen = []
-        cho_solve = fisher.cho_solve
-
-        def recording_cho_solve(c, b):
-            seen.append(blas_threads_at_two())
-            return cho_solve(c, b)
-
-        monkeypatch.setattr(fisher, "cho_solve", recording_cho_solve)
-        H = lenslet1_8x8()
-        make_gls_solver(H)(np.ones((H.k, 3)))
-        assert seen == [[1, 1]]
-        assert blas_threads_at_two() == [2, 2]
-
     def test_attains_gaussian_crb(self):
         H = lenslet1_8x8()
         rng = np.random.default_rng(2)
@@ -166,18 +150,29 @@ def test_max_iters_validated(decoder, options):
         decoder(H, np.array([[1.0]]), **options)
 
 
-@pytest.mark.parametrize("decoder, sign", [(nnls_estimate, -1.0), (poisson_mle, 1.0)],
+@pytest.mark.parametrize("decoder, objective, sign",
+                         [(nnls_estimate, "_squared_residual", -1.0),
+                          (poisson_mle, "_poisson_objective", 1.0)],
                          ids=["nnls_estimate", "poisson_mle"])
-def test_objective_trace_monotone(decoder, sign):
-    # the NNLS residual never rises and the RL log-likelihood never falls
+def test_objective_trace_monotone(decoder, objective, sign, monkeypatch):
+    # the NNLS residual never rises and the RL log-likelihood never falls;
+    # every evaluation of the objective is recorded, one per iterate
+    evaluate, trace = getattr(estimators, objective), []
+
+    def recording(Y, B):
+        f = evaluate(Y, B)
+        trace.append(f.copy())     # the loop updates the first result in place
+        return f
+
+    monkeypatch.setattr(estimators, objective, recording)
     psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
     H = build_system_matrix(psf, (8, 8), (10, 10))
     rng = np.random.default_rng(5)
     v_true = rng.uniform(0.5, 3, size=H.d)
     y = rng.poisson(forward(H, v_true)).astype(float)
     res = decoder(H, y[:, None], max_iters=500, tol=0.0)
-    assert res.objective_trace.shape == (res.n_iters + 1, 1)
-    trace = res.objective_trace[:, 0]
+    assert len(trace) == res.n_iters + 1
+    trace = np.concatenate(trace)
     assert len(trace) >= 100
     assert np.all(sign * np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
 

@@ -181,6 +181,20 @@ def test_only_forward_model_reads_the_dense_system_matrix():
     assert offenders == []
 
 
+def test_package_runs_no_product_on_numpys_blas():
+    # every matrix product runs on SciPy's BLAS, so the package calls one
+    # OpenBLAS and one_blas_thread has one library to set; NumPy's @, dot
+    # and matmul would run on the OpenBLAS that NumPy bundles
+    offenders = []
+    for path in sorted((ROOT / "src" / "lensless_crb").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(getattr(node, "op", None), ast.MatMult)]
+        offenders += [f"{path.name}:{line}" for name in ("dot", "matmul")
+                      for _func, line in _uses(tree, name)]
+    assert offenders == []
+
+
 def test_cli_computes_bounds_only_in_the_case_path():
     # crb and study share write_case, so how a case's CRB is computed and
     # summarised is decided once; verify's GLS check bounds its own trials
