@@ -116,12 +116,12 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
         A = weighted_gram(H)
         L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
         HtY = adjoint(H, Y)
-        AT = A.T    # column-major; A is exactly symmetric, so A V = (V^T A^T)^T
 
         def step(V, Y, B, cols):
-            # V is row-major, so dgemm reads V.T and A.T without a copy, and
-            # the half-gradient of the objective comes out row-major like V
-            grad = blas.dgemm(1.0, V.T, AT).T - HtY[:, cols]
+            # A is column-major and exactly symmetric, so A V = (V^T A)^T; V is
+            # row-major, so dgemm reads V.T and A without a copy, and the
+            # half-gradient of the objective comes out row-major like V
+            grad = blas.dgemm(1.0, V.T, A).T - HtY[:, cols]
             return np.maximum(V - grad / L, 0.0)
 
         return np.zeros((H.d, Y.shape[1])), step

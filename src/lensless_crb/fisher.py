@@ -157,14 +157,16 @@ def _chunk_gram(model, H: SystemMatrix, mean, seed_seq, m: int) -> np.ndarray:
 def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):
     """Cholesky factor of the symmetric matrix A + eps*I, and the eps used.
 
-    eps = epsilon_rel * max(diag(A)); A is loaded in place. Raises
+    eps = epsilon_rel * max(diag(A)). A is loaded and factored in place (a
+    column-major float A is not copied): the factor is A's lower triangle,
+    and A's entries above the diagonal stay as they were. Raises
     FactorizationError when A + eps*I is not positive definite.
     """
     check_parameter("epsilon_rel", epsilon_rel, allow_zero=True)
     eps = epsilon_rel * float(np.max(np.diag(A)))
     A[np.diag_indices_from(A)] += eps
     try:
-        return cho_factor(A, lower=True), eps
+        return cho_factor(A, lower=True, overwrite_a=True), eps
     except LinAlgError as exc:
         raise FactorizationError(eps, f"Cholesky of A + eps*I failed (eps={eps!r}): {exc}")
 
@@ -173,19 +175,20 @@ def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL, *,
                     object_shape) -> CrbMap:
     """diag((J + eps*I)^-1) via Cholesky and a triangular inverse, laid out on
     the (height, width) object_shape; the epsilon actually used is recorded.
-    J itself is left unchanged; DimensionError unless object_shape has one
-    pixel per row of J."""
+
+    The one working array is a copy of J's lower triangle, column-major with
+    zeros above the diagonal; it is loaded, factored and inverted in place,
+    and J itself is left unchanged. DimensionError unless J is square with
+    one row per pixel of object_shape."""
     h, w = int(object_shape[0]), int(object_shape[1])
-    if h * w != len(J):
-        raise DimensionError(f"object shape {(h, w)} does not match J of size {len(J)}")
-    (c, _lower), eps = loaded_cholesky(np.array(J, dtype=float), epsilon_rel)
-    # cho_factor leaves the entries of A above the diagonal of c; triu of the
-    # transpose zeroes them and keeps c column-major, so dtrtri copies nothing
-    Linv, info = lapack.dtrtri(np.triu(c.T).T, lower=1, overwrite_c=1)
+    J = np.asarray(J, dtype=float)
+    if J.shape != (h * w, h * w):
+        raise DimensionError(f"object shape {(h, w)} does not match J of shape {J.shape}")
+    (L, _lower), eps = loaded_cholesky(np.triu(J.T).T, epsilon_rel)
+    Linv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(eps, f"triangular inverse failed (info={info})")
-    values = np.einsum("ij,ij->j", Linv, Linv)
-    return CrbMap(values=values, epsilon_used=eps, object_shape=(h, w))
+    return CrbMap(np.einsum("ij,ij->j", Linv, Linv), eps, (h, w))
 
 
 def crb_summary(cmap: CrbMap) -> dict:

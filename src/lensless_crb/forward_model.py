@@ -182,10 +182,11 @@ def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
     dense H is not needed. A weight vector forms S = diag(sqrt(w)) H; the
     symmetric rank-k update ``dsyrk`` writes the lower triangle of S^T S,
     which is then mirrored into the upper one in place. Both branches return
-    an exactly symmetric matrix.
+    one exactly symmetric, column-major array, which LAPACK can factor in
+    place.
     """
     if np.ndim(w) == 0:
-        return _autocorrelation_gram(H.psf, H.obj_shape) * w
+        return _autocorrelation_gram(H.psf, H.obj_shape, w)
     w = np.asarray(w, dtype=float)
     if w.shape != (H.k,):
         raise DimensionError(f"weight shape {w.shape} is not () or ({H.k},)")
@@ -211,22 +212,26 @@ def _mirror_lower(G: np.ndarray) -> None:
             G[s:j, j] = G[j, s:j]
 
 
-def _autocorrelation_gram(psf: np.ndarray, obj_shape) -> np.ndarray:
-    """H^T H of full convolution with psf over an object of obj_shape.
+def _autocorrelation_gram(psf: np.ndarray, obj_shape, w) -> np.ndarray:
+    """w H^T H of full convolution with psf over an object of obj_shape,
+    column-major.
 
     R[a, b] is the PSF autocorrelation at lag (a - oh + 1, b - ow + 1); the
     lags span the object, not the PSF, since pixels up to (oh - 1, ow - 1)
     apart share measurements whenever the PSF is at least that large.
     Entry ((r1, c1), (r2, c2)) of the Gram is R at lag (r2 - r1, c2 - c1).
     R is averaged with its point reflection (lag -> -lag), which makes the
-    Gram exactly symmetric.
+    Gram exactly symmetric, so its transpose is the same matrix laid out
+    column-major. The weight scales the small lag table, and the gather is
+    the one d x d array.
     """
     oh, ow = obj_shape
     padded = np.pad(psf, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
     R = np.einsum("abij,ij->ab", sliding_window_view(padded, psf.shape), psf)
-    R = 0.5 * (R + R[::-1, ::-1])
-    # window [oh-1-r1, ow-1-c1] of R, entry [r2, c2], is R[lag + (oh-1, ow-1)]
-    return sliding_window_view(R, (oh, ow))[::-1, ::-1].reshape(oh * ow, oh * ow)
+    R = 0.5 * (R + R[::-1, ::-1]) * w
+    # window [oh-1-r1, ow-1-c1] of R, entry [r2, c2], is R[lag + (oh-1, ow-1)];
+    # copying the windows makes the gather contiguous and its reshape writable
+    return sliding_window_view(R, (oh, ow))[::-1, ::-1].copy().reshape(oh * ow, oh * ow).T
 
 
 @cache

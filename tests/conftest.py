@@ -1,5 +1,7 @@
 """Shared helpers: brute-force oracles kept independent of the library paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,23 @@ def fft_convolve_full(a, b):
     return np.real(np.fft.ifft2(np.fft.fft2(a, sh) * np.fft.fft2(b, sh)))
 
 
+def traced_peak_bytes(call):
+    """call()'s result, and the peak bytes tracemalloc saw allocated while
+    it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def one_working_array_bound(d):
+    """Bytes of one d x d float array, plus a d x d boolean mask (np.triu's,
+    or the finiteness check of cho_factor) and 1 MiB of small temporaries."""
+    return 8 * d * d + d * d + (1 << 20)
+
+
 @pytest.fixture(scope="session")
 def identity_h():
     """9x9 identity system matrix from a 1x1 delta PSF on a 3x3 object."""
@@ -38,6 +57,14 @@ def small_lenslet_h():
     """8x8 object, 3-lenslet PSF, padded to 10x10 (k=289, d=64)."""
     grid = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
     return build_system_matrix(grid, (8, 8), (10, 10))
+
+
+@pytest.fixture(scope="session")
+def full_scale_lenslet_h():
+    """32x32 object, 3-lenslet PSF padded to 34x34 (k=4225, d=1024); its
+    dense matrix is not built by the fixture."""
+    grid = generate_psf(PsfSpec(Lenslets(3), (32, 32), 0))
+    return build_system_matrix(grid, (32, 32), (34, 34))
 
 
 @pytest.fixture(scope="session")

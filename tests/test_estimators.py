@@ -25,6 +25,7 @@ from lensless_crb import (
 )
 from lensless_crb import estimators, fisher
 from lensless_crb.psf import Lenslets, PsfSpec
+from conftest import one_working_array_bound, traced_peak_bytes
 
 
 def lenslet1_8x8():
@@ -68,6 +69,12 @@ class TestGls:
         # unbiasedness: per-pixel mean within 4 standard errors of the truth
         se = np.sqrt(rep.per_pixel_variance / rep.n_trials)
         assert np.all(np.abs(rep.per_pixel_mean - v_true) < 4 * se)
+
+    def test_factors_its_gram_in_place(self, full_scale_lenslet_h):
+        # loaded_cholesky factors the column-major Gram without a copy
+        H = full_scale_lenslet_h
+        _, peak = traced_peak_bytes(lambda: make_gls_solver(H))
+        assert peak <= one_working_array_bound(H.d)
 
 
 class TestNnls:

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,8 @@ from lensless_crb import (
 from lensless_crb import fisher
 from lensless_crb.fisher import MC_BLOCK_BYTES, MC_CHUNK
 from lensless_crb.oracles import relative_error
-from lensless_crb.psf import Lenslets, PsfSpec
+from lensless_crb.psf import Diffuser, Lenslets, PsfSpec, Rml
+from conftest import one_working_array_bound, traced_peak_bytes
 
 
 def triple_loop_weighted_gram(M, w):
@@ -269,12 +269,8 @@ class TestMonteCarloChunks:
         v = np.linspace(1.0, 40.0, H.d)
 
         def peak_bytes(n_samples):
-            tracemalloc.start()
-            try:
-                fisher_monte_carlo(model, H, v, n_samples, seed=11)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak_bytes(
+                lambda: fisher_monte_carlo(model, H, v, n_samples, seed=11))[1]
 
         # one worker makes the allocation sequence, and so the peak, repeatable;
         # the slack covers allocator bookkeeping, not a chunk's draws
@@ -364,6 +360,20 @@ class TestCrb:
         with pytest.raises(DimensionError):
             crb_from_fisher(np.eye(4), object_shape=(3, 3))
 
+    @pytest.mark.parametrize("J", [np.ones(4), np.ones((4, 3))])
+    def test_fisher_matrix_must_be_square(self, J):
+        # the working copy is J's lower triangle, which a vector would
+        # broadcast into, so the shape is checked before any copy
+        with pytest.raises(DimensionError):
+            crb_from_fisher(J, object_shape=(2, 2))
+
+    def test_one_working_array(self, full_scale_lenslet_h):
+        # one copy of J is loaded, factored and inverted in place
+        H = full_scale_lenslet_h
+        J = fisher_gaussian(H, 1.0)
+        _, peak = traced_peak_bytes(lambda: crb_from_fisher(J, object_shape=H.obj_shape))
+        assert peak <= one_working_array_bound(H.d)
+
     def test_no_information_raises(self):
         # eps scales with max(diag(J)), so J = 0 gets no loading and no bound
         with pytest.raises(FactorizationError):
@@ -429,6 +439,49 @@ class TestCrb:
         J = fisher_gaussian(small_lenslet_h, 1.0)
         cmap = crb_from_fisher(J, epsilon_rel=1e-6, object_shape=(8, 8))
         assert cmap.epsilon_used == pytest.approx(1e-6 * np.diag(J).max())
+
+
+def eigh_inverse_diagonal(A):
+    """diag(A^-1) of a symmetric positive definite A from its eigenpairs."""
+    lam, U = np.linalg.eigh(A)
+    return (U * U) @ (1.0 / lam)
+
+
+class TestExactCrbOracle:
+    """The unloaded (eps = 0) bound on 16x16 Poisson cases at beta = 1e-3.
+
+    The worst per-pixel error against eigh measured 1.9e-10 relative, so both
+    checks hold to RTOL. At the default eps neither check is asserted: the
+    loading moves the dense-object bounds by up to 1e-2 relative, and 101-217
+    of their 244 support pixels break the Schur bound.
+    """
+
+    RTOL = 1e-9
+
+    @pytest.fixture(scope="class", params=["cells", "beads"])
+    def obj(self, request):
+        from lensless_crb import DenseCells, ObjectSpec, SparseBeads, generate_object
+
+        kind = {"cells": DenseCells(), "beads": SparseBeads()}[request.param]
+        return generate_object(ObjectSpec(kind, (16, 16), 100.0, 0)).ravel()
+
+    @pytest.fixture(scope="class", params=["diffuser", "rml", "lenslets1"])
+    def J(self, request, obj):
+        kind = {"diffuser": Diffuser(), "rml": Rml(), "lenslets1": Lenslets(1)}[request.param]
+        H = build_system_matrix(generate_psf(PsfSpec(kind, (16, 16), 42)), (16, 16), (18, 18))
+        return fisher_poisson(H, obj, 1e-3)
+
+    def test_matches_eigh_at_every_pixel(self, J):
+        crb = crb_from_fisher(J, 0.0, object_shape=(16, 16)).values
+        np.testing.assert_allclose(crb, eigh_inverse_diagonal(J), rtol=self.RTOL)
+
+    def test_schur_bound_on_the_support(self, J, obj):
+        # knowing the other pixels are zero can only lower the bound:
+        # diag([J^-1]_SS) >= diag((J_SS)^-1)
+        S = np.flatnonzero(obj > 0)
+        crb = crb_from_fisher(J, 0.0, object_shape=(16, 16)).values
+        known_support = eigh_inverse_diagonal(J[np.ix_(S, S)])
+        assert np.all(crb[S] >= known_support * (1 - self.RTOL))
 
 
 class TestCrbSummary:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy
@@ -16,7 +14,8 @@ from lensless_crb import (
 )
 from lensless_crb import forward_model
 from lensless_crb.forward_model import blas_thread_cap, one_blas_thread, weighted_gram
-from conftest import conv_matrix_bruteforce, fft_convolve_full
+from conftest import (conv_matrix_bruteforce, fft_convolve_full,
+                      one_working_array_bound, traced_peak_bytes)
 
 
 class TestVectorize:
@@ -188,6 +187,8 @@ def assert_gram_matches_dense(psf, obj_shape, psf_pad=None):
     J = weighted_gram(H)
     assert "matrix" not in vars(H)          # the scalar-weight Gram needs no dense H
     np.testing.assert_array_equal(J, J.T)
+    # LAPACK factors the Gram in place whatever the object shape
+    assert J.flags.f_contiguous and J.flags.writeable
     M = conv_matrix_bruteforce(pad_psf(psf, H.psf.shape), obj_shape)
     np.testing.assert_array_equal(H.matrix, M)
     # the cached matrix is column-major and writable whatever the object shape
@@ -318,14 +319,16 @@ def test_weight_vector_gram_allocates_one_s_and_one_gram():
     H = build_system_matrix(psf, (32, 32), (34, 34))
     assert H.matrix.flags.f_contiguous      # built and cached before tracing starts
     w = np.random.default_rng(15).uniform(0.1, 2, size=H.k)
-    tracemalloc.start()
-    try:
-        J = weighted_gram(H, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    J, peak = traced_peak_bytes(lambda: weighted_gram(H, w))
     assert J.shape == (H.d, H.d)
     assert peak <= 8 * (H.k * H.d + H.d * H.d) + (1 << 20)
+
+
+def test_scalar_weight_gram_allocates_one_gram(full_scale_lenslet_h):
+    # the weight scales the lag table, so the gather is the only d x d array
+    H = full_scale_lenslet_h
+    _, peak = traced_peak_bytes(lambda: weighted_gram(H, 0.5))
+    assert peak <= one_working_array_bound(H.d)
 
 
 class TestOneBlasThread:

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import importlib.metadata
 import importlib.util
 import os
 import re
@@ -136,6 +137,32 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def _normalized(name):
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_every_third_party_test_import_is_declared():
+    # `pip install -e .[test]` must install what every test module imports,
+    # or collecting that module fails
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {_normalized(re.match(r"[A-Za-z0-9_.-]+", req).group())
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"lensless_crb", "conftest"}
+    distributions = importlib.metadata.packages_distributions()
+    undeclared = sorted(module for module in third_party
+                        if not {_normalized(d) for d in distributions.get(module, [module])}
+                        & declared)
+    assert third_party and undeclared == []
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
