@@ -36,7 +36,8 @@ from .errors import (
     TrialFailureError,
 )
 from .estimators import run_trials
-from .forward_model import blas_thread_cap, build_system_matrix, forward, vectorize
+from .forward_model import (GRAM_BLOCK_BYTES, blas_thread_cap, build_system_matrix, forward,
+                            vectorize)
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -104,7 +105,7 @@ COMMAND_KEYS = {
             "psf_corr_length", "psf_contrast", "psf_size"},
     "object": {"seed", "object_kind", "object_n", "object_peak", "object_size"},
     "crb": set(DEFAULTS) - {"n_samples", "n_trials"},
-    "verify": {"seed", "sigma2", "background", "epsilon_rel", "n_samples", "n_trials"},
+    "verify": {"seed", "sigma2", "background", "n_samples", "n_trials"},
     "study fig2": {"seed", "sigma2", "epsilon_rel", "psf_size", "psf_pad", "object_size"},
     "study fig3": {"seed", "background", "epsilon_rel", "psf_size", "psf_pad",
                    "object_size", "object_peak"},
@@ -392,7 +393,6 @@ def _verify_checks(cfg: dict):
     n_trials = cfg["n_trials"]
     gauss = noise.GaussianNoise(cfg["sigma2"])
     models = (("gaussian", gauss), ("poisson", noise.PoissonNoise(cfg["background"])))
-    fisher.check_parameter("epsilon_rel", cfg["epsilon_rel"], allow_zero=True)
     rng = np.random.default_rng(derive_seed(seed, "verify"))
 
     spec = psf.PsfSpec(psf.Lenslets(3), (8, 8), derive_seed(seed, "psf"))
@@ -447,8 +447,7 @@ def _verify_checks(cfg: dict):
     else:
         spec1 = psf.PsfSpec(psf.Lenslets(1), (8, 8), derive_seed(seed, "psf"))
         H1 = build_system_matrix(psf.generate_psf(spec1), (8, 8), (10, 10))
-        cmap = fisher.crb_from_fisher(gauss.fisher(H1, None), cfg["epsilon_rel"],
-                                      object_shape=H1.obj_shape)
+        cmap = fisher.crb_from_fisher(gauss.fisher(H1, None), object_shape=H1.obj_shape)
         report = run_trials(gauss, H1, v_small, "gls", n_trials,
                             derive_seed(seed, "trials"), crb=cmap)
         med = float(np.median(report.efficiency))
@@ -482,7 +481,7 @@ def cmd_verify(args, cfg: dict) -> int:
             "workers": fisher.monte_carlo_workers(cfg["n_samples"]) if ran_mc else 0,
             "blas_threads": blas_thread_cap() if ran_mc else None,
             "chunk_samples": fisher.MC_CHUNK,
-            "block_bytes": fisher.MC_BLOCK_BYTES,
+            "block_bytes": GRAM_BLOCK_BYTES,
         }
         finish_manifest(manifest, out_dir, {"verify": elapsed, **check_s})
     if failed:
@@ -500,8 +499,6 @@ def _add_pipeline_flags(p):
     p.add_argument("--config")
     p.add_argument("--sigma2", type=float, help="Gaussian per-pixel variance")
     p.add_argument("--background", type=float, help="Poisson background floor")
-    p.add_argument("--epsilon-rel", dest="epsilon_rel", type=float,
-                   help="relative diagonal loading before inversion")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,6 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("crb", "study"):
         sub.choices[name].add_argument("--psf-pad", dest="psf_pad", type=int,
                                        help="padded PSF size (default: PSF size + 2)")
+        sub.choices[name].add_argument("--epsilon-rel", dest="epsilon_rel", type=float,
+                                       help="relative diagonal loading before inversion")
     for p in sub.choices.values():
         p.add_argument("--seed", type=int, help="master seed")
     return parser

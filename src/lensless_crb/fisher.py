@@ -13,6 +13,7 @@ eps = epsilon_rel * max(diag(J)), so Gaussian and Poisson scales both
 behave: diag((L L^T)^-1) holds the squared column norms of L^-1.
 """
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -21,27 +22,29 @@ from functools import partial
 
 import numpy as np
 # cho_solve pairs with loaded_cholesky; the GLS solver calls it as fisher.cho_solve
-from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve, lapack  # noqa: F401
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
 from .errors import DimensionError, FactorizationError, SingularRateError
-from .forward_model import (SystemMatrix, _mirror_lower, adjoint, forward, one_blas_thread,
-                            weighted_gram)
+from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, forward, gram,
+                            one_blas_thread, weighted_gram)
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
-MC_BLOCK_BYTES = 8 << 20    # draws one Monte Carlo worker holds at a time
 EPSILON_REL = 1e-9    # default diagonal loading, relative to max(diag(J))
 
 
 def check_parameter(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise ValueError unless value is finite and positive (or zero, if allowed).
+    """Raise ValueError unless value is finite and positive with a finite
+    reciprocal (or zero, if allowed).
 
     An infinite variance or background would give J = 0, whose reported
-    bound is the artefact 1/eps of the diagonal loading; a negative or
-    non-finite eps would report no bound at all.
+    bound is the artefact 1/eps of the diagonal loading; one so small that
+    its reciprocal overflows (1e-320, say) would give infinite Fisher
+    weights; a negative or non-finite eps would report no bound at all.
     """
-    if not (np.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
-        bound = "non-negative" if allow_zero else "positive"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    value = float(value)
+    if not (allow_zero and value == 0 or 0 < value < math.inf and 1.0 / value < math.inf):
+        bound = "0, or finite and positive" if allow_zero else "finite and positive"
+        raise ValueError(f"{name} must be {bound} with a finite reciprocal, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,19 +82,19 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     seeded by one child of SeedSequence(seed). The chunks run on
     monte_carlo_workers(n_samples) threads (NumPy releases the GIL in the
     draws and the score-weight ufuncs; SciPy's BLAS wrappers hold it, so the
-    workers' products take turns), and the main thread adds the lower
-    triangles of their S^T S partials in chunk order, then mirrors the sum
-    once. The workers' BLAS calls run at one BLAS thread
+    workers' products take turns), and the main thread adds their S^T S
+    partials, each built by forward_model.gram, in chunk order. The
+    workers' BLAS calls run at one BLAS thread
     (forward_model.one_blas_thread). So the result depends only on (model,
     H, v, n_samples, seed), bitwise, whatever the worker or BLAS thread
     count, and it is exactly symmetric.
 
     Memory is bounded whatever n_samples is: a worker draws and projects its
-    chunk in row blocks of at most MC_BLOCK_BYTES of measurements (one row
-    if a row is larger), and holds at most four block-sized arrays at once
-    (the draws, their score weights and two ufunc temporaries). Beyond its
-    d x d partials the call allocates less than
-    workers * 4 * MC_BLOCK_BYTES.
+    chunk in row blocks of at most GRAM_BLOCK_BYTES of measurements (one
+    row if a row is larger), and holds at most four block-sized arrays at
+    once (the draws, their score weights and two ufunc temporaries). Beyond
+    its d x d partials the call allocates less than
+    workers * 4 * GRAM_BLOCK_BYTES.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -120,7 +123,6 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
         finally:
             pool.shutdown(cancel_futures=True)
     J /= n_samples
-    _mirror_lower(J)
     return J
 
 
@@ -138,20 +140,18 @@ def cpu_count() -> int:
 
 
 def _chunk_gram(model, H: SystemMatrix, mean, seed_seq, m: int) -> np.ndarray:
-    """Lower triangle of S^T S over m samples from one seed chunk, in row
-    blocks of at most MC_BLOCK_BYTES; a generator's draws split into blocks
-    are the draws of one call. Each block's ``dsyrk`` adds into one
-    column-major partial, in place; its upper triangle stays zero."""
+    """S^T S over m samples from one seed chunk, drawn in row blocks of at
+    most GRAM_BLOCK_BYTES of measurements; a generator's draws split into
+    blocks are the draws of one call."""
     rng = np.random.default_rng(seed_seq)
-    rows = max(1, MC_BLOCK_BYTES // (8 * H.k))
-    G = np.zeros((H.d, H.d), order="F")
-    for start in range(0, m, rows):
-        Y = model.draw(rng, mean, (min(rows, m - start), H.k))
+    rows = max(1, GRAM_BLOCK_BYTES // (8 * H.k))
+
+    def block(n):
         # adjoint returns the row-major H^T W^T, so S = W H is column-major
         # and dsyrk reads it without a copy
-        S = adjoint(H, model.score_weights(Y, mean).T).T
-        G = blas.dsyrk(1.0, S, beta=1.0, c=G, trans=1, lower=1, overwrite_c=1)
-    return G
+        return adjoint(H, model.score_weights(model.draw(rng, mean, (n, H.k)), mean).T).T
+
+    return gram((block(min(rows, m - start)) for start in range(0, m, rows)), H.d)
 
 
 def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):

@@ -13,10 +13,12 @@ objects into 65x65 measurements.
 
 Every product runs on SciPy's bundled OpenBLAS, the library whose LAPACK
 factors and inverts the Fisher matrix: ``forward`` and ``adjoint`` are
-``dgemv`` for one vector and ``dgemm`` for a batch, and the weight-vector
-Gram is ``dsyrk``. NumPy bundles an OpenBLAS of its own, with its own
-thread pool, whose idle threads would spin beside SciPy's; the package
-calls only SciPy's, so ``one_blas_thread`` has one library to set.
+``dgemv`` for one vector and ``dgemm`` for a batch, and ``gram``, the one
+builder of every S^T S (the weight-vector Gram and the Monte Carlo Fisher's
+partials), is ``dsyrk`` over row blocks of S. NumPy bundles an OpenBLAS of
+its own, with its own thread pool, whose idle threads would spin beside
+SciPy's; the package calls only SciPy's, so ``one_blas_thread`` has one
+library to set.
 """
 
 import ctypes
@@ -33,6 +35,7 @@ from scipy.linalg import blas
 
 from .errors import DimensionError
 
+GRAM_BLOCK_BYTES = 8 << 20   # bytes of one row block of S, or of the draws it is formed from
 MIRROR_BLOCK = 64   # rows per strip when mirroring a Gram's lower triangle
 
 
@@ -179,11 +182,10 @@ def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
 
     A scalar weight scales the PSF autocorrelation: entry (a, b) of H^T H is
     the autocorrelation at the lag between object pixels a and b, so the
-    dense H is not needed. A weight vector forms S = diag(sqrt(w)) H; the
-    symmetric rank-k update ``dsyrk`` writes the lower triangle of S^T S,
-    which is then mirrored into the upper one in place. Both branches return
-    one exactly symmetric, column-major array, which LAPACK can factor in
-    place.
+    dense H is not needed. A weight vector is the ``gram`` of S =
+    diag(sqrt(w)) H, fed in row blocks of at most GRAM_BLOCK_BYTES, so no
+    second copy of H is ever held. Both branches return one exactly
+    symmetric, column-major array, which LAPACK can factor in place.
     """
     if np.ndim(w) == 0:
         return _autocorrelation_gram(H.psf, H.obj_shape, w)
@@ -192,24 +194,35 @@ def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
         raise DimensionError(f"weight shape {w.shape} is not () or ({H.k},)")
     if not np.all(np.isfinite(w) & (w >= 0)):
         raise ValueError("Gram weights must be finite and non-negative")
-    # S keeps H's column-major layout, so dsyrk reads it without a copy
-    S = np.sqrt(w)[:, None] * H.matrix
-    G = blas.dsyrk(1.0, S, trans=1, lower=1)
-    _mirror_lower(G)
-    return G
+    M, sqrt_w = H.matrix, np.sqrt(w)
+    rows = max(1, GRAM_BLOCK_BYTES // (8 * H.d))
+    # a row slice of H's column-major matrix scales into a column-major block
+    return gram((sqrt_w[s:s + rows, None] * M[s:s + rows] for s in range(0, H.k, rows)),
+                H.d)
 
 
-def _mirror_lower(G: np.ndarray) -> None:
-    """Copy the lower triangle of the square G into its upper one, in place,
-    one strip of MIRROR_BLOCK rows at a time: first the strip right of its
-    diagonal block, then the block column by column. The strips keep the
-    transposed reads in cache, and no temporary is larger than a strip."""
-    d = len(G)
+def gram(blocks, d: int) -> np.ndarray:
+    """S^T S of the stacked row blocks of S, each a column-major (rows, d)
+    array, as one exactly symmetric, column-major d x d array.
+
+    Each block's symmetric rank-k update ``dsyrk`` adds into the lower
+    triangle of the one array in place, and each block is freed before the
+    next is formed, so beyond the result only one block is alive at a time.
+    The lower triangle is then copied into the upper one in place, one strip
+    of MIRROR_BLOCK rows at a time: first the strip right of its diagonal
+    block, then the block column by column. The strips keep the transposed
+    reads in cache, and no temporary is larger than a strip.
+    """
+    G = np.zeros((d, d), order="F")
+    for S in blocks:
+        G = blas.dsyrk(1.0, S, beta=1.0, c=G, trans=1, lower=1, overwrite_c=1)
+        del S
     for s in range(0, d, MIRROR_BLOCK):
         e = min(s + MIRROR_BLOCK, d)
         G[s:e, e:] = G[e:, s:e].T
         for j in range(s + 1, e):
             G[s:j, j] = G[j, s:j]
+    return G
 
 
 def _autocorrelation_gram(psf: np.ndarray, obj_shape, w) -> np.ndarray:

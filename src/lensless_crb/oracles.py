@@ -10,14 +10,9 @@ FD_STEP = 1e-5    # central-difference step, in the units of x
 
 
 def fd_gradient(f, x) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = FD_STEP
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * FD_STEP)
-    return g
+    """Central-difference gradient of a scalar function at x: the one row of
+    the Jacobian of x -> [f(x)]."""
+    return fd_jacobian(lambda y: np.array([f(y)]), x)[0]
 
 
 def fd_jacobian(g, x) -> np.ndarray:

@@ -157,12 +157,17 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("flags", [("--sigma2", "inf"), ("--sigma2", "nan"),
                                        ("--noise", "poisson", "--background", "inf"),
-                                       ("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan")])
-    def test_non_finite_noise_parameter_is_config_error(self, tmp_path, flags):
+                                       ("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan"),
+                                       ("--sigma2", "1e-320"),
+                                       ("--noise", "poisson", "--background", "1e-320")])
+    def test_non_finite_noise_parameter_is_config_error(self, tmp_path, capsys, flags):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("psf_kind = delta\nobject_size = 8\n")
         assert run("crb", "--config", cfg, *flags, "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "crb.csv").exists()
+        # the message names the parameter, also where only its reciprocal overflows
+        flag = flags[-2] if len(flags) > 1 else flags[0].split("=")[0]
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", sorted(key for key, value in cli.DEFAULTS.items()
                                            if isinstance(value, float)))
@@ -279,11 +284,13 @@ class TestCommandKeys:
         assert not out.exists()
 
     def test_verify_has_no_psf_pad_flag(self, tmp_path):
-        # verify pads its fixed 8x8 PSFs to 10x10 whatever the config says
-        with pytest.raises(SystemExit) as info:
-            run("verify", "--psf-pad", 50, "--out", tmp_path / "o")
-        assert info.value.code == 2
-        assert not (tmp_path / "o").exists()
+        # verify pads its fixed 8x8 PSFs to 10x10 whatever the config says,
+        # and its GLS check loads J as the GLS solver does
+        for flag in ("--psf-pad", "--epsilon-rel"):
+            with pytest.raises(SystemExit) as info:
+                run("verify", flag, 50, "--out", tmp_path / "o")
+            assert info.value.code == 2
+            assert not (tmp_path / "o").exists()
 
 
 class TestVerifyCommand:
@@ -313,7 +320,7 @@ class TestVerifyCommand:
         assert manifest["monte_carlo"] == {"workers": 2,
                                            "blas_threads": forward_model.blas_thread_cap(),
                                            "chunk_samples": fisher.MC_CHUNK,
-                                           "block_bytes": fisher.MC_BLOCK_BYTES}
+                                           "block_bytes": forward_model.GRAM_BLOCK_BYTES}
 
     def test_manifest_records_uncapped_blas_threads_as_null(self, tmp_path,
                                                              monkeypatch):
@@ -384,14 +391,16 @@ class TestVerifyCommand:
         # without the Monte Carlo checks, the finite differences handle zero rates
         assert run("verify", "--background", 0, "--n-samples", 100, "--n-trials", 0) == 0
 
-    @pytest.mark.parametrize("flags", [("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan"),
-                                       ("--sigma2", -1), ("--background", "inf"),
-                                       ("--n-samples", -5), ("--n-trials", -5)])
+    @pytest.mark.parametrize("flags", [("--sigma2", -1), ("--background", "inf"),
+                                       ("--n-samples", -5), ("--n-trials", -5),
+                                       ("--sigma2", "1e-320"), ("--background", "1e-320")])
     def test_bad_parameter_fails_before_any_check(self, tmp_path, capsys, flags):
         out = tmp_path / "v"
         code = run("verify", "--n-samples", 100, "--n-trials", 10, *flags, "--out", out)
         assert code == 2
-        assert "PASS" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert flags[0][2:].replace("-", "_") in captured.err
         assert not out.exists()
 
 

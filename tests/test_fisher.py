@@ -28,7 +28,8 @@ from lensless_crb import (
     vectorize,
 )
 from lensless_crb import fisher
-from lensless_crb.fisher import MC_BLOCK_BYTES, MC_CHUNK
+from lensless_crb.fisher import MC_CHUNK
+from lensless_crb.forward_model import GRAM_BLOCK_BYTES
 from lensless_crb.oracles import relative_error
 from lensless_crb.psf import Diffuser, Lenslets, PsfSpec, Rml
 from conftest import one_working_array_bound, traced_peak_bytes
@@ -62,7 +63,7 @@ class TestFisherGaussian:
         J2 = fisher_gaussian(small_lenslet_h, 2.0)
         np.testing.assert_array_equal(J2, 0.5 * J1)
 
-    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("sigma2", [0.0, np.inf, np.nan, 1e-320])
     def test_bad_variance_rejected(self, small_lenslet_h, sigma2):
         with pytest.raises(ValueError):
             fisher_gaussian(small_lenslet_h, sigma2)
@@ -101,7 +102,7 @@ class TestFisherPoisson:
                                    triple_loop_weighted_gram(H.matrix, w),
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("background", [-1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("background", [-1.0, np.inf, np.nan, 1e-320])
     def test_bad_background_rejected(self, unpadded_lenslet_h, background):
         with pytest.raises(ValueError):
             fisher_poisson(unpadded_lenslet_h, np.ones(unpadded_lenslet_h.d), background)
@@ -228,7 +229,7 @@ class TestMonteCarloChunks:
     def test_matches_serial_whole_chunk_reference(self, model, small_lenslet_h):
         # k = 289 splits each chunk into row blocks, so the draws of one
         # chunk come from several generator calls
-        assert MC_BLOCK_BYTES // (8 * small_lenslet_h.k) < MC_CHUNK
+        assert GRAM_BLOCK_BYTES // (8 * small_lenslet_h.k) < MC_CHUNK
         v = np.linspace(1.0, 40.0, small_lenslet_h.d)
         J = fisher_monte_carlo(model, small_lenslet_h, v, self.N, seed=10)
         reference = serial_monte_carlo(model, small_lenslet_h, v, self.N, seed=10)
@@ -281,7 +282,7 @@ class TestMonteCarloChunks:
         workers = 3
         monkeypatch.setattr(fisher, "cpu_count", lambda: workers)
         assert fisher.monte_carlo_workers(4 * MC_CHUNK) == workers
-        assert peak_bytes(4 * MC_CHUNK) < workers * 4 * MC_BLOCK_BYTES
+        assert peak_bytes(4 * MC_CHUNK) < workers * 4 * GRAM_BLOCK_BYTES
 
 
 def test_monte_carlo_bitwise_independent_of_blas_threads():

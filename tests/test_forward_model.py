@@ -312,16 +312,33 @@ class TestBlasKernels:
         assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_weight_vector_gram_allocates_one_s_and_one_gram():
-    # S = diag(sqrt w) H and the Gram are the only full-size arrays: the
-    # lower triangle is mirrored in place, never through a d x d temporary
+def test_weight_vector_gram_sums_ragged_row_blocks(small_lenslet_h, monkeypatch):
+    # 100-row blocks split k = 289 measurements into 100 + 100 + 89 rows
+    H = small_lenslet_h
+    monkeypatch.setattr(forward_model, "GRAM_BLOCK_BYTES", 100 * 8 * H.d)
+    blocks, gram = [], forward_model.gram
+    monkeypatch.setattr(forward_model, "gram", lambda row_blocks, d: gram(
+        (blocks.append((len(S), S.flags.f_contiguous)) or S for S in row_blocks), d))
+    w = np.random.default_rng(19).uniform(0, 2, size=H.k)
+    J = weighted_gram(H, w)
+    assert blocks == [(100, True), (100, True), (89, True)]
+    S = np.sqrt(w)[:, None] * H.matrix
+    expected = S.T @ S
+    assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.array_equal(J, J.T) and J.flags.f_contiguous
+
+
+def test_weight_vector_gram_allocates_one_block_and_one_gram():
+    # S = diag(sqrt w) H is never formed whole: beyond the Gram, one row block
+    # of S is alive at a time, and the lower triangle is mirrored in place,
+    # never through a d x d temporary
     psf = np.random.default_rng(14).uniform(0, 1, size=(32, 32))
     H = build_system_matrix(psf, (32, 32), (34, 34))
     assert H.matrix.flags.f_contiguous      # built and cached before tracing starts
     w = np.random.default_rng(15).uniform(0.1, 2, size=H.k)
     J, peak = traced_peak_bytes(lambda: weighted_gram(H, w))
     assert J.shape == (H.d, H.d)
-    assert peak <= 8 * (H.k * H.d + H.d * H.d) + (1 << 20)
+    assert peak <= 8 * H.d * H.d + forward_model.GRAM_BLOCK_BYTES + (1 << 20)
 
 
 def test_scalar_weight_gram_allocates_one_gram(full_scale_lenslet_h):

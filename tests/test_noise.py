@@ -23,12 +23,12 @@ def two_by_two_h():
 
 
 class TestParameters:
-    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan, 1e-320])
     def test_gaussian_rejects_bad_variance(self, sigma2):
         with pytest.raises(ValueError):
             GaussianNoise(sigma2)
 
-    @pytest.mark.parametrize("background", [-1e-3, np.inf, np.nan])
+    @pytest.mark.parametrize("background", [-1e-3, np.inf, np.nan, 1e-320])
     def test_poisson_rejects_bad_background(self, background):
         with pytest.raises(ValueError):
             PoissonNoise(background)

@@ -222,6 +222,24 @@ def test_package_runs_no_product_on_numpys_blas():
     assert offenders == []
 
 
+def test_gram_storage_is_decided_in_forward_model_alone():
+    # forward_model.gram alone decides how an S^T S is accumulated and
+    # stored: it makes the package's one dsyrk call, and fisher imports
+    # neither BLAS nor a private forward_model name
+    package = ROOT / "src" / "lensless_crb"
+    dsyrk = [(path.name, func) for path in sorted(package.glob("*.py"))
+             for func, _line in _uses(ast.parse(path.read_text()), "dsyrk")]
+    assert dsyrk == [("forward_model.py", "gram")]
+    imported = []
+    for node in ast.walk(ast.parse((package / "fisher.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert [name for name in imported
+            if name.startswith(("scipy.linalg.blas", "forward_model._"))] == []
+
+
 def test_cli_computes_bounds_only_in_the_case_path():
     # crb and study share write_case, so how a case's CRB is computed and
     # summarised is decided once; verify's GLS check bounds its own trials
