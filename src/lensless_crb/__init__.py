@@ -26,7 +26,6 @@ from .estimators import (
 from .fisher import (
     CrbMap,
     crb_from_fisher,
-    crb_summary,
     fisher_gaussian,
     fisher_monte_carlo,
     fisher_poisson,
@@ -63,7 +62,7 @@ __all__ = [
     "ConfigError", "DimensionError", "FactorizationError", "PlacementError",
     "SingularRateError", "TrialFailureError",
     "TrialReport", "make_gls_solver", "nnls_estimate", "poisson_mle", "run_trials",
-    "CrbMap", "crb_from_fisher", "crb_summary",
+    "CrbMap", "crb_from_fisher",
     "fisher_gaussian", "fisher_monte_carlo", "fisher_poisson",
     "SystemMatrix", "VectorizedObject", "adjoint", "build_system_matrix",
     "forward", "pad_psf", "vectorize",

@@ -17,7 +17,6 @@ verification check, 4 I/O error.
 """
 
 import argparse
-import os
 import platform
 import sys
 import time
@@ -36,8 +35,8 @@ from .errors import (
     TrialFailureError,
 )
 from .estimators import run_trials
-from .forward_model import (GRAM_BLOCK_BYTES, blas_thread_cap, build_system_matrix, forward,
-                            vectorize)
+from .forward_model import (GRAM_BLOCK_BYTES, blas_thread_cap, blas_threads,
+                            build_system_matrix, forward, vectorize)
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -62,10 +61,16 @@ FD_SCORE_LIMIT = 1e-5
 FD_HESSIAN_LIMIT = 1e-4
 GLS_EFFICIENCY_BAND = (0.9, 1.1)
 
-# the statistics of a CRB map that manifests and summary.csv report
-SUMMARY_STATS = ("mean", "median", "max")
-# the noise model of each canned study
-STUDY_NOISE = {"fig2": "gaussian", "fig3": "poisson"}
+# the statistics of a CRB map that manifests and summary.csv report, each
+# computed on the map's grid
+SUMMARY_STATS = {"mean": np.mean, "median": np.median, "max": np.max}
+# each canned study: its noise model, and (case-name prefix, object kind)
+# for each object, every kind at its default count. The Gaussian bound does
+# not depend on the object, so fig2 has one object-free case per PSF.
+STUDIES = {
+    "fig2": ("gaussian", [("", None)]),
+    "fig3": ("poisson", [("dense_", "cells"), ("sparse_", "beads")]),
+}
 
 
 def derive_seed(master: int, name: str) -> int:
@@ -186,8 +191,8 @@ def make_psf_grid(cfg: dict) -> np.ndarray:
 
 def pad_shape(cfg: dict, psf_grid) -> tuple[int, int]:
     """Padded PSF shape: psf_pad per axis if set, else the PSF grid's shape
-    + 2 per axis."""
-    if cfg["psf_pad"] is not None:
+    + 2 per axis (always for verify, which reads no psf_pad)."""
+    if cfg.get("psf_pad") is not None:
         return cfg["psf_pad"], cfg["psf_pad"]
     return psf_grid.shape[0] + 2, psf_grid.shape[1] + 2
 
@@ -202,11 +207,6 @@ def make_object_grid(cfg: dict) -> np.ndarray:
         kind, size, cfg["object_peak"], derive_seed(cfg["seed"], "object")))
 
 
-def background(cfg: dict, noise_name: str):
-    """The manifest's background: its value for a Poisson run, else None."""
-    return cfg["background"] if noise_name == "poisson" else None
-
-
 # ---------------------------------------------------------------------------
 # Output pieces shared by crb/study
 # ---------------------------------------------------------------------------
@@ -214,22 +214,22 @@ def background(cfg: dict, noise_name: str):
 
 def write_case(out_dir: Path, cfg: dict, model, H, v) -> dict:
     """CRB map of one case (noise model, H, object v); write crb.csv /
-    crb.pgm / cross_section.csv and return its manifest entry, with the
-    seconds of its fisher, crb and files stages."""
+    crb.pgm / cross_section.csv (the map's central row) and return its
+    manifest entry, with its SUMMARY_STATS and the seconds of its fisher,
+    crb and files stages."""
     t0 = time.perf_counter()
     J = model.fisher(H, v)
     t1 = time.perf_counter()
     cmap = fisher.crb_from_fisher(J, cfg["epsilon_rel"], object_shape=H.obj_shape)
-    summary = fisher.crb_summary(cmap)
+    grid = cmap.grid()
+    summary = {stat: float(f(grid)) for stat, f in SUMMARY_STATS.items()}
     t2 = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = cmap.grid()
     storage.write_grid_csv(out_dir / "crb.csv", grid)
     scale = storage.write_pgm16(out_dir / "crb.pgm", grid)
-    storage.write_grid_csv(out_dir / "cross_section.csv", summary["cross_section"])
+    storage.write_grid_csv(out_dir / "cross_section.csv", grid[grid.shape[0] // 2])
     t3 = time.perf_counter()
-    return {"pgm_scale": scale, "epsilon_used": cmap.epsilon_used,
-            "summary": {k: summary[k] for k in SUMMARY_STATS},
+    return {"pgm_scale": scale, "epsilon_used": cmap.epsilon_used, "summary": summary,
             "timings": rounded({"fisher": t1 - t0, "crb": t2 - t1, "files": t3 - t2})}
 
 
@@ -238,23 +238,19 @@ def rounded(timings: dict) -> dict:
     return {k: round(v, 6) for k, v in timings.items()}
 
 
-def _blas(package) -> dict:
-    info = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"name": info.get("name"), "version": info.get("version")}
-
-
 def environment() -> dict:
     """What a run's output bytes and times depend on beyond its config: the
-    versions, the BLAS each of NumPy and SciPy bundles, the BLAS thread
-    setting (None if unset; the kernels sum in another order with another
-    thread count, so crb.csv bytes change with it) and the usable CPUs."""
+    versions, the BLAS SciPy bundles (every product and factorization of the
+    package runs on it), the thread count it runs at (None where it is not
+    found; the kernels sum in another order with another thread count, so
+    crb.csv bytes change with it) and the usable CPUs."""
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "numpy_blas": _blas(np),
-        "scipy_blas": _blas(scipy),
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "scipy_blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": blas_threads(),
         "cpu_count": fisher.cpu_count(),
     }
 
@@ -319,7 +315,7 @@ def cmd_crb(args, cfg: dict) -> int:
     t2 = time.perf_counter()
     manifest = base_manifest(cfg, "crb")
     manifest.update(info)
-    manifest["background"] = background(cfg, cfg["noise"])
+    manifest["background"] = model.background
     # the case's stage timings are part of its pipeline time
     finish_manifest(manifest, out_dir,
                     {"generate": t1 - t0, "pipeline": t2 - t1, **info["timings"]})
@@ -328,33 +324,22 @@ def cmd_crb(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _study_objects(cfg: dict, noise_name: str):
-    """(case-name prefix, object grid or None) for each object of a study.
-
-    The Gaussian bound does not depend on the object, so a Gaussian study
-    has one object-free case per PSF. The others take each object kind at
-    its default count.
-    """
-    if noise_name == "gaussian":
-        return [("", None)]
-    return [(prefix, make_object_grid({**cfg, "object_kind": kind, "object_n": None}))
-            for prefix, kind in (("dense_", "cells"), ("sparse_", "beads"))]
-
-
 def cmd_study(args, cfg: dict) -> int:
     name = args.name
-    noise_name = STUDY_NOISE[name]
+    noise_name, object_kinds = STUDIES[name]
     model = NOISE_MODELS[noise_name](cfg)
     out_dir = Path(args.out) / name
     manifest = base_manifest(cfg, f"study {name}")
-    manifest["background"] = background(cfg, noise_name)
+    manifest["background"] = model.background
     size = (cfg["object_size"], cfg["object_size"])
     specs = psf.default_study_specs(size=(cfg["psf_size"], cfg["psf_size"]),
                                     seed=derive_seed(cfg["seed"], "psf"))
     # every PSF and object is generated, and the first H built, before
     # anything is written, so a study that cannot run writes nothing
     psf_grids = {psf_name: psf.generate_psf(spec) for psf_name, spec in specs.items()}
-    study_objects = _study_objects(cfg, noise_name)
+    study_objects = [(prefix, None if kind is None else
+                      make_object_grid({**cfg, "object_kind": kind, "object_n": None}))
+                     for prefix, kind in object_kinds]
     cases, timings = {}, {}
     # PSF-major, so each H is built once; timings are per PSF
     for psf_name, psf_grid in psf_grids.items():
@@ -372,7 +357,7 @@ def cmd_study(args, cfg: dict) -> int:
     # cases are listed object-major: every dense_* case before any sparse_*
     order = [prefix + psf_name for prefix, _ in study_objects for psf_name in specs]
     manifest["cases"] = {case: cases[case] for case in order}
-    rows = [",".join(("case",) + SUMMARY_STATS)]
+    rows = [",".join(["case", *SUMMARY_STATS])]
     for case in order:
         rows.append(",".join([case] + [repr(cases[case]["summary"][stat])
                                        for stat in SUMMARY_STATS]))
@@ -391,15 +376,14 @@ def _verify_checks(cfg: dict):
     seed = cfg["seed"]
     n_samples = cfg["n_samples"]
     n_trials = cfg["n_trials"]
-    gauss = noise.GaussianNoise(cfg["sigma2"])
-    models = (("gaussian", gauss), ("poisson", noise.PoissonNoise(cfg["background"])))
+    models = {label: make(cfg) for label, make in NOISE_MODELS.items()}
     rng = np.random.default_rng(derive_seed(seed, "verify"))
 
     spec = psf.PsfSpec(psf.Lenslets(3), (8, 8), derive_seed(seed, "psf"))
     psf_grid = psf.generate_psf(spec)
     obj = objects.generate_object(objects.ObjectSpec(
         objects.DenseCells(n_blobs=3), (8, 8), 50.0, derive_seed(seed, "object")))
-    H = build_system_matrix(psf_grid, obj.shape, (10, 10))
+    H = build_system_matrix(psf_grid, obj.shape, pad_shape(cfg, psf_grid))
     v = vectorize(obj)
 
     # structural invariants of H
@@ -408,7 +392,7 @@ def _verify_checks(cfg: dict):
     run_mc = ok and n_samples >= MC_MIN_SAMPLES
     # the closed forms the Monte Carlo checks compare with; a zero Poisson
     # rate fails here, before any result is printed
-    closed_forms = [model.fisher(H, v) for _label, model in models] if run_mc else []
+    closed_forms = [model.fisher(H, v) for model in models.values()] if run_mc else []
     yield "system_matrix_invariants", "PASS" if ok else "FAIL", \
         f"min entry {H.matrix.min():.3g}"
     if not ok:
@@ -419,7 +403,7 @@ def _verify_checks(cfg: dict):
         yield "mc_fisher_gaussian", "SKIP", "skipped-insufficient-samples"
         yield "mc_fisher_poisson", "SKIP", "skipped-insufficient-samples"
     else:
-        for (label, model), J in zip(models, closed_forms):
+        for (label, model), J in zip(models.items(), closed_forms):
             mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
                                            derive_seed(seed, f"mc-{label}"))
             err = relative_error(mc, J)
@@ -428,7 +412,7 @@ def _verify_checks(cfg: dict):
 
     # finite-difference cross-checks of score and Hessian
     v_small = rng.uniform(0.5, 2.0, size=H.d)
-    for label, model in models:
+    for label, model in models.items():
         y = noise.sample(model, forward(H, v_small), derive_seed(seed, f"fd-{label}"))
         g = noise.score(model, H, v_small, y)
         g_fd = fd_gradient(lambda x: noise.log_likelihood(model, H, x, y), v_small)
@@ -446,7 +430,9 @@ def _verify_checks(cfg: dict):
         yield "gls_efficiency", "SKIP", "skipped-insufficient-trials"
     else:
         spec1 = psf.PsfSpec(psf.Lenslets(1), (8, 8), derive_seed(seed, "psf"))
-        H1 = build_system_matrix(psf.generate_psf(spec1), (8, 8), (10, 10))
+        psf1 = psf.generate_psf(spec1)
+        H1 = build_system_matrix(psf1, (8, 8), pad_shape(cfg, psf1))
+        gauss = models["gaussian"]
         cmap = fisher.crb_from_fisher(gauss.fisher(H1, None), object_shape=H1.obj_shape)
         report = run_trials(gauss, H1, v_small, "gls", n_trials,
                             derive_seed(seed, "trials"), crb=cmap)
@@ -538,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("study", help="run a canned multiplexing study")
-    p.add_argument("name", choices=list(STUDY_NOISE))
+    p.add_argument("name", choices=list(STUDIES))
     p.add_argument("--out", required=True)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_study)

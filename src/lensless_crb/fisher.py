@@ -161,8 +161,14 @@ def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):
     column-major float A is not copied): the factor is A's lower triangle,
     and A's entries above the diagonal stay as they were. Raises
     FactorizationError when A + eps*I is not positive definite.
+
+    An epsilon_rel of 1 or more is a ValueError: then eps >= max(diag(A)),
+    so every loaded bound is at most 1/eps <= 1 / max(diag(A)), while every
+    exact bound is at least 1 / A_ii; the load, not A, would set the map.
     """
     check_parameter("epsilon_rel", epsilon_rel, allow_zero=True)
+    if epsilon_rel >= 1:
+        raise ValueError(f"epsilon_rel must be below 1, got {epsilon_rel!r}")
     eps = epsilon_rel * float(np.max(np.diag(A)))
     A[np.diag_indices_from(A)] += eps
     try:
@@ -190,13 +196,3 @@ def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL, *,
         raise FactorizationError(eps, f"triangular inverse failed (info={info})")
     return CrbMap(np.einsum("ij,ij->j", Linv, Linv), eps, (h, w))
 
-
-def crb_summary(cmap: CrbMap) -> dict:
-    """Summary statistics plus the central-row cross-section of the CRB map."""
-    grid = cmap.grid()
-    return {
-        "mean": float(np.mean(grid)),
-        "median": float(np.median(grid)),
-        "max": float(np.max(grid)),
-        "cross_section": grid[grid.shape[0] // 2].copy(),
-    }

@@ -272,6 +272,13 @@ def blas_thread_cap():
     return 1 if _openblas_thread_controls() is not None else None
 
 
+def blas_threads():
+    """The thread count SciPy's OpenBLAS runs at now, or None where it is
+    not found."""
+    controls = _openblas_thread_controls()
+    return None if controls is None else controls[0]()
+
+
 @contextmanager
 def one_blas_thread():
     """Run the block with SciPy's OpenBLAS at one thread.

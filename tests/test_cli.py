@@ -91,6 +91,12 @@ class TestCrbCommand:
         grid = read_grid_csv(out / "crb.csv")
         assert grid.shape == (8, 8)
         np.testing.assert_allclose(grid, 1.0, rtol=1e-6)
+        # the map is uniform, so its summary statistics agree; a Gaussian
+        # run records its model's background, 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = manifest["summary"]
+        assert summary["mean"] == summary["median"] == summary["max"] == grid[0, 0]
+        assert manifest["background"] == 0.0
 
     def test_gaussian_bound_object_independent(self, tmp_path):
         # two different objects, identical encoder: identical Gaussian CRB bytes
@@ -159,7 +165,8 @@ class TestConfigHandling:
                                        ("--noise", "poisson", "--background", "inf"),
                                        ("--epsilon-rel=-0.5",), ("--epsilon-rel", "nan"),
                                        ("--sigma2", "1e-320"),
-                                       ("--noise", "poisson", "--background", "1e-320")])
+                                       ("--noise", "poisson", "--background", "1e-320"),
+                                       ("--epsilon-rel", "1e10")])
     def test_non_finite_noise_parameter_is_config_error(self, tmp_path, capsys, flags):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("psf_kind = delta\nobject_size = 8\n")
@@ -168,6 +175,17 @@ class TestConfigHandling:
         # the message names the parameter, also where only its reciprocal overflows
         flag = flags[-2] if len(flags) > 1 else flags[0].split("=")[0]
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("study", ["fig2", "fig3"])
+    def test_study_rejects_a_load_that_sets_the_bound(self, tmp_path, capsys, study):
+        # at epsilon_rel >= 1 the load, not J, would set every pixel's bound
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("psf_size = 16\nobject_size = 8\n")
+        out = tmp_path / "o"
+        assert run("study", study, "--config", cfg, "--epsilon-rel", "1e10",
+                   "--out", out) == 2
+        assert "epsilon_rel" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", sorted(key for key, value in cli.DEFAULTS.items()
                                            if isinstance(value, float)))
@@ -429,7 +447,12 @@ class TestStudyCommand:
             case, mean, median, mx = line.split(",")
             grid = read_grid_csv(fig2_dir / case / "crb.csv")
             assert float(mean) == grid.mean()
+            assert float(median) == np.median(grid)
             assert float(mx) == grid.max()
+
+    def test_manifest_records_the_models_background(self, fig2_dir):
+        # fig2 runs the Gaussian model, whose background is 0
+        assert json.loads((fig2_dir / "manifest.json").read_text())["background"] == 0.0
 
     def test_manifest_covers_all_files(self, fig2_dir):
         manifest = json.loads((fig2_dir / "manifest.json").read_text())
@@ -471,23 +494,26 @@ def test_cases_record_their_stage_timings(tmp_path):
     assert sum(timings[stage] for stage in STAGES) <= timings["pipeline"]
 
 
-@pytest.mark.parametrize("threads", [None, "1"])
-def test_manifest_records_the_environment(tmp_path, monkeypatch, threads):
-    # crb.csv bytes depend on the BLAS thread count, so a manifest records it
+@pytest.mark.parametrize("threads", [None, 2])
+def test_manifest_records_the_environment(tmp_path, monkeypatch, blas_threads_at_two,
+                                          threads):
+    # crb.csv bytes depend on the BLAS thread count, so a manifest records the
+    # count SciPy's OpenBLAS, the package's one BLAS, runs at: null where the
+    # library is not found
     if threads is None:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        monkeypatch.setattr(forward_model, "_openblas_thread_controls", lambda: None)
+    elif blas_threads_at_two is None:
+        pytest.skip("SciPy's OpenBLAS was not found")
     assert run("psf", "--size", 16, "--out", tmp_path) == 0
     env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
-    assert env["openblas_num_threads"] == threads
+    assert env["blas_threads"] == threads
     assert env["cpu_count"] == len(os.sched_getaffinity(0))
     assert (env["python"], env["numpy"], env["scipy"]) == (
         platform.python_version(), np.__version__, scipy.__version__)
-    for package in (np, scipy):
-        blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert env[f"{package.__name__}_blas"] == {"name": blas["name"],
-                                                   "version": blas["version"]}
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["scipy_blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert set(env) == {"python", "numpy", "scipy", "scipy_blas", "blas_threads",
+                        "cpu_count"}
 
 
 def test_psf_and_object_commands_write_the_grids_a_study_uses(tmp_path):

@@ -261,3 +261,16 @@ def test_every_flag_sets_a_key_its_command_reads():
         offenders += [f"{name} {a.dest}" for a in p._actions
                       if a.dest not in {"help", "out", "config", "name"} | reads]
     assert offenders == []
+
+
+def test_cli_decides_no_case_by_comparing_a_name():
+    # a study's noise model and objects come from cli.STUDIES, and a run's
+    # manifest values from its noise model, so no code path tests a
+    # noise-model or study name
+    names = set(cli.NOISE_MODELS) | set(cli.STUDIES)
+    tree = ast.parse((ROOT / "src" / "lensless_crb" / "cli.py").read_text())
+    offenders = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare)
+                 for operand in (node.left, *node.comparators)
+                 if isinstance(operand, ast.Constant) and operand.value in names]
+    assert offenders == []
