@@ -53,7 +53,6 @@ from .psf import (
     Lenslets,
     PsfSpec,
     Rml,
-    default_study_specs,
     generate_psf,
     multiplexing_index,
 )
@@ -69,6 +68,5 @@ __all__ = [
     "GaussianNoise", "PoissonNoise", "hessian_log_likelihood", "log_likelihood",
     "sample", "score",
     "DenseCells", "ObjectSpec", "SparseBeads", "generate_object", "sparsity",
-    "Diffuser", "Lenslets", "PsfSpec", "Rml", "default_study_specs",
-    "generate_psf", "multiplexing_index",
+    "Diffuser", "Lenslets", "PsfSpec", "Rml", "generate_psf", "multiplexing_index",
 ]

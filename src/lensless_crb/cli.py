@@ -36,7 +36,7 @@ from .errors import (
 )
 from .estimators import run_trials
 from .forward_model import (GRAM_BLOCK_BYTES, blas_thread_cap, blas_threads,
-                            build_system_matrix, forward, vectorize)
+                            build_system_matrix, forward)
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -71,6 +71,17 @@ STUDIES = {
     "fig2": ("gaussian", [("", None)]),
     "fig3": ("poisson", [("dense_", "cells"), ("sparse_", "beads")]),
 }
+# the seven encoders every study runs, in increasing multiplexing, each as
+# config overrides; the other PSF keys keep their DEFAULTS
+STUDY_PSFS = {
+    **{f"lenslets{n}": {"psf_kind": "lenslets", "psf_n": n} for n in range(1, 6)},
+    "rml": {"psf_kind": "rml"},
+    "diffuser": {"psf_kind": "diffuser"},
+}
+# verify's reduced case, as config overrides: a three-lenslet PSF and a
+# three-blob object on 8x8 grids; its GLS check runs on one lenslet
+VERIFY_CASE = {"psf_kind": "lenslets", "psf_n": 3, "psf_size": 8, "object_kind": "cells",
+               "object_n": 3, "object_size": 8, "object_peak": 50.0}
 
 
 def derive_seed(master: int, name: str) -> int:
@@ -212,13 +223,15 @@ def make_object_grid(cfg: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_case(out_dir: Path, cfg: dict, model, H, v) -> dict:
-    """CRB map of one case (noise model, H, object v); write crb.csv /
-    crb.pgm / cross_section.csv (the map's central row) and return its
-    manifest entry, with its SUMMARY_STATS and the seconds of its fisher,
-    crb and files stages."""
+def write_case(out_dir: Path, cfg: dict, model, H, psf_grid, obj) -> dict:
+    """CRB map of one case (noise model, H built from psf_grid, object grid
+    obj, or None for a model whose Fisher matrix takes no object); write the
+    case directory, crb.csv / crb.pgm / cross_section.csv (the map's central
+    row) / psf.csv and, with an object, object.csv, and return its manifest
+    entry, with its SUMMARY_STATS and the seconds of its fisher, crb and
+    files stages."""
     t0 = time.perf_counter()
-    J = model.fisher(H, v)
+    J = model.fisher(H, None if obj is None else obj.ravel())
     t1 = time.perf_counter()
     cmap = fisher.crb_from_fisher(J, cfg["epsilon_rel"], object_shape=H.obj_shape)
     grid = cmap.grid()
@@ -228,6 +241,9 @@ def write_case(out_dir: Path, cfg: dict, model, H, v) -> dict:
     storage.write_grid_csv(out_dir / "crb.csv", grid)
     scale = storage.write_pgm16(out_dir / "crb.pgm", grid)
     storage.write_grid_csv(out_dir / "cross_section.csv", grid[grid.shape[0] // 2])
+    storage.write_grid_csv(out_dir / "psf.csv", psf_grid)
+    if obj is not None:
+        storage.write_grid_csv(out_dir / "object.csv", obj)
     t3 = time.perf_counter()
     return {"pgm_scale": scale, "epsilon_used": cmap.epsilon_used, "summary": summary,
             "timings": rounded({"fisher": t1 - t0, "crb": t2 - t1, "files": t3 - t2})}
@@ -311,7 +327,7 @@ def cmd_crb(args, cfg: dict) -> int:
     model = NOISE_MODELS[cfg["noise"]](cfg)
     t1 = time.perf_counter()
     H = build_system_matrix(psf_grid, obj.shape, pad_shape(cfg, psf_grid))
-    info = write_case(out_dir, cfg, model, H, vectorize(obj))
+    info = write_case(out_dir, cfg, model, H, psf_grid, obj)
     t2 = time.perf_counter()
     manifest = base_manifest(cfg, "crb")
     manifest.update(info)
@@ -332,13 +348,12 @@ def cmd_study(args, cfg: dict) -> int:
     manifest = base_manifest(cfg, f"study {name}")
     manifest["background"] = model.background
     size = (cfg["object_size"], cfg["object_size"])
-    specs = psf.default_study_specs(size=(cfg["psf_size"], cfg["psf_size"]),
-                                    seed=derive_seed(cfg["seed"], "psf"))
     # every PSF and object is generated, and the first H built, before
     # anything is written, so a study that cannot run writes nothing
-    psf_grids = {psf_name: psf.generate_psf(spec) for psf_name, spec in specs.items()}
+    psf_grids = {psf_name: make_psf_grid({**DEFAULTS, **cfg, **keys})
+                 for psf_name, keys in STUDY_PSFS.items()}
     study_objects = [(prefix, None if kind is None else
-                      make_object_grid({**cfg, "object_kind": kind, "object_n": None}))
+                      make_object_grid({**DEFAULTS, **cfg, "object_kind": kind}))
                      for prefix, kind in object_kinds]
     cases, timings = {}, {}
     # PSF-major, so each H is built once; timings are per PSF
@@ -346,16 +361,11 @@ def cmd_study(args, cfg: dict) -> int:
         t0 = time.perf_counter()
         H = build_system_matrix(psf_grid, size, pad_shape(cfg, psf_grid))
         for prefix, obj in study_objects:
-            case_dir = out_dir / (prefix + psf_name)
-            # the Gaussian Fisher matrix takes no object
-            v = None if obj is None else vectorize(obj)
-            cases[prefix + psf_name] = write_case(case_dir, cfg, model, H, v)
-            storage.write_grid_csv(case_dir / "psf.csv", psf_grid)
-            if obj is not None:
-                storage.write_grid_csv(case_dir / "object.csv", obj)
+            cases[prefix + psf_name] = write_case(out_dir / (prefix + psf_name), cfg,
+                                                  model, H, psf_grid, obj)
         timings[psf_name] = time.perf_counter() - t0
     # cases are listed object-major: every dense_* case before any sparse_*
-    order = [prefix + psf_name for prefix, _ in study_objects for psf_name in specs]
+    order = [prefix + psf_name for prefix, _ in study_objects for psf_name in STUDY_PSFS]
     manifest["cases"] = {case: cases[case] for case in order}
     rows = [",".join(["case", *SUMMARY_STATS])]
     for case in order:
@@ -379,12 +389,11 @@ def _verify_checks(cfg: dict):
     models = {label: make(cfg) for label, make in NOISE_MODELS.items()}
     rng = np.random.default_rng(derive_seed(seed, "verify"))
 
-    spec = psf.PsfSpec(psf.Lenslets(3), (8, 8), derive_seed(seed, "psf"))
-    psf_grid = psf.generate_psf(spec)
-    obj = objects.generate_object(objects.ObjectSpec(
-        objects.DenseCells(n_blobs=3), (8, 8), 50.0, derive_seed(seed, "object")))
+    case = {**DEFAULTS, **cfg, **VERIFY_CASE}
+    psf_grid = make_psf_grid(case)
+    obj = make_object_grid(case)
     H = build_system_matrix(psf_grid, obj.shape, pad_shape(cfg, psf_grid))
-    v = vectorize(obj)
+    v = obj.ravel()
 
     # structural invariants of H
     colsums = H.matrix.sum(axis=0)
@@ -392,23 +401,23 @@ def _verify_checks(cfg: dict):
     run_mc = ok and n_samples >= MC_MIN_SAMPLES
     # the closed forms the Monte Carlo checks compare with; a zero Poisson
     # rate fails here, before any result is printed
-    closed_forms = [model.fisher(H, v) for model in models.values()] if run_mc else []
+    closed_forms = ({label: model.fisher(H, v) for label, model in models.items()}
+                    if run_mc else {})
     yield "system_matrix_invariants", "PASS" if ok else "FAIL", \
         f"min entry {H.matrix.min():.3g}"
     if not ok:
         return
 
     # Monte Carlo Fisher vs closed forms
-    if not run_mc:
-        yield "mc_fisher_gaussian", "SKIP", "skipped-insufficient-samples"
-        yield "mc_fisher_poisson", "SKIP", "skipped-insufficient-samples"
-    else:
-        for (label, model), J in zip(models.items(), closed_forms):
-            mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
-                                           derive_seed(seed, f"mc-{label}"))
-            err = relative_error(mc, J)
-            yield f"mc_fisher_{label}", "PASS" if err < MC_FISHER_LIMIT else "FAIL", \
-                f"rel Frobenius error {err:.4f} (limit {MC_FISHER_LIMIT:g}, n={n_samples})"
+    for label, model in models.items():
+        if not run_mc:
+            yield f"mc_fisher_{label}", "SKIP", "skipped-insufficient-samples"
+            continue
+        mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
+                                       derive_seed(seed, f"mc-{label}"))
+        err = relative_error(mc, closed_forms[label])
+        yield f"mc_fisher_{label}", "PASS" if err < MC_FISHER_LIMIT else "FAIL", \
+            f"rel Frobenius error {err:.4f} (limit {MC_FISHER_LIMIT:g}, n={n_samples})"
 
     # finite-difference cross-checks of score and Hessian
     v_small = rng.uniform(0.5, 2.0, size=H.d)
@@ -429,9 +438,8 @@ def _verify_checks(cfg: dict):
     if n_trials < EFF_MIN_TRIALS:
         yield "gls_efficiency", "SKIP", "skipped-insufficient-trials"
     else:
-        spec1 = psf.PsfSpec(psf.Lenslets(1), (8, 8), derive_seed(seed, "psf"))
-        psf1 = psf.generate_psf(spec1)
-        H1 = build_system_matrix(psf1, (8, 8), pad_shape(cfg, psf1))
+        psf1 = make_psf_grid({**case, "psf_n": 1})
+        H1 = build_system_matrix(psf1, obj.shape, pad_shape(cfg, psf1))
         gauss = models["gaussian"]
         cmap = fisher.crb_from_fisher(gauss.fisher(H1, None), object_shape=H1.obj_shape)
         report = run_trials(gauss, H1, v_small, "gls", n_trials,

@@ -40,12 +40,13 @@ MIRROR_BLOCK = 64   # rows per strip when mirroring a Gram's lower triangle
 
 
 def as_grid(values) -> np.ndarray:
-    """Validate and return a 2-D non-negative float array."""
+    """Validate and return a 2-D finite, non-negative float array."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D grid, got ndim={a.ndim}")
-    if np.any(a < 0):
-        raise ValueError("grid values must be non-negative")
+    # NaN fails both comparisons
+    if not np.all((a >= 0) & (a < np.inf)):
+        raise ValueError("grid values must be finite and non-negative")
     return a
 
 

@@ -1,7 +1,8 @@
 """Seeded generators for encoder PSFs with increasing multiplexing.
 
-Seven encoders are studied: 1-5 lenslets, a random multi-focal lenslet
-(many focal spots of varying size), and a diffuser (caustic-like speckle).
+The studies run seven encoders (``cli.STUDY_PSFS``): 1-5 lenslets, a random
+multi-focal lenslet (many focal spots of varying size), and a diffuser
+(caustic-like speckle).
 Each kind holds its own checks and generator in ``grid(h, w, rng)``. All PSFs
 are normalized to unit total mass so photon budgets are encoder-independent,
 and all generation is deterministic per (spec, seed).
@@ -161,11 +162,3 @@ def multiplexing_index(psf) -> float:
     if s1 <= 0:
         raise ValueError("PSF mass must be positive")
     return float(s1 * s1 / (p.size * np.sum(p * p)))
-
-
-def default_study_specs(size=(32, 32), seed=0) -> dict[str, PsfSpec]:
-    """The seven encoders of the multiplexing study, in increasing order."""
-    specs = {f"lenslets{n}": PsfSpec(Lenslets(n), size, seed) for n in range(1, 6)}
-    specs["rml"] = PsfSpec(Rml(), size, seed)
-    specs["diffuser"] = PsfSpec(Diffuser(), size, seed)
-    return specs

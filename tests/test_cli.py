@@ -360,6 +360,14 @@ class TestVerifyCommand:
         assert manifest["monte_carlo"]["workers"] == 0
         assert manifest["monte_carlo"]["blas_threads"] is None
 
+    def test_skipped_monte_carlo_checks_are_the_noise_models(self, monkeypatch, capsys):
+        # the Monte Carlo check names come from NOISE_MODELS whether they run or not
+        monkeypatch.setattr(cli, "NOISE_MODELS", {"poisson": cli.NOISE_MODELS["poisson"]})
+        assert run("verify", "--n-samples", 0, "--n-trials", 0) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "mc_fisher" in line] \
+            == ["SKIP mc_fisher_poisson: skipped-insufficient-samples"]
+
     def test_insufficient_budget_skips(self, capsys):
         code = run("verify", "--n-samples", 100, "--n-trials", 10)
         lines = capsys.readouterr().out.strip().splitlines()
@@ -530,6 +538,16 @@ def test_psf_and_object_commands_write_the_grids_a_study_uses(tmp_path):
         == sha256_file(study / "dense_diffuser" / "psf.csv")
     assert sha256_file(tmp_path / "object" / "object.csv") \
         == sha256_file(study / "sparse_rml" / "object.csv")
+    # a crb case directory holds a study case's files, from the same grids
+    crb = tmp_path / "crb"
+    cfg.write_text("psf_size = 16\nobject_size = 16\npsf_kind = diffuser\n"
+                   "object_kind = beads\nnoise = poisson\n")
+    assert run("crb", "--config", cfg, "--seed", 3, "--out", crb) == 0
+    assert {f.name for f in crb.iterdir()} - {"manifest.json"} \
+        == {f.name for f in (study / "sparse_diffuser").iterdir()}
+    for name in ("psf", "object"):
+        assert sha256_file(crb / f"{name}.csv") \
+            == sha256_file(tmp_path / name / f"{name}.csv")
 
 
 def test_study_rejects_psf_kind(tmp_path, capsys):

@@ -36,6 +36,16 @@ class TestVectorize:
             vectorize([[1, -1]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", [lambda g: build_system_matrix(g, (2, 2)),
+                                  lambda g: pad_psf(g, (3, 3)), vectorize],
+                         ids=["build_system_matrix", "pad_psf", "vectorize"])
+def test_non_finite_grid_rejected(make, value):
+    # NaN fails every comparison, so a sign check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        make([[value, 1.0]])
+
+
 class TestBuildSystemMatrix:
     def test_delta_psf_gives_identity(self):
         H = build_system_matrix(np.ones((1, 1)), (3, 3), (1, 1))

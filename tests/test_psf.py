@@ -9,7 +9,7 @@ from lensless_crb import (
     PlacementError,
     PsfSpec,
     Rml,
-    default_study_specs,
+    cli,
     generate_psf,
     multiplexing_index,
 )
@@ -112,9 +112,9 @@ class TestUnknownKind:
 
 
 class TestNormalization:
-    @pytest.mark.parametrize("name", list(default_study_specs()))
+    @pytest.mark.parametrize("name", list(cli.STUDY_PSFS))
     def test_unit_mass(self, name):
-        p = generate_psf(default_study_specs(seed=11)[name])
+        p = cli.make_psf_grid({**cli.DEFAULTS, "seed": 11, **cli.STUDY_PSFS[name]})
         assert abs(p.sum() - 1.0) <= 1e-12
         assert np.all(p >= 0)
 
@@ -143,10 +143,9 @@ class TestMultiplexingIndex:
                                                       rel=1e-12)
 
     def test_ordering_by_multiplexing(self):
-        specs = default_study_specs(seed=42)
-        i1 = multiplexing_index(generate_psf(specs["lenslets1"]))
-        i5 = multiplexing_index(generate_psf(specs["lenslets5"]))
-        idiff = multiplexing_index(generate_psf(specs["diffuser"]))
+        i1, i5, idiff = (multiplexing_index(cli.make_psf_grid(
+            {**cli.DEFAULTS, "seed": 42, **cli.STUDY_PSFS[name]}))
+            for name in ("lenslets1", "lenslets5", "diffuser"))
         assert i1 < i5 < idiff
 
     def test_zero_psf_rejected(self):

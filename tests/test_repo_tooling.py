@@ -249,6 +249,19 @@ def test_cli_computes_bounds_only_in_the_case_path():
     assert offenders == []
 
 
+def test_cli_builds_grids_and_writes_cases_in_one_place_each():
+    # every PSF and object the CLI builds comes from a config through
+    # make_psf_grid / make_object_grid, and a case directory is written by
+    # write_case alone (the psf and object commands write their one grid)
+    tree = ast.parse((ROOT / "src" / "lensless_crb" / "cli.py").read_text())
+    homes = {"generate_psf": {"make_psf_grid"}, "PsfSpec": {"make_psf_grid"},
+             "generate_object": {"make_object_grid"}, "ObjectSpec": {"make_object_grid"},
+             "write_grid_csv": {"write_case", "_write_grid_command"}}
+    offenders = [f"cli.py:{line} {name}" for name, funcs in homes.items()
+                 for func, line in _uses(tree, name) if func not in funcs]
+    assert offenders == []
+
+
 def test_every_flag_sets_a_key_its_command_reads():
     # a flag whose key the command does not read would be refused by
     # resolve_config on every use; the two studies share one subparser
