@@ -55,11 +55,11 @@ SURROGATE_NOTE = ("PSF and object generators are statistical surrogates; only "
 MC_MIN_SAMPLES = 10_000
 EFF_MIN_TRIALS = 1_000
 # the limit each verify check is held to: relative errors of the Monte Carlo
-# Fisher, the FD score and the FD Hessian, and the GLS variance/CRB band
+# Fisher, the FD score and the FD Hessian, and the decoder variance/CRB band
 MC_FISHER_LIMIT = 0.05
 FD_SCORE_LIMIT = 1e-5
 FD_HESSIAN_LIMIT = 1e-4
-GLS_EFFICIENCY_BAND = (0.9, 1.1)
+EFFICIENCY_BAND = (0.9, 1.1)
 
 # the statistics of a CRB map that manifests and summary.csv report, each
 # computed on the map's grid
@@ -82,6 +82,9 @@ STUDY_PSFS = {
 # three-blob object on 8x8 grids; its GLS check runs on one lenslet
 VERIFY_CASE = {"psf_kind": "lenslets", "psf_n": 3, "psf_size": 8, "object_kind": "cells",
                "object_n": 3, "object_size": 8, "object_peak": 50.0}
+# the noise models whose decoder efficiency verify checks, each with the
+# decoder whose variance attains that model's CRB
+VERIFY_DECODERS = {"gaussian": "gls"}
 
 
 def derive_seed(master: int, name: str) -> int:
@@ -434,19 +437,22 @@ def _verify_checks(cfg: dict):
         yield f"fd_hessian_{label}", "PASS" if err < FD_HESSIAN_LIMIT else "FAIL", \
             f"rel error {err:.3g} (limit {FD_HESSIAN_LIMIT:g})"
 
-    # GLS efficiency against the Gaussian CRB
-    if n_trials < EFF_MIN_TRIALS:
-        yield "gls_efficiency", "SKIP", "skipped-insufficient-trials"
-    else:
+    # each model's efficient decoder against the model's CRB
+    for label, model in models.items():
+        decoder = VERIFY_DECODERS.get(label)
+        if decoder is None:
+            continue
+        if n_trials < EFF_MIN_TRIALS:
+            yield f"{decoder}_efficiency", "SKIP", "skipped-insufficient-trials"
+            continue
         psf1 = make_psf_grid({**case, "psf_n": 1})
         H1 = build_system_matrix(psf1, obj.shape, pad_shape(cfg, psf1))
-        gauss = models["gaussian"]
-        cmap = fisher.crb_from_fisher(gauss.fisher(H1, None), object_shape=H1.obj_shape)
-        report = run_trials(gauss, H1, v_small, "gls", n_trials,
+        cmap = fisher.crb_from_fisher(model.fisher(H1, v_small), object_shape=H1.obj_shape)
+        report = run_trials(model, H1, v_small, decoder, n_trials,
                             derive_seed(seed, "trials"), crb=cmap)
         med = float(np.median(report.efficiency))
-        lo, hi = GLS_EFFICIENCY_BAND
-        yield "gls_efficiency", "PASS" if lo <= med <= hi else "FAIL", \
+        lo, hi = EFFICIENCY_BAND
+        yield f"{decoder}_efficiency", "PASS" if lo <= med <= hi else "FAIL", \
             f"median variance/CRB {med:.4f} (limits {lo:g}-{hi:g}, n={n_trials})"
 
 

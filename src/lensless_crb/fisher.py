@@ -25,8 +25,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
 from .errors import DimensionError, FactorizationError, SingularRateError
-from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, forward, gram,
-                            one_blas_thread, weighted_gram)
+from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, build_matrix, forward,
+                            gram, one_blas_thread, weighted_gram)
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
 EPSILON_REL = 1e-9    # default diagonal loading, relative to max(diag(J))
@@ -98,7 +98,9 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    # forward builds H's cached dense matrix here, before any worker reads it
+    # the workers' adjoint reads H's dense matrix: build and cache it here,
+    # on the calling thread, so they share one copy
+    build_matrix(H)
     mean = forward(H, v) + model.background
     # spawned one at a time, the children are those of spawn(n_chunks), and
     # no per-chunk object outlives its chunk
@@ -151,7 +153,7 @@ def _chunk_gram(model, H: SystemMatrix, mean, seed_seq, m: int) -> np.ndarray:
         # and dsyrk reads it without a copy
         return adjoint(H, model.score_weights(model.draw(rng, mean, (n, H.k)), mean).T).T
 
-    return gram((block(min(rows, m - start)) for start in range(0, m, rows)), H.d)
+    return gram(((0, block(min(rows, m - start))) for start in range(0, m, rows)), H.d)
 
 
 def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):

@@ -4,21 +4,25 @@ Objects and PSFs live on 2-D non-negative pixel grids (photons per pixel).
 Image formation is full 2-D convolution with a fixed PSF, realized as a
 system matrix H so that the noiseless measurement is b = H v for the
 row-major vectorized object v. H keeps the padded PSF and builds its dense
-k x d matrix on first use; the constant-weight Gram H^T H never needs it,
-since it is the PSF autocorrelation laid out block-Toeplitz. ``forward``
+k x d matrix on first use, and only the products that need it read it:
+the batch products and the adjoint. One object's ``forward`` and both Gram
+branches work from the padded PSF's sliding windows, so the Poisson Fisher
+path (one rate, one weight-vector Gram) never builds the dense H. ``forward``
 (H v) and ``adjoint`` (H^T r) are the only products with H that other
 modules use, so this module alone knows how H is stored. The PSF may be
 zero-padded before building H; padding to (psf + 2) per axis turns 32x32
 objects into 65x65 measurements.
 
 Every product runs on SciPy's bundled OpenBLAS, the library whose LAPACK
-factors and inverts the Fisher matrix: ``forward`` and ``adjoint`` are
-``dgemv`` for one vector and ``dgemm`` for a batch, and ``gram``, the one
-builder of every S^T S (the weight-vector Gram and the Monte Carlo Fisher's
-partials), is ``dsyrk`` over row blocks of S. NumPy bundles an OpenBLAS of
-its own, with its own thread pool, whose idle threads would spin beside
-SciPy's; the package calls only SciPy's, so ``one_blas_thread`` has one
-library to set.
+factors and inverts the Fisher matrix: ``forward`` of one object is one
+``dgemm`` against the stacked Toeplitz matrices of the PSF rows, ``adjoint``
+of one vector is ``dgemv`` on the dense matrix, and both are ``dgemm`` on
+the dense matrix for a batch. ``gram``, the one builder of every S^T S (the
+weight-vector Gram's row bands and the Monte Carlo Fisher's partials), adds
+a block that spans every column by ``dsyrk`` and a narrower one by
+``dgemm`` strips. NumPy bundles an OpenBLAS of its own, with its own thread
+pool, whose idle threads would spin beside SciPy's; the package calls only
+SciPy's, so ``one_blas_thread`` has one library to set.
 """
 
 import ctypes
@@ -36,7 +40,7 @@ from scipy.linalg import blas
 from .errors import DimensionError
 
 GRAM_BLOCK_BYTES = 8 << 20   # bytes of one row block of S, or of the draws it is formed from
-MIRROR_BLOCK = 64   # rows per strip when mirroring a Gram's lower triangle
+STRIP = 64   # columns per strip when adding a block's product into a Gram or mirroring it
 
 
 def as_grid(values) -> np.ndarray:
@@ -147,11 +151,59 @@ def object_values(v) -> np.ndarray:
 
 def forward(H: SystemMatrix, v) -> np.ndarray:
     """Noiseless measurement b = H v of one object (d,) or of a batch of
-    objects in the columns of a (d, n) array."""
+    objects in the columns of a (d, n) array.
+
+    One object is convolved row by row (``_convolve``), without the dense
+    H; a batch is one ``dgemm`` on the dense matrix, which is faster for
+    many columns than a structured product per object.
+    """
     values = object_values(v)
     if values.ndim > 2 or values.shape[:1] != (H.d,):
         raise DimensionError(f"object shape {values.shape} is not ({H.d},) or ({H.d}, n)")
+    if values.ndim == 1:
+        return _convolve(H, values)
     return _product(H.matrix, values, trans=0)
+
+
+def build_matrix(H: SystemMatrix) -> None:
+    """Build and cache H's dense matrix, which batch products and the
+    adjoint read. A caller that applies H from several threads builds it
+    first on its own thread: ``cached_property`` takes no lock, so threads
+    that found it missing would each build a copy."""
+    H.matrix
+
+
+def _psf_rows(psf: np.ndarray) -> tuple[int, int]:
+    """First and one past the last row of the padded PSF with a nonzero
+    entry; the rows outside reach no measurement."""
+    rows = np.flatnonzero(np.any(psf != 0, axis=1))
+    return int(rows[0]), int(rows[-1]) + 1
+
+
+def _convolve(H: SystemMatrix, values: np.ndarray) -> np.ndarray:
+    """H v of one object as a row-Toeplitz GEMM: the 1-D convolutions of
+    every object row with every nonzero PSF row in one ``dgemm``, then one
+    shifted add of object rows per PSF row into the measurement plane.
+
+    The Toeplitz matrix of PSF row a, T_a[c, j] = psf[a, j - c], is the
+    reversed sliding windows of that row padded by ow - 1 zeros per side;
+    the ones of every nonzero row stand side by side in one (ow, rows * OW)
+    array. All terms are non-negative, so a rate is exactly zero where the
+    dense product's is.
+    """
+    oh, ow = H.obj_shape
+    OH, OW = H.out_shape
+    lo, hi = _psf_rows(H.psf)
+    rows = np.pad(H.psf[lo:hi], ((0, 0), (ow - 1, ow - 1)))
+    T = sliding_window_view(rows, OW, axis=1)[:, ::-1].transpose(1, 0, 2).copy()
+    V = np.ascontiguousarray(values, dtype=float).reshape(oh, ow)
+    # P^T = T^T V^T on the column-major views of the row-major T and V, so
+    # dgemm copies neither operand; P[r, a] is object row r through PSF row lo + a
+    P = blas.dgemm(1.0, T.reshape(ow, -1).T, V.T).T.reshape(oh, hi - lo, OW)
+    out = np.zeros((OH, OW))
+    for a in range(hi - lo):
+        out[lo + a:lo + a + oh] += P[:, a]
+    return out.ravel()
 
 
 def adjoint(H: SystemMatrix, r) -> np.ndarray:
@@ -184,8 +236,9 @@ def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
     A scalar weight scales the PSF autocorrelation: entry (a, b) of H^T H is
     the autocorrelation at the lag between object pixels a and b, so the
     dense H is not needed. A weight vector is the ``gram`` of S =
-    diag(sqrt(w)) H, fed in row blocks of at most GRAM_BLOCK_BYTES, so no
-    second copy of H is ever held. Both branches return one exactly
+    diag(sqrt(w)) H, fed in bands of measurement rows formed straight from
+    the padded PSF's sliding windows (``_gram_bands``), so neither H nor a
+    second copy of it is ever held. Both branches return one exactly
     symmetric, column-major array, which LAPACK can factor in place.
     """
     if np.ndim(w) == 0:
@@ -195,31 +248,82 @@ def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
         raise DimensionError(f"weight shape {w.shape} is not () or ({H.k},)")
     if not np.all(np.isfinite(w) & (w >= 0)):
         raise ValueError("Gram weights must be finite and non-negative")
-    M, sqrt_w = H.matrix, np.sqrt(w)
-    rows = max(1, GRAM_BLOCK_BYTES // (8 * H.d))
-    # a row slice of H's column-major matrix scales into a column-major block
-    return gram((sqrt_w[s:s + rows, None] * M[s:s + rows] for s in range(0, H.k, rows)),
-                H.d)
+    return gram(_gram_bands(H, np.sqrt(w).reshape(H.out_shape)), H.d)
+
+
+def _gram_bands(H: SystemMatrix, sqrt_w: np.ndarray):
+    """(first column, block) of each band of rows of S = diag(sqrt_w) H.
+
+    A band of measurement rows [i0, i1) reaches only object rows
+    [i0 - hi + 1, i1 - lo), where [lo, hi) runs from the PSF's first
+    nonzero row to its last, so its block keeps just those columns of S;
+    measurement rows that no PSF row reaches are skipped. A band is an
+    eighth of hi - lo rows, so it reaches at most 9/8 of the object rows
+    one measurement row does, and its block is at most GRAM_BLOCK_BYTES
+    (one row if a row is larger).
+    """
+    oh, ow = H.obj_shape
+    OW = H.out_shape[1]
+    lo, hi = _psf_rows(H.psf)
+    padded = np.pad(H.psf, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
+    band = max(1, min((hi - lo) // 8, GRAM_BLOCK_BYTES // (8 * OW * H.d)))
+    for i0 in range(lo, oh - 1 + hi, band):
+        i1 = min(i0 + band, oh - 1 + hi)
+        r0, r1 = max(0, i0 - hi + 1), min(oh, i1 - lo)
+        # the block is yielded, not named, so it is freed before the next is formed
+        yield r0 * ow, _band_block(padded[oh - r1 + i0:oh - 1 - r0 + i1], sqrt_w[i0:i1],
+                                   (r1 - r0, ow))
+
+
+def _band_block(padded: np.ndarray, sqrt_w: np.ndarray, reach) -> np.ndarray:
+    """Column-major block of S: the measurement band whose square-root
+    weights are sqrt_w, against the (rows, width) of object pixels it
+    reaches, given the padded PSF rows that map those pixels into the band.
+
+    As in ``SystemMatrix.matrix``, column (r, c) of the block, the PSF
+    placed at object pixel (r, c) and cut to the band, is the window at
+    (last - r, ow - 1 - c) of the padded rows; the weighted windows written
+    row-major are the block's transpose.
+    """
+    band = sqrt_w.shape
+    windows = sliding_window_view(padded, band)[::-1, ::-1]
+    ST = np.empty(reach + band)
+    np.multiply(windows, sqrt_w, out=ST)
+    return ST.reshape(reach[0] * reach[1], band[0] * band[1]).T
 
 
 def gram(blocks, d: int) -> np.ndarray:
-    """S^T S of the stacked row blocks of S, each a column-major (rows, d)
-    array, as one exactly symmetric, column-major d x d array.
+    """S^T S of the stacked row blocks of S, as one exactly symmetric,
+    column-major d x d array. Each block comes as (first column, block): a
+    column-major (rows, n) array of its rows of S in columns [first,
+    first + n), S being zero in the other columns of those rows.
 
-    Each block's symmetric rank-k update ``dsyrk`` adds into the lower
-    triangle of the one array in place, and each block is freed before the
-    next is formed, so beyond the result only one block is alive at a time.
+    A block that spans all d columns adds its symmetric rank-k update
+    ``dsyrk`` into the lower triangle of the one array in place. A narrower
+    block adds its product at its column range one strip of STRIP columns
+    at a time: ``dgemm`` forms the strip's part of the lower triangle, from
+    the strip's diagonal down, and it is added in place (SciPy's wrappers
+    would copy a sub-block of the result in and out, so none is passed to
+    them). Each block is freed before the next is formed, so beyond the
+    result only one block and one strip-sized temporary are alive at a time.
     The lower triangle is then copied into the upper one in place, one strip
-    of MIRROR_BLOCK rows at a time: first the strip right of its diagonal
-    block, then the block column by column. The strips keep the transposed
-    reads in cache, and no temporary is larger than a strip.
+    of STRIP rows at a time: first the strip right of its diagonal block,
+    then the block column by column. The strips keep the transposed reads in
+    cache, and no temporary is larger than a strip.
     """
     G = np.zeros((d, d), order="F")
-    for S in blocks:
-        G = blas.dsyrk(1.0, S, beta=1.0, c=G, trans=1, lower=1, overwrite_c=1)
+    for c0, S in blocks:
+        n = S.shape[1]
+        if n == d:
+            G = blas.dsyrk(1.0, S, beta=1.0, c=G, trans=1, lower=1, overwrite_c=1)
+        else:
+            for s in range(0, n, STRIP):
+                e = min(s + STRIP, n)
+                G[c0 + s:c0 + n, c0 + s:c0 + e] += blas.dgemm(1.0, S[:, s:], S[:, s:e],
+                                                              trans_a=1)
         del S
-    for s in range(0, d, MIRROR_BLOCK):
-        e = min(s + MIRROR_BLOCK, d)
+    for s in range(0, d, STRIP):
+        e = min(s + STRIP, d)
         G[s:e, e:] = G[e:, s:e].T
         for j in range(s + 1, e):
             G[s:j, j] = G[j, s:j]

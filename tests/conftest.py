@@ -1,5 +1,7 @@
 """Shared helpers: brute-force oracles kept independent of the library paths."""
 
+import functools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -89,3 +91,20 @@ def blas_threads_at_two():
     set_threads(2)
     yield get
     set_threads(before)
+
+
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """The thread ident of every build of a SystemMatrix's dense matrix
+    during the test, in build order; matrices cached before it are not
+    rebuilt."""
+    builds, build = [], forward_model.SystemMatrix.matrix.func
+
+    def counted(H):
+        builds.append(threading.get_ident())
+        return build(H)
+
+    matrix = functools.cached_property(counted)
+    matrix.__set_name__(forward_model.SystemMatrix, "matrix")
+    monkeypatch.setattr(forward_model.SystemMatrix, "matrix", matrix)
+    return builds

@@ -368,6 +368,14 @@ class TestVerifyCommand:
         assert [line for line in lines if "mc_fisher" in line] \
             == ["SKIP mc_fisher_poisson: skipped-insufficient-samples"]
 
+    def test_efficiency_checks_follow_the_noise_models(self, monkeypatch, capsys):
+        # verify's decoder efficiency check belongs to a noise model by one
+        # VERIFY_DECODERS entry, so a model that is not there runs none
+        monkeypatch.setattr(cli, "NOISE_MODELS", {"poisson": cli.NOISE_MODELS["poisson"]})
+        assert run("verify", "--n-samples", 0, "--n-trials", cli.EFF_MIN_TRIALS) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and not [line for line in lines if "efficiency" in line]
+
     def test_insufficient_budget_skips(self, capsys):
         code = run("verify", "--n-samples", 100, "--n-trials", 10)
         lines = capsys.readouterr().out.strip().splitlines()
@@ -609,3 +617,13 @@ def test_fig2_builds_no_dense_system_matrix(tmp_path, monkeypatch):
     assert run("study", "fig2", "--config", cfg, "--out", tmp_path) == 0
     assert len(built) == 7
     assert all("matrix" not in vars(H) for H in built)
+
+
+@pytest.mark.parametrize("command", [("study", "fig3"), ("crb", "--noise", "poisson")])
+def test_poisson_runs_build_no_dense_system_matrix(tmp_path, dense_builds, command):
+    # the rate is a row-Toeplitz product and the Gram is fed bands formed
+    # from the padded PSF, so the Poisson Fisher path never reads the dense H
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 16\nobject_size = 16\n")
+    assert run(*command, "--config", cfg, "--out", tmp_path / "out") == 0
+    assert dense_builds == []

@@ -223,6 +223,21 @@ class TestMonteCarloChunks:
         for J in results[1:]:
             np.testing.assert_array_equal(J, results[0])
 
+    def test_dense_matrix_built_once_on_the_calling_thread(self, small_lenslet_h,
+                                                           monkeypatch, dense_builds):
+        # the workers' adjoint reads H's dense matrix, and one object's
+        # forward no longer builds it: fisher_monte_carlo builds it before
+        # the pool starts, so a fresh H gives the same J at every worker count
+        model, v = PoissonNoise(1e-3), np.linspace(1.0, 40.0, small_lenslet_h.d)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fisher, "cpu_count", lambda w=workers: w)
+            H = build_system_matrix(small_lenslet_h.psf, small_lenslet_h.obj_shape)
+            results.append(fisher_monte_carlo(model, H, v, self.N, seed=9))
+        assert dense_builds == [threading.get_ident()] * 3
+        for J in results[1:]:
+            np.testing.assert_array_equal(J, results[0])
+
     @pytest.mark.parametrize("model", [GaussianNoise(1.0), PoissonNoise(1e-3)])
     def test_matches_serial_whole_chunk_reference(self, model, small_lenslet_h):
         # k = 289 splits each chunk into row blocks, so the draws of one

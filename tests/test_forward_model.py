@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lensless_crb import (
     DimensionError,
+    SingularRateError,
     adjoint,
     build_system_matrix,
     forward,
@@ -13,6 +14,7 @@ from lensless_crb import (
     vectorize,
 )
 from lensless_crb import forward_model
+from lensless_crb.fisher import fisher_poisson
 from lensless_crb.forward_model import blas_thread_cap, one_blas_thread, weighted_gram
 from conftest import (conv_matrix_bruteforce, fft_convolve_full,
                       one_working_array_bound, traced_peak_bytes)
@@ -294,8 +296,13 @@ class TestBlasKernels:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_forward_one_object_matches_matrix_product(self, H, layout):
-        v = LAYOUTS[layout](np.random.default_rng(12).uniform(0, 3, size=H.d))
-        assert_matches_product(forward(H, v), H.matrix @ v.astype(float))
+        v = np.random.default_rng(12).uniform(0, 3, size=H.d)
+        v[v < 1.5] = 0.0
+        v = LAYOUTS[layout](v)
+        expected = H.matrix @ v.astype(float)
+        got = forward(H, v)
+        assert_matches_product(got, expected)
+        np.testing.assert_array_equal(got == 0, expected == 0)
 
     @pytest.mark.parametrize("layout", BATCH_LAYOUTS)
     def test_forward_batch_matches_matrix_product(self, H, layout):
@@ -322,33 +329,152 @@ class TestBlasKernels:
         assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_weight_vector_gram_sums_ragged_row_blocks(small_lenslet_h, monkeypatch):
-    # 100-row blocks split k = 289 measurements into 100 + 100 + 89 rows
-    H = small_lenslet_h
-    monkeypatch.setattr(forward_model, "GRAM_BLOCK_BYTES", 100 * 8 * H.d)
-    blocks, gram = [], forward_model.gram
-    monkeypatch.setattr(forward_model, "gram", lambda row_blocks, d: gram(
-        (blocks.append((len(S), S.flags.f_contiguous)) or S for S in row_blocks), d))
+def test_weight_vector_gram_sums_ragged_row_blocks(monkeypatch):
+    # 16 rows from the first nonzero PSF row to the last make bands of 2
+    # measurement rows, and a 1-byte block cap bands of 1; either way the 21
+    # reached measurement rows are fed once each, in order, the last band of
+    # 2 is ragged, the first two and the last two measurement rows (which
+    # only zero PSF rows reach) are skipped, and each block keeps exactly
+    # the object rows its band reaches
+    psf = np.random.default_rng(20).uniform(0.1, 1, size=(17, 3))
+    psf[[0, 7]] = 0.0                   # a zero top row and an interior one
+    H = build_system_matrix(psf, (6, 4), (20, 3))    # zero rows 0, 1, 8, 18, 19
+    M = conv_matrix_bruteforce(H.psf, H.obj_shape)
+    OW, ow = H.out_shape[1], H.obj_shape[1]
+    assert not M[:2 * OW].any() and not M[23 * OW:].any()
     w = np.random.default_rng(19).uniform(0, 2, size=H.k)
-    J = weighted_gram(H, w)
-    assert blocks == [(100, True), (100, True), (89, True)]
-    S = np.sqrt(w)[:, None] * H.matrix
+    w[::4] = 0.0
+    S = np.sqrt(w)[:, None] * M
     expected = S.T @ S
-    assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
-    assert np.array_equal(J, J.T) and J.flags.f_contiguous
+    gram = forward_model.gram
+    for block_bytes, band in [(forward_model.GRAM_BLOCK_BYTES, 2), (1, 1)]:
+        monkeypatch.setattr(forward_model, "GRAM_BLOCK_BYTES", block_bytes)
+        blocks = []
+        monkeypatch.setattr(forward_model, "gram", lambda bands, d: gram(
+            (blocks.append((c0, S.flags.f_contiguous, S.copy())) or (c0, S)
+             for c0, S in bands), d))
+        J = weighted_gram(H, w)
+        assert "matrix" not in vars(H)
+        assert [len(B) for _, _, B in blocks] == [band * OW] * (21 // band) + [OW] * (21 % band)
+        start = 2 * OW
+        for c0, f_contiguous, B in blocks:
+            rows = slice(start, start + len(B))
+            cols = slice(c0, c0 + B.shape[1])
+            assert f_contiguous
+            np.testing.assert_array_equal(B, S[rows, cols])
+            # the block's object rows are those that a padded PSF row from the
+            # first nonzero one (2) to the last (17) puts into its measurement rows
+            i0, i1 = rows.start // OW, rows.stop // OW
+            assert (cols.start, cols.stop) == (max(0, i0 - 17) * ow, min(6, i1 - 2) * ow)
+            outside = np.ones(H.d, bool)
+            outside[cols] = False
+            assert not M[rows][:, outside].any()
+            start += len(B)
+        assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(J, J.T) and J.flags.f_contiguous
 
 
 def test_weight_vector_gram_allocates_one_block_and_one_gram():
-    # S = diag(sqrt w) H is never formed whole: beyond the Gram, one row block
-    # of S is alive at a time, and the lower triangle is mirrored in place,
-    # never through a d x d temporary
+    # neither H nor S = diag(sqrt w) H is ever formed: beyond the Gram, one
+    # band of S and one strip-sized product are alive at a time, and the
+    # lower triangle is mirrored in place, never through a d x d temporary
     psf = np.random.default_rng(14).uniform(0, 1, size=(32, 32))
     H = build_system_matrix(psf, (32, 32), (34, 34))
-    assert H.matrix.flags.f_contiguous      # built and cached before tracing starts
     w = np.random.default_rng(15).uniform(0.1, 2, size=H.k)
     J, peak = traced_peak_bytes(lambda: weighted_gram(H, w))
+    assert "matrix" not in vars(H)
     assert J.shape == (H.d, H.d)
-    assert peak <= 8 * H.d * H.d + forward_model.GRAM_BLOCK_BYTES + (1 << 20)
+    # bands of 4 measurement rows (an eighth of the 32 nonzero PSF rows)
+    # over at most all d columns, strips of STRIP columns, 256 KiB of small
+    # temporaries (the weights, the padded PSF)
+    band = 8 * 4 * H.out_shape[1] * H.d
+    strip = 8 * H.d * forward_model.STRIP
+    assert peak <= 8 * H.d * H.d + band + strip + (1 << 18)
+
+
+def _psf_with_zero_rows(rng, ph, pw, zero_rows):
+    """A random PSF with the given rows zero, and one positive entry kept."""
+    psf = rng.uniform(0, 1, size=(ph, pw))
+    psf[[r for r in zero_rows if r < ph]] = 0.0
+    if not psf.any():
+        psf[ph // 2, pw // 2] = 1.0
+    return psf
+
+
+psf_cases = dict(ph=st.integers(1, 18), pw=st.integers(1, 5), oh=st.integers(1, 6),
+                 ow=st.integers(1, 6), extra_h=st.integers(0, 2), extra_w=st.integers(0, 2),
+                 zero_rows=st.sets(st.integers(0, 17), max_size=6), seed=st.integers(0, 2**16))
+
+
+def psf_case_examples(test):
+    """Cases every run checks: a single-row object under a tall PSF with
+    zero top, interior and (padded) bottom rows, whose 17 rows from the
+    first nonzero to the last make bands of 2, a single-column object, and
+    a one-pixel PSF."""
+    for case in [dict(ph=18, pw=3, oh=1, ow=5, extra_h=2, extra_w=0, zero_rows={0, 9},
+                      seed=1),
+                 dict(ph=4, pw=5, oh=6, ow=1, extra_h=1, extra_w=2, zero_rows={3}, seed=2),
+                 dict(ph=1, pw=1, oh=3, ow=4, extra_h=0, extra_w=0, zero_rows=set(), seed=3)]:
+        test = example(**case)(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None)
+@given(**psf_cases)
+@psf_case_examples
+def test_weight_vector_gram_matches_dense_product_property(ph, pw, oh, ow, extra_h,
+                                                           extra_w, zero_rows, seed):
+    # PSFs with zero top, bottom and interior rows, PSFs taller than the
+    # object (up to 18 nonzero rows: bands of 2), single-row and
+    # single-column objects, and zero weights
+    rng = np.random.default_rng(seed)
+    psf = _psf_with_zero_rows(rng, ph, pw, zero_rows)
+    H = build_system_matrix(psf, (oh, ow), (ph + extra_h, pw + extra_w))
+    w = rng.uniform(0, 2, size=H.k) * (rng.uniform(size=H.k) < 0.7)
+    J = weighted_gram(H, w)
+    v = rng.uniform(0, 3, size=H.d)
+    F = fisher_poisson(H, v, 0.5)
+    assert "matrix" not in vars(H)
+    assert np.array_equal(J, J.T) and np.array_equal(F, F.T)
+    assert J.flags.f_contiguous and F.flags.f_contiguous
+    M = conv_matrix_bruteforce(H.psf, (oh, ow))
+    for got, weights in [(J, w), (F, 1.0 / (M @ v + 0.5))]:
+        S = np.sqrt(weights)[:, None] * M
+        expected = S.T @ S
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**psf_cases)
+@psf_case_examples
+def test_forward_one_object_matches_dense_product_property(ph, pw, oh, ow, extra_h,
+                                                           extra_w, zero_rows, seed):
+    # same values and the same exact zeros as the dense product, without it
+    rng = np.random.default_rng(seed)
+    psf = _psf_with_zero_rows(rng, ph, pw, zero_rows)
+    H = build_system_matrix(psf, (oh, ow), (ph + extra_h, pw + extra_w))
+    v = rng.uniform(0, 3, size=H.d) * (rng.uniform(size=H.d) < 0.5)
+    got = forward(H, v)
+    assert "matrix" not in vars(H)
+    expected = conv_matrix_bruteforce(H.psf, (oh, ow)) @ v
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * max(np.max(expected), 1e-300)
+    np.testing.assert_array_equal(got == 0, expected == 0)
+
+
+@pytest.mark.parametrize("obj_shape, pad", [((5, 6), None), ((5, 6), (7, 8)), ((1, 6), (5, 7)),
+                                            ((6, 1), (7, 4))])
+def test_zero_rate_error_names_the_dense_products_pixel(obj_shape, pad):
+    # at beta = 0 the first zero rate is the one the dense H v has
+    rng = np.random.default_rng(21)
+    psf = _psf_with_zero_rows(rng, 5, 4, {0, 2})
+    H = build_system_matrix(psf, obj_shape, pad)
+    v = np.zeros(H.d)
+    v[rng.integers(H.d)] = 2.0
+    with pytest.raises(SingularRateError) as exc:
+        fisher_poisson(H, v, 0.0)
+    dense = conv_matrix_bruteforce(H.psf, obj_shape) @ v
+    assert exc.value.pixel == int(np.argmax(dense <= 0))
 
 
 def test_scalar_weight_gram_allocates_one_gram(full_scale_lenslet_h):

@@ -277,13 +277,17 @@ def test_every_flag_sets_a_key_its_command_reads():
 
 
 def test_cli_decides_no_case_by_comparing_a_name():
-    # a study's noise model and objects come from cli.STUDIES, and a run's
-    # manifest values from its noise model, so no code path tests a
-    # noise-model or study name
+    # a study's noise model and objects come from cli.STUDIES, verify's
+    # decoder checks from cli.VERIFY_DECODERS, and a run's manifest values
+    # from its noise model, so no code path tests a noise-model or study
+    # name, or looks one up by a name written in the code
     names = set(cli.NOISE_MODELS) | set(cli.STUDIES)
     tree = ast.parse((ROOT / "src" / "lensless_crb" / "cli.py").read_text())
     offenders = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
                  if isinstance(node, ast.Compare)
                  for operand in (node.left, *node.comparators)
                  if isinstance(operand, ast.Constant) and operand.value in names]
+    offenders += [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                  and node.slice.value in names]
     assert offenders == []
