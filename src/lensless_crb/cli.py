@@ -7,6 +7,7 @@ object  generate a test object and write it as CSV + 16-bit PGM
 crb     run one object -> H -> Fisher -> CRB pipeline from a config file
 verify  run the Monte Carlo / finite-difference / efficiency oracle suite
 study   run the canned Gaussian (fig2) or Poisson (fig3) multiplexing study
+        (its PSFs on one forked worker process per CPU, each at one BLAS thread)
 
 Configuration is a flat ``key = value`` text file; CLI flags override file
 keys. Each command takes only the keys it reads (``COMMAND_KEYS``). All
@@ -17,9 +18,11 @@ verification check, 4 I/O error.
 """
 
 import argparse
+import multiprocessing
 import platform
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from .errors import (
 )
 from .estimators import run_trials
 from .forward_model import (GRAM_BLOCK_BYTES, blas_thread_cap, blas_threads,
-                            build_system_matrix, forward)
+                            build_system_matrix, forward, one_blas_thread)
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -343,6 +346,20 @@ def cmd_crb(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _psf_cases(out_dir: Path, cfg: dict, model, psf_name: str, psf_grid,
+               study_objects) -> tuple[dict, float]:
+    """Every case of one study PSF: build its H once and write one case per
+    (case-name prefix, object grid or None) of study_objects; return the
+    case entries by case name and the PSF's seconds."""
+    t0 = time.perf_counter()
+    size = (cfg["object_size"], cfg["object_size"])
+    H = build_system_matrix(psf_grid, size, pad_shape(cfg, psf_grid))
+    cases = {prefix + psf_name: write_case(out_dir / (prefix + psf_name), cfg, model, H,
+                                           psf_grid, obj)
+             for prefix, obj in study_objects}
+    return cases, time.perf_counter() - t0
+
+
 def cmd_study(args, cfg: dict) -> int:
     name = args.name
     noise_name, object_kinds = STUDIES[name]
@@ -350,23 +367,35 @@ def cmd_study(args, cfg: dict) -> int:
     out_dir = Path(args.out) / name
     manifest = base_manifest(cfg, f"study {name}")
     manifest["background"] = model.background
-    size = (cfg["object_size"], cfg["object_size"])
-    # every PSF and object is generated, and the first H built, before
-    # anything is written, so a study that cannot run writes nothing
+    # every PSF and object is generated before anything is written, so a
+    # study that cannot generate them writes nothing
     psf_grids = {psf_name: make_psf_grid({**DEFAULTS, **cfg, **keys})
                  for psf_name, keys in STUDY_PSFS.items()}
     study_objects = [(prefix, None if kind is None else
                       make_object_grid({**DEFAULTS, **cfg, "object_kind": kind}))
                      for prefix, kind in object_kinds]
+    # one worker process per usable CPU, at most one per PSF; each case ran
+    # at blas_threads (null: not capped)
+    workers = min(fisher.cpu_count(), len(STUDY_PSFS))
+    manifest["case_pool"] = {"workers": workers, "blas_threads": blas_thread_cap()}
     cases, timings = {}, {}
-    # PSF-major, so each H is built once; timings are per PSF
-    for psf_name, psf_grid in psf_grids.items():
-        t0 = time.perf_counter()
-        H = build_system_matrix(psf_grid, size, pad_shape(cfg, psf_grid))
-        for prefix, obj in study_objects:
-            cases[prefix + psf_name] = write_case(out_dir / (prefix + psf_name), cfg,
-                                                  model, H, psf_grid, obj)
-        timings[psf_name] = time.perf_counter() - t0
+    # one job per PSF, so each H is built once. Processes, since SciPy's
+    # BLAS wrappers hold the GIL; forked, so they share the parent's imports;
+    # forked inside one_blas_thread, so every case runs at one BLAS thread
+    # and its bytes do not depend on the thread count. Results are taken in
+    # PSF order: the first failing PSF's error is raised, the PSFs still
+    # queued are cancelled, and every worker is joined.
+    with one_blas_thread():
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            runs = {psf_name: pool.submit(_psf_cases, out_dir, cfg, model, psf_name,
+                                          psf_grid, study_objects)
+                    for psf_name, psf_grid in psf_grids.items()}
+            for psf_name, run in runs.items():
+                psf_cases, timings[psf_name] = run.result()
+                cases.update(psf_cases)
+        finally:
+            pool.shutdown(cancel_futures=True)
     # cases are listed object-major: every dense_* case before any sparse_*
     order = [prefix + psf_name for prefix, _ in study_objects for psf_name in STUDY_PSFS]
     manifest["cases"] = {case: cases[case] for case in order}

@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+An error with constructor arguments of its own rebuilds itself from them
+when unpickled (``__reduce__``), so it crosses a process boundary with its
+type, attributes and message intact: a study case runs in a worker process.
+"""
 
 
 class DimensionError(ValueError):
@@ -16,6 +21,9 @@ class SingularRateError(ValueError):
         self.pixel = pixel
         super().__init__(f"zero Poisson rate at measurement pixel {pixel}")
 
+    def __reduce__(self):
+        return type(self), (self.pixel,)
+
 
 class FactorizationError(RuntimeError):
     """Symmetric positive-definite factorization failed even after regularization."""
@@ -23,6 +31,9 @@ class FactorizationError(RuntimeError):
     def __init__(self, epsilon: float, message: str):
         self.epsilon = epsilon
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.epsilon, self.args[0])
 
 
 class TrialFailureError(RuntimeError):
@@ -32,6 +43,9 @@ class TrialFailureError(RuntimeError):
         self.n_failed = n_failed
         self.n_trials = n_trials
         super().__init__(f"{n_failed}/{n_trials} estimator failures")
+
+    def __reduce__(self):
+        return type(self), (self.n_failed, self.n_trials)
 
 
 class ConfigError(ValueError):

@@ -1,6 +1,7 @@
 """Shared helpers: brute-force oracles kept independent of the library paths."""
 
 import functools
+import os
 import threading
 import tracemalloc
 
@@ -93,18 +94,41 @@ def blas_threads_at_two():
     set_threads(before)
 
 
+class CallLog:
+    """Calls recorded in this process and in every process it forks after the
+    spy is set: each call appends one line to a file, so what a worker
+    process records outlives it."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def record(self, line: str) -> None:
+        with open(self.path, "a") as f:
+            f.write(line + "\n")
+
+    def lines(self) -> list:
+        return self.path.read_text().splitlines()
+
+
 @pytest.fixture
-def dense_builds(monkeypatch):
-    """The thread ident of every build of a SystemMatrix's dense matrix
-    during the test, in build order; matrices cached before it are not
+def call_log(tmp_path_factory):
+    return CallLog(tmp_path_factory.mktemp("calls") / "calls.log")
+
+
+@pytest.fixture
+def dense_builds(monkeypatch, call_log):
+    """A function returning the (process id, thread ident) of every build of
+    a SystemMatrix's dense matrix during the test, in this process or a
+    forked worker, in build order; matrices cached before it are not
     rebuilt."""
-    builds, build = [], forward_model.SystemMatrix.matrix.func
+    build = forward_model.SystemMatrix.matrix.func
 
     def counted(H):
-        builds.append(threading.get_ident())
+        call_log.record(f"{os.getpid()} {threading.get_ident()}")
         return build(H)
 
     matrix = functools.cached_property(counted)
     matrix.__set_name__(forward_model.SystemMatrix, "matrix")
     monkeypatch.setattr(forward_model.SystemMatrix, "matrix", matrix)
-    return builds
+    return lambda: [tuple(map(int, line.split())) for line in call_log.lines()]

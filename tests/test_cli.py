@@ -1,14 +1,23 @@
 import json
+import multiprocessing
 import os
 import platform
+import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from lensless_crb import ConfigError, TrialFailureError, cli, fisher, forward_model, objects
+from lensless_crb import (ConfigError, FactorizationError, TrialFailureError, cli, fisher,
+                          forward_model, objects)
 from lensless_crb.cli import main
-from lensless_crb.storage import read_grid_csv, sha256_file
+from lensless_crb.storage import checksum_tree, read_grid_csv, sha256_file
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -577,11 +586,13 @@ def test_study_that_cannot_generate_a_psf_writes_nothing(tmp_path, study):
     assert not any(out.rglob("*"))
 
 
-def _count_calls(monkeypatch, module, name, counts):
+def _count_calls(monkeypatch, module, name, call_log):
+    # recorded in the file, so the calls made in the study's worker
+    # processes count too
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
+        call_log.record(name)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -591,32 +602,22 @@ def _count_calls(monkeypatch, module, name, counts):
     ("fig2", {"build_system_matrix": 7, "fisher_gaussian": 7}),
     ("fig3", {"build_system_matrix": 7, "generate_object": 2, "fisher_poisson": 14}),
 ])
-def test_study_builds_each_h_once(tmp_path, monkeypatch, study, expected):
-    counts = {}
+def test_study_builds_each_h_once(tmp_path, monkeypatch, call_log, study, expected):
     for module, name in ((cli, "build_system_matrix"), (objects, "generate_object"),
                          (fisher, "fisher_gaussian"), (fisher, "fisher_poisson")):
-        _count_calls(monkeypatch, module, name, counts)
+        _count_calls(monkeypatch, module, name, call_log)
     cfg = tmp_path / "small.cfg"
     cfg.write_text("psf_size = 16\nobject_size = 8\n")   # 15 rml spots need 16x16
     assert run("study", study, "--config", cfg, "--out", tmp_path) == 0
-    assert counts == expected
+    assert Counter(call_log.lines()) == expected
 
 
-def test_fig2_builds_no_dense_system_matrix(tmp_path, monkeypatch):
+def test_fig2_builds_no_dense_system_matrix(tmp_path, dense_builds):
     # the Gaussian Fisher matrix comes from the PSF autocorrelation
-    built = []
-
-    def build(*args, **kwargs):
-        built.append(cli_build(*args, **kwargs))
-        return built[-1]
-
-    cli_build = cli.build_system_matrix
-    monkeypatch.setattr(cli, "build_system_matrix", build)
     cfg = tmp_path / "small.cfg"
     cfg.write_text("psf_size = 16\nobject_size = 8\n")
     assert run("study", "fig2", "--config", cfg, "--out", tmp_path) == 0
-    assert len(built) == 7
-    assert all("matrix" not in vars(H) for H in built)
+    assert dense_builds() == []
 
 
 @pytest.mark.parametrize("command", [("study", "fig3"), ("crb", "--noise", "poisson")])
@@ -626,4 +627,76 @@ def test_poisson_runs_build_no_dense_system_matrix(tmp_path, dense_builds, comma
     cfg = tmp_path / "small.cfg"
     cfg.write_text("psf_size = 16\nobject_size = 16\n")
     assert run(*command, "--config", cfg, "--out", tmp_path / "out") == 0
-    assert dense_builds == []
+    assert dense_builds() == []
+
+
+def _small_study_config(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 16\nobject_size = 16\n")
+    return cfg
+
+
+@pytest.mark.parametrize("cpus, workers, found", [(1, 1, True), (9, 7, False)])
+def test_study_manifest_records_how_its_cases_ran(tmp_path, monkeypatch, blas_threads_at_two,
+                                                  cpus, workers, found):
+    # the cases run on one worker process per usable CPU, at most one per
+    # PSF, each at one BLAS thread (null where SciPy's OpenBLAS is not
+    # found); the environment keeps the command's own live thread count
+    if not found:
+        monkeypatch.setattr(forward_model, "_openblas_thread_controls", lambda: None)
+    elif blas_threads_at_two is None:
+        pytest.skip("SciPy's OpenBLAS was not found")
+    monkeypatch.setattr(fisher, "cpu_count", lambda: cpus)
+    assert run("study", "fig2", "--config", _small_study_config(tmp_path),
+               "--out", tmp_path) == 0
+    assert multiprocessing.active_children() == []
+    manifest = json.loads((tmp_path / "fig2" / "manifest.json").read_text())
+    assert manifest["case_pool"] == {"workers": workers, "blas_threads": 1 if found else None}
+    assert manifest["environment"]["blas_threads"] == (2 if found else None)
+
+
+def test_a_case_that_fails_in_a_worker_exits_3(tmp_path, monkeypatch, capsys):
+    # the worker's typed error reaches the command intact; the PSFs still
+    # queued are cancelled and every worker is joined
+    write = cli.write_case
+
+    def failing(out_dir, *args):
+        if out_dir.name == "dense_rml":
+            raise FactorizationError(0.5, "Cholesky failed in dense_rml")
+        return write(out_dir, *args)
+
+    monkeypatch.setattr(cli, "write_case", failing)
+    assert run("study", "fig3", "--config", _small_study_config(tmp_path),
+               "--out", tmp_path) == 3
+    assert capsys.readouterr().err == "numeric error: Cholesky failed in dense_rml\n"
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "fig3" / "summary.csv").exists()
+    assert not (tmp_path / "fig3" / "manifest.json").exists()
+
+
+def test_study_at_zero_background_exits_3_naming_one_pixel(tmp_path, capsys):
+    # the padded border is reached by no bead, so its rate is zero at beta 0
+    assert run("study", "fig3", "--config", _small_study_config(tmp_path),
+               "--background", 0, "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric error: zero Poisson rate at measurement pixel \d+\n", err)
+    assert multiprocessing.active_children() == []
+
+
+def test_study_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every case runs in a worker at one BLAS thread, whatever thread count
+    # the command starts with; crb bytes still depend on it
+    cfg = _small_study_config(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    sums = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "lensless_crb.cli", "study", "fig3",
+                        "--config", str(cfg), "--out", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+                       capture_output=True, timeout=300)
+        sums.append(checksum_tree(out / "fig3"))
+    assert len(sums[0]) == 14 * 5 + 1
+    assert sums[0] == sums[1]

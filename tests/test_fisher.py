@@ -234,7 +234,7 @@ class TestMonteCarloChunks:
             monkeypatch.setattr(fisher, "cpu_count", lambda w=workers: w)
             H = build_system_matrix(small_lenslet_h.psf, small_lenslet_h.obj_shape)
             results.append(fisher_monte_carlo(model, H, v, self.N, seed=9))
-        assert dense_builds == [threading.get_ident()] * 3
+        assert dense_builds() == [(os.getpid(), threading.get_ident())] * 3
         for J in results[1:]:
             np.testing.assert_array_equal(J, results[0])
 

@@ -291,3 +291,29 @@ def test_cli_decides_no_case_by_comparing_a_name():
                   if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
                   and node.slice.value in names]
     assert offenders == []
+
+
+def test_only_the_study_starts_processes():
+    # cmd_study's fork pool is the package's one use of worker processes: it
+    # forks inside one_blas_thread and joins every child, also on a failing
+    # case; a pool or fork anywhere else would need those guarantees again
+    names = ("ProcessPoolExecutor", "multiprocessing", "fork", "forkpty")
+    offenders = []
+    for path in sorted((ROOT / "src" / "lensless_crb").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}:{line} {name}" for name in names
+                      for func, line in _uses(tree, name)
+                      if (path.name, func) != ("cli.py", "cmd_study")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} import {name}" for name in imported
+                          if path.name != "cli.py"
+                          and (name.split(".")[0] == "multiprocessing"
+                               or name.split(".")[-1] in names
+                               or name.startswith("concurrent.futures.process"))]
+    assert offenders == []
