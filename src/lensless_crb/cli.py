@@ -48,9 +48,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-PAD_NOTE = ("PSF zero-padded by 2 pixels per axis before building H, so 32x32 "
-            "objects and PSFs give 65x65 measurements; set psf_pad to the PSF "
-            "size for plain full convolution")
+PAD_NOTE = ("PSF zero-padded by 2 pixels per axis before building H, so 32x32 objects and "
+            "PSFs give 65x65 measurements; padding adds only all-zero rows to H, so it changes "
+            "k and the cost, not the bound, but at background 0 those rows have zero Poisson "
+            "rate (SingularRateError); set psf_pad to the PSF size for plain full convolution")
 SURROGATE_NOTE = ("PSF and object generators are statistical surrogates; only "
                   "orderings and shapes are comparable to hardware encoders")
 

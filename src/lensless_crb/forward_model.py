@@ -3,24 +3,23 @@
 Objects and PSFs live on 2-D non-negative pixel grids (photons per pixel).
 Image formation is full 2-D convolution with a fixed PSF, realized as a
 system matrix H so that the noiseless measurement is b = H v for the
-row-major vectorized object v. H keeps the padded PSF and builds its dense
-k x d matrix on first use, and only the products that need it read it:
-the batch products and the adjoint. One object's ``forward`` and both Gram
-branches work from the padded PSF's sliding windows, so the Poisson Fisher
-path (one rate, one weight-vector Gram) never builds the dense H. ``forward``
-(H v) and ``adjoint`` (H^T r) are the only products with H that other
-modules use, so this module alone knows how H is stored. The PSF may be
-zero-padded before building H; padding to (psf + 2) per axis turns 32x32
-objects into 65x65 measurements.
+row-major vectorized object v. The PSF may be zero-padded before building
+H; padding to (psf + 2) per axis turns 32x32 objects into 65x65
+measurements. Padding adds only all-zero rows to H, so it changes k and the
+cost but not the Fisher matrix.
+
+``build_system_matrix`` pads the PSF once more, by the object extent less
+one per side, into H's canvas, and every product and Gram reads windows of
+that one canvas: the dense k x d matrix (built on first use; only the batch
+products and the adjoint read it), the bands of the weight-vector Gram, the
+PSF autocorrelation of the scalar-weight Gram, and the row-Toeplitz stack
+with which ``forward`` convolves one object. ``forward`` (H v) and
+``adjoint`` (H^T r) are the only products with H that other modules use,
+so this module alone knows how H is stored.
 
 Every product runs on SciPy's bundled OpenBLAS, the library whose LAPACK
-factors and inverts the Fisher matrix: ``forward`` of one object is one
-``dgemm`` against the stacked Toeplitz matrices of the PSF rows, ``adjoint``
-of one vector is ``dgemv`` on the dense matrix, and both are ``dgemm`` on
-the dense matrix for a batch. ``gram``, the one builder of every S^T S (the
-weight-vector Gram's row bands and the Monte Carlo Fisher's partials), adds
-a block that spans every column by ``dsyrk`` and a narrower one by
-``dgemm`` strips. NumPy bundles an OpenBLAS of its own, with its own thread
+factors and inverts the Fisher matrix, and ``gram`` makes the package's one
+``dsyrk`` call. NumPy bundles an OpenBLAS of its own, with its own thread
 pool, whose idle threads would spin beside SciPy's; the package calls only
 SciPy's, so ``one_blas_thread`` has one library to set.
 """
@@ -72,13 +71,17 @@ class SystemMatrix:
 
     Every column of the dense matrix is the padded PSF translated to one
     object pixel's position in the output plane, so all column sums equal
-    the PSF mass. The dense matrix is built on first access of ``matrix``
-    and cached on the instance.
+    the PSF mass. ``build_system_matrix`` builds the canvas, the row span
+    and the Toeplitz stack with the instance; the dense matrix is built on
+    first access of ``matrix`` and cached on the instance.
     """
 
     psf: np.ndarray               # padded PSF, (ph, pw), non-negative
     obj_shape: tuple[int, int]    # (height, width) of the object grid
     out_shape: tuple[int, int]    # measurement plane shape
+    canvas: np.ndarray            # psf zero-padded by (oh - 1, ow - 1) per side
+    rows: tuple[int, int]         # first and one past the last nonzero psf row
+    toeplitz: np.ndarray          # (ow, (hi - lo) * OW) row-Toeplitz stack of those rows
 
     @property
     def k(self) -> int:
@@ -90,14 +93,9 @@ class SystemMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense (k, d) matrix; column j is the PSF shifted to object pixel j."""
-        oh, ow = self.obj_shape
-        # row (r, c) of H^T, the PSF placed at (r, c) of the output plane, is
-        # the window at (oh-1-r, ow-1-c) of the padded PSF, as in the Gram;
-        # copying the windows makes H^T contiguous and its reshape writable
-        padded = np.pad(self.psf, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
-        HT = sliding_window_view(padded, self.out_shape)[::-1, ::-1].copy()
-        return HT.reshape(self.d, self.k).T
+        """Dense (k, d) matrix; column j is the PSF shifted to object pixel j.
+        It is the block of S = H at unit weight over the whole plane."""
+        return _band_block(self.canvas, np.ones(self.out_shape), self.obj_shape)
 
 
 def pad_psf(psf, pad_shape) -> np.ndarray:
@@ -130,6 +128,12 @@ def build_system_matrix(psf, obj_shape, psf_pad=None) -> SystemMatrix:
     psf_pad : (int, int), optional
         Shape to zero-pad the PSF to before convolution. Defaults to the
         PSF's own shape (plain full convolution).
+
+    The canvas, its nonzero row span and the Toeplitz stack are built here,
+    once, so no thread or forked worker that applies H builds them again.
+    The Toeplitz matrix of PSF row a, T_a[c, j] = psf[a, j - c], is the
+    reversed width-OW windows of canvas row oh - 1 + a; those of the nonzero
+    rows stand side by side in one (ow, rows * OW) array.
     """
     p = as_grid(psf)
     if not np.any(p > 0):
@@ -141,7 +145,12 @@ def build_system_matrix(psf, obj_shape, psf_pad=None) -> SystemMatrix:
         psf_pad = p.shape
     padded = pad_psf(p, psf_pad)
     out_shape = (oh + padded.shape[0] - 1, ow + padded.shape[1] - 1)
-    return SystemMatrix(psf=padded, obj_shape=(oh, ow), out_shape=out_shape)
+    canvas = np.pad(padded, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
+    nonzero = np.flatnonzero(np.any(padded != 0, axis=1))
+    lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+    stack = sliding_window_view(canvas[oh - 1 + lo:oh - 1 + hi], out_shape[1], axis=1)
+    toeplitz = stack[:, ::-1].transpose(1, 0, 2).copy().reshape(ow, -1)
+    return SystemMatrix(padded, (oh, ow), out_shape, canvas, (lo, hi), toeplitz)
 
 
 def object_values(v) -> np.ndarray:
@@ -168,38 +177,26 @@ def forward(H: SystemMatrix, v) -> np.ndarray:
 def build_matrix(H: SystemMatrix) -> None:
     """Build and cache H's dense matrix, which batch products and the
     adjoint read. A caller that applies H from several threads builds it
-    first on its own thread: ``cached_property`` takes no lock, so threads
-    that found it missing would each build a copy."""
+    first on its own thread: ``cached_property`` builds under a lock on
+    CPython 3.11, but takes none from 3.12 on, where threads that found it
+    missing would each build a copy."""
     H.matrix
-
-
-def _psf_rows(psf: np.ndarray) -> tuple[int, int]:
-    """First and one past the last row of the padded PSF with a nonzero
-    entry; the rows outside reach no measurement."""
-    rows = np.flatnonzero(np.any(psf != 0, axis=1))
-    return int(rows[0]), int(rows[-1]) + 1
 
 
 def _convolve(H: SystemMatrix, values: np.ndarray) -> np.ndarray:
     """H v of one object as a row-Toeplitz GEMM: the 1-D convolutions of
-    every object row with every nonzero PSF row in one ``dgemm``, then one
-    shifted add of object rows per PSF row into the measurement plane.
-
-    The Toeplitz matrix of PSF row a, T_a[c, j] = psf[a, j - c], is the
-    reversed sliding windows of that row padded by ow - 1 zeros per side;
-    the ones of every nonzero row stand side by side in one (ow, rows * OW)
-    array. All terms are non-negative, so a rate is exactly zero where the
-    dense product's is.
+    every object row with every nonzero PSF row in one ``dgemm`` on H's
+    Toeplitz stack, then one shifted add of object rows per PSF row into
+    the measurement plane. All terms are non-negative, so a rate is exactly
+    zero where the dense product's is.
     """
     oh, ow = H.obj_shape
     OH, OW = H.out_shape
-    lo, hi = _psf_rows(H.psf)
-    rows = np.pad(H.psf[lo:hi], ((0, 0), (ow - 1, ow - 1)))
-    T = sliding_window_view(rows, OW, axis=1)[:, ::-1].transpose(1, 0, 2).copy()
+    lo, hi = H.rows
     V = np.ascontiguousarray(values, dtype=float).reshape(oh, ow)
     # P^T = T^T V^T on the column-major views of the row-major T and V, so
     # dgemm copies neither operand; P[r, a] is object row r through PSF row lo + a
-    P = blas.dgemm(1.0, T.reshape(ow, -1).T, V.T).T.reshape(oh, hi - lo, OW)
+    P = blas.dgemm(1.0, H.toeplitz.T, V.T).T.reshape(oh, hi - lo, OW)
     out = np.zeros((OH, OW))
     for a in range(hi - lo):
         out[lo + a:lo + a + oh] += P[:, a]
@@ -237,12 +234,12 @@ def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:
     the autocorrelation at the lag between object pixels a and b, so the
     dense H is not needed. A weight vector is the ``gram`` of S =
     diag(sqrt(w)) H, fed in bands of measurement rows formed straight from
-    the padded PSF's sliding windows (``_gram_bands``), so neither H nor a
+    windows of H's canvas (``_gram_bands``), so neither H nor a
     second copy of it is ever held. Both branches return one exactly
     symmetric, column-major array, which LAPACK can factor in place.
     """
     if np.ndim(w) == 0:
-        return _autocorrelation_gram(H.psf, H.obj_shape, w)
+        return _autocorrelation_gram(H, w)
     w = np.asarray(w, dtype=float)
     if w.shape != (H.k,):
         raise DimensionError(f"weight shape {w.shape} is not () or ({H.k},)")
@@ -255,8 +252,8 @@ def _gram_bands(H: SystemMatrix, sqrt_w: np.ndarray):
     """(first column, block) of each band of rows of S = diag(sqrt_w) H.
 
     A band of measurement rows [i0, i1) reaches only object rows
-    [i0 - hi + 1, i1 - lo), where [lo, hi) runs from the PSF's first
-    nonzero row to its last, so its block keeps just those columns of S;
+    [i0 - hi + 1, i1 - lo), where [lo, hi) = H.rows runs from the PSF's
+    first nonzero row to its last, so its block keeps just those columns of S;
     measurement rows that no PSF row reaches are skipped. A band is an
     eighth of hi - lo rows, so it reaches at most 9/8 of the object rows
     one measurement row does, and its block is at most GRAM_BLOCK_BYTES
@@ -264,31 +261,30 @@ def _gram_bands(H: SystemMatrix, sqrt_w: np.ndarray):
     """
     oh, ow = H.obj_shape
     OW = H.out_shape[1]
-    lo, hi = _psf_rows(H.psf)
-    padded = np.pad(H.psf, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
+    lo, hi = H.rows
     band = max(1, min((hi - lo) // 8, GRAM_BLOCK_BYTES // (8 * OW * H.d)))
     for i0 in range(lo, oh - 1 + hi, band):
         i1 = min(i0 + band, oh - 1 + hi)
         r0, r1 = max(0, i0 - hi + 1), min(oh, i1 - lo)
         # the block is yielded, not named, so it is freed before the next is formed
-        yield r0 * ow, _band_block(padded[oh - r1 + i0:oh - 1 - r0 + i1], sqrt_w[i0:i1],
+        yield r0 * ow, _band_block(H.canvas[oh - r1 + i0:oh - 1 - r0 + i1], sqrt_w[i0:i1],
                                    (r1 - r0, ow))
 
 
-def _band_block(padded: np.ndarray, sqrt_w: np.ndarray, reach) -> np.ndarray:
+def _band_block(canvas: np.ndarray, sqrt_w: np.ndarray, reach) -> np.ndarray:
     """Column-major block of S: the measurement band whose square-root
     weights are sqrt_w, against the (rows, width) of object pixels it
-    reaches, given the padded PSF rows that map those pixels into the band.
+    reaches, given the canvas rows that map those pixels into the band.
 
-    As in ``SystemMatrix.matrix``, column (r, c) of the block, the PSF
-    placed at object pixel (r, c) and cut to the band, is the window at
-    (last - r, ow - 1 - c) of the padded rows; the weighted windows written
-    row-major are the block's transpose.
+    Column (r, c) of the block, the PSF placed at object pixel (r, c) and
+    cut to the band, is the window at (last - r, ow - 1 - c) of the canvas
+    rows; the weighted windows written row-major are the block's transpose.
     """
     band = sqrt_w.shape
-    windows = sliding_window_view(padded, band)[::-1, ::-1]
-    ST = np.empty(reach + band)
-    np.multiply(windows, sqrt_w, out=ST)
+    # copying the windows, then weighting in place, ran faster than one
+    # multiply of the strided windows into a new array
+    ST = sliding_window_view(canvas, band)[::-1, ::-1].copy()
+    ST *= sqrt_w
     return ST.reshape(reach[0] * reach[1], band[0] * band[1]).T
 
 
@@ -330,9 +326,8 @@ def gram(blocks, d: int) -> np.ndarray:
     return G
 
 
-def _autocorrelation_gram(psf: np.ndarray, obj_shape, w) -> np.ndarray:
-    """w H^T H of full convolution with psf over an object of obj_shape,
-    column-major.
+def _autocorrelation_gram(H: SystemMatrix, w) -> np.ndarray:
+    """w H^T H, column-major, from the PSF autocorrelation over H's canvas.
 
     R[a, b] is the PSF autocorrelation at lag (a - oh + 1, b - ow + 1); the
     lags span the object, not the PSF, since pixels up to (oh - 1, ow - 1)
@@ -343,9 +338,8 @@ def _autocorrelation_gram(psf: np.ndarray, obj_shape, w) -> np.ndarray:
     column-major. The weight scales the small lag table, and the gather is
     the one d x d array.
     """
-    oh, ow = obj_shape
-    padded = np.pad(psf, ((oh - 1, oh - 1), (ow - 1, ow - 1)))
-    R = np.einsum("abij,ij->ab", sliding_window_view(padded, psf.shape), psf)
+    oh, ow = H.obj_shape
+    R = np.einsum("abij,ij->ab", sliding_window_view(H.canvas, H.psf.shape), H.psf)
     R = 0.5 * (R + R[::-1, ::-1]) * w
     # window [oh-1-r1, ow-1-c1] of R, entry [r2, c2], is R[lag + (oh-1, ow-1)];
     # copying the windows makes the gather contiguous and its reshape writable

@@ -407,6 +407,30 @@ class TestCrb:
         np.testing.assert_allclose(cmap.values, np.diag(np.linalg.inv(loaded)),
                                    rtol=1e-8)
 
+    @pytest.mark.parametrize("model", [GaussianNoise(1.0), PoissonNoise(1e-3)],
+                             ids=["gaussian", "poisson"])
+    def test_psf_pad_does_not_move_the_bound(self, model):
+        # zero-padding the PSF adds only all-zero rows to H, which add
+        # nothing to J: k and the cost change, J and the bound do not. J
+        # moves in its last bits only (summation order), on the diffuser too;
+        # the bound is compared on the lenslet encoder (cond J about 3e3),
+        # since on the diffuser (about 1e5) those bits move the Gaussian
+        # bound by 1.2e-12
+        from lensless_crb import DenseCells, ObjectSpec, generate_object
+
+        v = vectorize(generate_object(ObjectSpec(DenseCells(), (8, 8), 100.0, 0)))
+        fishers = {kind: [model.fisher(build_system_matrix(generate_psf(PsfSpec(kind, (8, 8), 0)),
+                                                           (8, 8), (8 + e, 8 + e)), v)
+                          for e in (0, 2, 6)]
+                   for kind in (Lenslets(3), Diffuser())}
+        for unpadded, *padded in fishers.values():
+            for J in padded:
+                np.testing.assert_allclose(J, unpadded, rtol=0, atol=1e-15 * np.max(unpadded))
+        unpadded, *padded = [crb_from_fisher(J, object_shape=(8, 8)).values
+                             for J in fishers[Lenslets(3)]]
+        for bound in padded:
+            np.testing.assert_allclose(bound, unpadded, rtol=1e-12)
+
     def test_identity_gaussian_crb_is_sigma2(self):
         H = build_system_matrix(np.ones((1, 1)), (4, 4))
         cmap = crb_from_fisher(fisher_gaussian(H, 1.0), object_shape=H.obj_shape)

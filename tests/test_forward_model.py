@@ -194,6 +194,31 @@ class TestAdjoint:
         assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
+def test_one_object_forward_reuses_the_operator_plan(monkeypatch):
+    # the canvas and the Toeplitz stack are built with H, once: applying H
+    # to one object pads and windows nothing
+    psf = np.random.default_rng(22).uniform(0.1, 1, size=(4, 5))
+    H = build_system_matrix(psf, (5, 6), (6, 7))
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(forward_model, "sliding_window_view",
+                        counted("sliding_window_view", forward_model.sliding_window_view))
+    monkeypatch.setattr(np, "pad", counted("pad", np.pad))
+    v = np.random.default_rng(23).uniform(0, 3, size=H.d)
+    for _ in range(100):
+        forward(H, v)
+    assert calls == []
+    # the counters see the build
+    build_system_matrix(psf, (5, 6), (6, 7))
+    assert sorted(calls) == ["pad", "sliding_window_view"]
+
+
 def assert_gram_matches_dense(psf, obj_shape, psf_pad=None):
     H = build_system_matrix(psf, obj_shape, psf_pad)
     J = weighted_gram(H)

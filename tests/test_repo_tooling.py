@@ -208,6 +208,14 @@ def test_only_forward_model_reads_the_dense_system_matrix():
     assert offenders == []
 
 
+def test_forward_model_pads_one_psf_canvas():
+    # every product and Gram reads windows of the one canvas that
+    # build_system_matrix pads, so no other function pads the PSF again
+    path = ROOT / "src" / "lensless_crb" / "forward_model.py"
+    pads = _uses(ast.parse(path.read_text()), "pad")
+    assert [func for func, _line in pads] == ["build_system_matrix"]
+
+
 def test_package_runs_no_product_on_numpys_blas():
     # every matrix product runs on SciPy's BLAS, so the package calls one
     # OpenBLAS and one_blas_thread has one library to set; NumPy's @, dot
