@@ -23,6 +23,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .estimators import run_trials
 from .forward_model import (GRAM_BLOCK_BYTES, blas_thread_cap, blas_threads,
-                            build_system_matrix, forward, one_blas_thread)
+                            build_system_matrix, forward)
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -382,21 +383,15 @@ def cmd_study(args, cfg: dict) -> int:
     cases, timings = {}, {}
     # one job per PSF, so each H is built once. Processes, since SciPy's
     # BLAS wrappers hold the GIL; forked, so they share the parent's imports;
-    # forked inside one_blas_thread, so every case runs at one BLAS thread
-    # and its bytes do not depend on the thread count. Results are taken in
-    # PSF order: the first failing PSF's error is raised, the PSFs still
-    # queued are cancelled, and every worker is joined.
-    with one_blas_thread():
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            runs = {psf_name: pool.submit(_psf_cases, out_dir, cfg, model, psf_name,
-                                          psf_grid, study_objects)
-                    for psf_name, psf_grid in psf_grids.items()}
-            for psf_name, run in runs.items():
-                psf_cases, timings[psf_name] = run.result()
-                cases.update(psf_cases)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    # forked inside fisher.in_order, so every case runs at one BLAS thread
+    # and its bytes do not depend on the thread count; the first failing
+    # PSF's error is raised
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    jobs = [partial(_psf_cases, out_dir, cfg, model, psf_name, psf_grid, study_objects)
+            for psf_name, psf_grid in psf_grids.items()]
+    results = list(fisher.in_order(pool, jobs, len(jobs)))
+    for psf_name, (psf_cases, timings[psf_name]) in zip(psf_grids, results):
+        cases.update(psf_cases)
     # cases are listed object-major: every dense_* case before any sparse_*
     order = [prefix + psf_name for prefix, _ in study_objects for psf_name in STUDY_PSFS]
     manifest["cases"] = {case: cases[case] for case in order}

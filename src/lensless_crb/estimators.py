@@ -11,9 +11,9 @@ Three estimators probe the bounds empirically:
 The two iterative decoders give only their start value, step and objective
 to one per-column loop, ``_iterate``, and return its ``DecoderResult``.
 
-``run_trials`` repeats sample -> estimate over many seeds and accumulates
-per-pixel mean/variance with chunked Welford merges, so the statistics are
-independent of the chunk size.
+``run_trials`` repeats sample -> estimate with draws from one generator and
+accumulates per-pixel mean/variance with chunked Welford merges, so the
+statistics are independent of the chunk size.
 """
 
 from dataclasses import dataclass
@@ -78,8 +78,8 @@ def _iterate(H: SystemMatrix, y, setup, objective, max_iters: int, tol: float,
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     Y = np.asarray(y, dtype=float)
-    if Y.ndim != 2:
-        raise DimensionError(f"decoders take a (k, n) batch, got ndim={Y.ndim}")
+    if Y.ndim != 2 or Y.shape[0] != H.k:
+        raise DimensionError(f"decoders take a ({H.k}, n) batch, got shape {Y.shape}")
     V, step = setup(Y)
     cols = np.arange(Y.shape[1])      # the running columns, in batch order
     Vr, Yr = V, Y
@@ -188,13 +188,19 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
                estimator_options: dict | None = None) -> TrialReport:
     """Sample -> estimate n_trials times; report per-pixel moments and efficiency.
 
-    Trial i uses seed ``seed + i`` so any subset of trials is reproducible;
-    trials are decoded in batches of TRIAL_CHUNK.
+    A run draws every trial from one generator, default_rng(seed), in
+    batches of TRIAL_CHUNK trials that are decoded together. The generator
+    draws in sequence, so the chunk size does not change a run's draws, and
+    runs at different seeds share none. DimensionError unless crb, if
+    given, is a map of H's object.
     Estimates containing non-finite values count as failures; more than 1%
     failures raises TrialFailureError.
     """
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
+    if crb is not None and crb.object_shape != H.obj_shape:
+        raise DimensionError(f"CRB map of object {crb.object_shape} given with H of "
+                             f"object {H.obj_shape}")
     options = estimator_options or {}
     if estimator == "gls":
         if options:
@@ -209,15 +215,15 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     else:
         raise ValueError(f"unknown estimator: {estimator!r}")
     b = forward(H, v_true)
+    rng = np.random.default_rng(seed)
 
     n_acc, mean_acc, m2_acc = 0, np.zeros(H.d), np.zeros(H.d)
     n_failed = 0
     for start in range(0, n_trials, TRIAL_CHUNK):
         m = min(TRIAL_CHUNK, n_trials - start)
-        Y = np.empty((H.k, m))
-        for i in range(m):
-            Y[:, i] = sample(model, b, seed + start + i)
-        V = estimate(Y)
+        # the decoders run faster on a row-major (k, m) batch than on the
+        # transposed draws
+        V = estimate(np.ascontiguousarray(sample(model, np.broadcast_to(b, (m, H.k)), rng).T))
         ok = np.all(np.isfinite(V), axis=0)
         n_failed += int(m - ok.sum())
         V = V[:, ok]

@@ -79,15 +79,14 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     """Monte Carlo Fisher estimate: mean of score outer products.
 
     Samples come in chunks of MC_CHUNK, each drawn from its own generator
-    seeded by one child of SeedSequence(seed). The chunks run on
-    monte_carlo_workers(n_samples) threads (NumPy releases the GIL in the
-    draws and the score-weight ufuncs; SciPy's BLAS wrappers hold it, so the
-    workers' products take turns), and the main thread adds their S^T S
-    partials, each built by forward_model.gram, in chunk order. The
-    workers' BLAS calls run at one BLAS thread
-    (forward_model.one_blas_thread). So the result depends only on (model,
-    H, v, n_samples, seed), bitwise, whatever the worker or BLAS thread
-    count, and it is exactly symmetric.
+    seeded by one child of SeedSequence(seed). in_order runs the chunks on
+    monte_carlo_workers(n_samples) threads at one BLAS thread, at most
+    2 * workers of them queued or done but not yet added (NumPy releases
+    the GIL in the draws and the score-weight ufuncs; SciPy's BLAS wrappers
+    hold it, so the workers' products take turns), and the main thread adds
+    their S^T S partials, each built by forward_model.gram, in chunk order.
+    So the result depends only on (model, H, v, n_samples, seed), bitwise,
+    whatever the worker or BLAS thread count, and it is exactly symmetric.
 
     Memory is bounded whatever n_samples is: a worker draws and projects its
     chunk in row blocks of at most GRAM_BLOCK_BYTES of measurements (one
@@ -110,20 +109,8 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
               for start in range(0, n_samples, MC_CHUNK))
     workers = monte_carlo_workers(n_samples)
     J = np.zeros((H.d, H.d), order="F")
-    # at most 2 * workers chunks are queued or done but not yet added; one
-    # BLAS thread per worker leaves every CPU to the draws
-    with one_blas_thread():
-        pool = ThreadPoolExecutor(workers)
-        try:
-            pending = deque()
-            for chunk in chunks:
-                pending.append(pool.submit(chunk))
-                if len(pending) == 2 * workers:
-                    J += pending.popleft().result()
-            while pending:
-                J += pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
+    for part in in_order(ThreadPoolExecutor(workers), chunks, 2 * workers):
+        J += part
     J /= n_samples
     return J
 
@@ -131,6 +118,29 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
 def monte_carlo_workers(n_samples: int) -> int:
     """Threads fisher_monte_carlo uses: the usable CPUs, at most one per chunk."""
     return min(cpu_count(), -(-n_samples // MC_CHUNK))
+
+
+def in_order(pool, jobs, window: int):
+    """Run the zero-argument jobs on the executor pool at one BLAS thread
+    (forward_model.one_blas_thread) and yield their results in job order.
+
+    At most window jobs are submitted but not yet taken. The pool is shut
+    down, its queued jobs cancelled and its workers joined, when the jobs
+    are done, at the first failing job (whose error is raised) and when the
+    caller stops early. A fork ProcessPoolExecutor starts its workers at the
+    first submit, so they fork at one BLAS thread too.
+    """
+    with one_blas_thread():
+        try:
+            pending = deque()
+            for job in jobs:
+                pending.append(pool.submit(job))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def cpu_count() -> int:

@@ -107,7 +107,12 @@ def _mean(model, H: SystemMatrix, v) -> np.ndarray:
 
 
 def sample(model, b, seed) -> np.ndarray:
-    """Draw one noisy measurement from the model around noiseless image b."""
+    """Draw a noisy measurement from the model around noiseless image b.
+
+    seed is anything default_rng takes; a Generator is drawn from as it
+    stands. b may be a batch with one measurement per row: its rows are
+    drawn in order from the one stream, as successive calls would draw them.
+    """
     mean = np.asarray(b, dtype=float) + model.background
     if np.any(mean < 0):
         raise ValueError("mean measurement must be non-negative")

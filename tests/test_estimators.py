@@ -21,6 +21,7 @@ from lensless_crb import (
     nnls_estimate,
     poisson_mle,
     run_trials,
+    sample,
     vectorize,
 )
 from lensless_crb import estimators, fisher
@@ -207,8 +208,8 @@ def test_one_image_per_iteration(decoder, monkeypatch):
 
 @pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
                          ids=lambda f: f.__name__)
-@pytest.mark.parametrize("y", [np.ones(9), np.ones((9, 1, 1)), 1.0],
-                         ids=["1-D", "3-D", "scalar"])
+@pytest.mark.parametrize("y", [np.ones(9), np.ones((9, 1, 1)), 1.0, np.ones((10, 2))],
+                         ids=["1-D", "3-D", "scalar", "k+1 rows"])
 def test_decoders_take_only_a_batch(decoder, y, identity_h):
     with pytest.raises(DimensionError):
         decoder(identity_h, y)
@@ -274,6 +275,52 @@ class TestRunTrials:
         np.testing.assert_allclose(a.per_pixel_mean, b.per_pixel_mean, rtol=1e-10)
         np.testing.assert_allclose(a.per_pixel_variance, b.per_pixel_variance,
                                    rtol=1e-10)
+
+    def test_one_sample_call_per_chunk(self, monkeypatch):
+        # a run draws each chunk of trials in one call, from one generator
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return sample(*args)
+
+        monkeypatch.setattr(estimators, "sample", counted)
+        monkeypatch.setattr(estimators, "TRIAL_CHUNK", 7)
+        H = lenslet1_8x8()
+        run_trials(GaussianNoise(1.0), H, np.ones(H.d), "gls", 30, seed=1)
+        assert len(calls) == 5
+
+    def test_runs_at_neighbouring_seeds_share_no_draw(self, monkeypatch):
+        # each seed starts a stream of its own, so the trials of seed s are
+        # not those of seed s + 1 shifted by one
+        batches = []
+        solver = estimators.make_gls_solver
+
+        def recording(H):
+            solve = solver(H)
+
+            def record(Y):
+                batches.append(Y.copy())
+                return solve(Y)
+
+            return record
+
+        monkeypatch.setattr(estimators, "make_gls_solver", recording)
+        H = lenslet1_8x8()
+        for seed in (4, 5):
+            run_trials(GaussianNoise(1.0), H, np.ones(H.d), "gls", 20, seed=seed)
+        a, b = batches
+        assert not any(np.array_equal(a[:, i], b[:, j])
+                       for i in range(20) for j in range(20))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
+    def test_crb_of_another_object_rejected(self, shape, identity_h, monkeypatch):
+        # the map must belong to H's 3x3 object; no trial runs before the check
+        monkeypatch.setattr(estimators, "sample", None)
+        crb = crb_from_fisher(np.eye(shape[0] * shape[1]), object_shape=shape)
+        with pytest.raises(DimensionError):
+            run_trials(GaussianNoise(1.0), identity_h, np.ones(9), "gls", 10, seed=0,
+                       crb=crb)
 
     def test_too_few_trials_rejected(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 1))

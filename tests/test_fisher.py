@@ -201,6 +201,77 @@ class FailingModel:
         return y - mean
 
 
+class FakePool:
+    """An executor that runs a job when its result is taken, and records how
+    many jobs were ever submitted but not yet taken, and its shutdowns."""
+
+    class Future:
+        def __init__(self, pool, job):
+            self.pool, self.job, self.cancelled = pool, job, False
+
+        def result(self):
+            self.pool.taken.append(self)
+            return self.job()
+
+    def __init__(self):
+        self.futures, self.taken, self.shutdowns, self.most_untaken = [], [], [], 0
+
+    def submit(self, job):
+        self.futures.append(self.Future(self, job))
+        self.most_untaken = max(self.most_untaken, len(self.futures) - len(self.taken))
+        return self.futures[-1]
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+        for future in self.futures:
+            future.cancelled |= cancel_futures and future not in self.taken
+
+    def queued(self):
+        return [f for f in self.futures if f not in self.taken]
+
+
+class TestInOrder:
+    """fisher.in_order runs jobs on a pool in a bounded window, in order."""
+
+    def test_window_order_and_shutdown(self):
+        pool = FakePool()
+        jobs = [lambda i=i: i * i for i in range(10)]
+        assert list(fisher.in_order(pool, iter(jobs), 3)) == [i * i for i in range(10)]
+        assert pool.most_untaken == 3
+        assert pool.shutdowns == [(True, True)]
+
+    def test_failing_job_cancels_the_queued_ones(self):
+        pool = FakePool()
+
+        def fail():
+            raise _ChunkError
+
+        jobs = [lambda: 0, lambda: 1, fail] + [lambda: 3] * 7
+        results = fisher.in_order(pool, iter(jobs), 4)
+        with pytest.raises(_ChunkError):
+            for _ in results:
+                pass
+        assert len(pool.futures) == 6   # the jobs after the window were never submitted
+        assert pool.queued() and all(f.cancelled for f in pool.queued())
+        assert pool.shutdowns == [(True, True)]
+
+    def test_stopping_early_shuts_the_pool_down(self):
+        pool = FakePool()
+        results = fisher.in_order(pool, iter([lambda: 1] * 10), 4)
+        assert [next(results), next(results)] == [1, 1]
+        assert pool.shutdowns == []
+        results.close()
+        assert pool.queued() and all(f.cancelled for f in pool.queued())
+        assert pool.shutdowns == [(True, True)]
+
+    def test_jobs_run_at_one_blas_thread(self, blas_threads_at_two):
+        if blas_threads_at_two is None:
+            pytest.skip("SciPy's OpenBLAS was not found")
+        seen = list(fisher.in_order(FakePool(), [blas_threads_at_two] * 3, 2))
+        assert seen == [1, 1, 1]
+        assert blas_threads_at_two() == 2
+
+
 class TestMonteCarloChunks:
     """fisher_monte_carlo runs its seed chunks on a thread pool."""
 

@@ -301,6 +301,18 @@ def test_cli_decides_no_case_by_comparing_a_name():
     assert offenders == []
 
 
+def test_one_ordered_pool_runs_every_worker_job():
+    # fisher.in_order is the package's one worker loop: it alone submits
+    # jobs and caps the BLAS threads, so the job window, the result order
+    # and the failure path (cancel, shut down, join) are written once
+    offenders = [f"{path.name}:{line} {name}"
+                 for path in sorted((ROOT / "src" / "lensless_crb").glob("*.py"))
+                 for name in ("submit", "one_blas_thread")
+                 for func, line in _uses(ast.parse(path.read_text()), name)
+                 if (path.name, func) != ("fisher.py", "in_order")]
+    assert offenders == []
+
+
 def test_only_the_study_starts_processes():
     # cmd_study's fork pool is the package's one use of worker processes: it
     # forks inside one_blas_thread and joins every child, also on a failing
