@@ -29,6 +29,7 @@ from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 from .noise import sample
 
 TRIAL_CHUNK = 1000    # trials sampled and decoded as one batch
+TINY = np.finfo(float).tiny   # smallest normal float64
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +84,15 @@ def _iterate(H: SystemMatrix, y, setup, objective, max_iters: int, tol: float,
     V, step = setup(Y)
     cols = np.arange(Y.shape[1])      # the running columns, in batch order
     Vr, Yr = V, Y
-    B = forward(H, V) + background
+    B = forward(H, V)
+    B += background
     f = objective(Y, B)
     n_iters = 0
     while n_iters < max_iters and cols.size:
         n_iters += 1
         Vr = step(Vr, Yr, B, cols)
-        B = forward(H, Vr) + background
+        B = forward(H, Vr)
+        B += background
         new, old = objective(Yr, B), f[cols]
         stop = np.abs(new - old) / np.maximum(np.abs(old), 1e-300) < tol
         f[cols] = new
@@ -116,12 +119,16 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
         A = weighted_gram(H)
         L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
         HtY = adjoint(H, Y)
+        gathered, HtY_r = None, None    # the running columns and their HtY
 
         def step(V, Y, B, cols):
+            nonlocal gathered, HtY_r
+            if cols is not gathered:    # _iterate makes a new cols when one stops
+                gathered, HtY_r = cols, HtY[:, cols]
             # A is column-major and exactly symmetric, so A V = (V^T A)^T; V is
             # row-major, so dgemm reads V.T and A without a copy, and the
             # half-gradient of the objective comes out row-major like V
-            grad = blas.dgemm(1.0, V.T, A).T - HtY[:, cols]
+            grad = blas.dgemm(1.0, V.T, A).T - HtY_r
             return np.maximum(V - grad / L, 0.0)
 
         return np.zeros((H.d, Y.shape[1])), step
@@ -130,10 +137,14 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
 
 
 def _poisson_objective(Y, B):
-    """Sum of y ln b - b per column; the -ln(y!) constant is omitted."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(Y > 0, Y * np.log(np.maximum(B, 1e-300)), 0.0)
-    return np.sum(t - B, axis=0)
+    """Sum of y ln b - b per column; the -ln(y!) constant is omitted.
+
+    The log is taken only where y > 0; a zero count adds -b alone.
+    """
+    t = np.log(np.maximum(B, 1e-300), out=np.zeros_like(B), where=Y > 0)
+    t *= Y
+    t -= B
+    return t.sum(axis=0)
 
 
 def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
@@ -152,8 +163,19 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
             raise ValueError("Poisson measurements must be non-negative")
 
         def step(V, Y, B, cols):
-            ratio = np.where(Y > 0, Y / np.maximum(B, 1e-300), 0.0)
-            return V * (adjoint(H, ratio) / mass)
+            # a zero count over the floored rate is already +0.0
+            ratio = np.maximum(B, 1e-300)
+            np.divide(Y, ratio, out=ratio)
+            update = adjoint(H, ratio)
+            update /= mass
+            update *= V
+            # EM shrinks empty pixels geometrically into the subnormal
+            # range, where every later product takes the CPU's slow path.
+            # Such a pixel times a unit-mass PSF entry is under half an ulp
+            # of any rate above about 1e-290, so zeroing it keeps the
+            # images' bits; the update keeps a 0 at 0.
+            np.putmask(update, update < TINY, 0.0)
+            return update
 
         return np.full((H.d, Y.shape[1]), max(Y.mean() / mass, 1e-12)), step
 

@@ -9,6 +9,7 @@ from lensless_crb import (
     PoissonNoise,
     SparseBeads,
     TrialFailureError,
+    adjoint,
     build_system_matrix,
     crb_from_fisher,
     fisher_gaussian,
@@ -32,6 +33,36 @@ from conftest import one_working_array_bound, traced_peak_bytes
 def lenslet1_8x8():
     psf = generate_psf(PsfSpec(Lenslets(1), (8, 8), 0))
     return build_system_matrix(psf, (8, 8), (10, 10))
+
+
+def beads_8x8():
+    """The bead instance of the MLE efficiency check: H and the object."""
+    psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
+    H = build_system_matrix(psf, (8, 8), (10, 10))
+    return H, vectorize(generate_object(ObjectSpec(SparseBeads(2), (8, 8), 100.0, 5)))
+
+
+def textbook_rl(H, Y, background, n_iters):
+    """Richardson-Lucy with every pass in full and no flush of subnormal
+    pixels: poisson_mle's oracle at tol = 0."""
+    mass = H.psf.sum()
+    V = np.full((H.d, Y.shape[1]), max(Y.mean() / mass, 1e-12))
+    for _ in range(n_iters):
+        B = forward(H, V) + background
+        ratio = np.where(Y > 0, Y / np.maximum(B, 1e-300), 0.0)
+        V = V * (adjoint(H, ratio) / mass)
+    return V
+
+
+def textbook_objective(Y, B):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(Y > 0, Y * np.log(np.maximum(B, 1e-300)), 0.0)
+    return np.sum(t - B, axis=0)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestGls:
@@ -127,6 +158,37 @@ class TestPoissonMle:
         H = build_system_matrix(np.ones((1, 1)), (1, 1))
         with pytest.raises(ValueError):
             poisson_mle(H, np.array([[-1.0]]))
+
+    def test_textbook_bits_where_normal_and_no_subnormals(self):
+        # RL shrinks the empty pixels of a bead object into the subnormal
+        # range; poisson_mle zeroes them there and keeps every other bit
+        H, v = beads_8x8()
+        rng = np.random.default_rng(7)
+        Y = np.ascontiguousarray(rng.poisson(forward(H, v) + 1e-7, size=(16, H.k)).T,
+                                 dtype=float)
+        ref = textbook_rl(H, Y, 1e-7, 600)
+        V = poisson_mle(H, Y, background=1e-7, max_iters=600, tol=0.0).values
+        tiny = np.finfo(float).tiny
+        normal = ref >= tiny
+        assert np.any((ref > 0) & ~normal)
+        assert_same_bits(V[normal], ref[normal])
+        assert np.all(V[~normal] == 0.0)
+        assert not np.any((V > 0) & (V < tiny))
+
+    def test_ratio_and_objective_keep_the_masked_forms_bits(self):
+        # zero counts, no background, and counts over exactly zero images
+        # (rows of H that the padded PSF never reaches)
+        H, _ = beads_8x8()
+        rng = np.random.default_rng(8)
+        V = rng.uniform(0.0, 2.0, size=(H.d, 5))
+        V[rng.uniform(size=V.shape) < 0.5] = 0.0
+        B = forward(H, V)
+        Y = rng.poisson(B).astype(float)
+        Y[np.flatnonzero(np.all(B == 0, axis=1))[::2]] = 3.0
+        assert np.any(Y == 0) and np.any((Y > 0) & (B == 0))
+        assert_same_bits(estimators._poisson_objective(Y, B), textbook_objective(Y, B))
+        res = poisson_mle(H, Y, background=0.0, max_iters=3, tol=0.0)
+        assert_same_bits(res.values, textbook_rl(H, Y, 0.0, 3))
 
     @pytest.mark.parametrize("background", [-1.0, np.nan, np.inf])
     def test_bad_background_rejected(self, background):
@@ -346,10 +408,7 @@ class TestMleApproachesPoissonCrb:
         # isolated bright beads with a small background floor: the constrained
         # MLE behaves like the unconstrained one at the bead pixels, so its
         # variance should approach the bound there
-        psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
-        H = build_system_matrix(psf, (8, 8), (10, 10))
-        obj = generate_object(ObjectSpec(SparseBeads(2), (8, 8), 100.0, 5))
-        v = vectorize(obj)
+        H, v = beads_8x8()
         beta = 1e-7
         crb = crb_from_fisher(fisher_poisson(H, v.values, beta),
                               object_shape=(8, 8))
