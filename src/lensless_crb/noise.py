@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fisher as _fisher
 from .errors import DimensionError, SingularRateError
@@ -65,6 +64,9 @@ class PoissonNoise:
         return rng.poisson(mean, size=shape).astype(float)
 
     def log_pdf(self, y, mean) -> float:
+        # imported here: only a Poisson log-likelihood needs scipy.special
+        from scipy.special import gammaln
+
         if np.any((mean == 0) & (y > 0)):
             return float("-inf")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -114,8 +116,8 @@ def sample(model, b, seed) -> np.ndarray:
     drawn in order from the one stream, as successive calls would draw them.
     """
     mean = np.asarray(b, dtype=float) + model.background
-    if np.any(mean < 0):
-        raise ValueError("mean measurement must be non-negative")
+    if not np.all((mean >= 0) & (mean < np.inf)):
+        raise ValueError("mean measurement must be finite and non-negative")
     return model.draw(np.random.default_rng(seed), mean, mean.shape)
 
 

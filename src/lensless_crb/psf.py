@@ -14,7 +14,6 @@ surrogates, flagged as such in run manifests.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import DimensionError, PlacementError
 from .seeds import spec_rng
@@ -22,6 +21,29 @@ from .seeds import spec_rng
 LENSLET_SIGMA_PX = 0.75
 MIN_SPOT_SEPARATION_PX = 2.0
 PLACEMENT_RETRY_BUDGET = 1000
+
+
+def _wrap_blur(a, sigma):
+    """scipy.ndimage.gaussian_filter(a, sigma, mode="wrap"), bit for bit.
+
+    Same kernel (radius int(4 sigma + 0.5), normalized exp weights) and the
+    same arithmetic as ndimage's symmetric correlate1d, axis 0 then axis 1:
+    centre times w0, plus (left + right) * wj from the farthest wrap
+    neighbour to the nearest. ndimage overflows to inf silently; so does this.
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    x = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = (w / w.sum())[radius:]      # w[j]: the weight at distance j
+    with np.errstate(over="ignore"):
+        for _ in range(2):          # axis 0, then axis 1 as axis 0 of the transpose
+            n = a.shape[0]
+            p = np.pad(a, ((radius, radius), (0, 0)), mode="wrap")
+            out = a * w[0]
+            for j in range(radius, 0, -1):
+                out += (p[radius - j:radius - j + n] + p[radius + j:radius + j + n]) * w[j]
+            a = out.T
+    return a
 
 
 def _need_8x8(h, w):
@@ -120,14 +142,13 @@ class Diffuser:
                              "log(largest float) / 1.5, about 473.2")
         if h * w < 2:
             raise DimensionError(f"a diffuser needs 2 pixels to vary, got size {h}x{w}")
-        z = gaussian_filter(rng.standard_normal((h, w)), sigma=self.correlation_length,
-                            mode="wrap")
+        z = _wrap_blur(rng.standard_normal((h, w)), self.correlation_length)
         z = (z - z.mean()) / z.std()
         # clip before exponentiating and re-smooth after: keeps the caustic-like
         # bright filaments while taming lone lognormal peaks that would otherwise
         # concentrate most of the mass in a few pixels
-        return gaussian_filter(np.exp(self.contrast * np.clip(z, -1.5, 1.5)),
-                               sigma=self.correlation_length / 2.0, mode="wrap")
+        return _wrap_blur(np.exp(self.contrast * np.clip(z, -1.5, 1.5)),
+                          self.correlation_length / 2.0)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ def read_grid_csv(path) -> np.ndarray:
 def write_pgm16(path, grid) -> float:
     """Write a 2-D array as 16-bit binary PGM, max-scaled; returns the scale."""
     a = np.asarray(grid, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("PGM grids must be finite")
+    if not np.all((a >= 0) & (a < np.inf)):
+        raise ValueError("PGM grids must be finite and non-negative")
     peak = float(a.max())
     scale = 65535.0 / peak if peak > 0 else 0.0
     samples = np.rint(a * scale).astype(">u2")

@@ -389,13 +389,24 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(GaussianNoise(1.0), H, [1.0], "gls", 1, seed=0)
 
-    def test_non_finite_estimates_raise_trial_failure(self):
+    def test_non_finite_estimates_raise_trial_failure(self, monkeypatch):
+        # sample rejects a non-finite mean, so a decoder that diverges on
+        # every trial stands in for non-finite estimates
+        def diverging(H, Y, **options):
+            return estimators.DecoderResult(np.full((H.d, Y.shape[1]), np.nan), False, 2)
+
+        monkeypatch.setattr(estimators, "nnls_estimate", diverging)
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
         with pytest.raises(TrialFailureError) as info:
-            run_trials(GaussianNoise(1.0), H, [1.0, np.nan], "nnls", 10, seed=0,
+            run_trials(GaussianNoise(1.0), H, [1.0, 2.0], "nnls", 10, seed=0,
                        estimator_options={"max_iters": 2})
         assert (info.value.n_failed, info.value.n_trials) == (10, 10)
         assert isinstance(info.value, RuntimeError)
+
+    def test_non_finite_object_rejected(self):
+        H = build_system_matrix(np.ones((1, 1)), (1, 2))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run_trials(GaussianNoise(1.0), H, [1.0, np.nan], "nnls", 10, seed=0)
 
     def test_unknown_estimator_rejected(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 1))

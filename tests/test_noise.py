@@ -62,6 +62,14 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(GaussianNoise(1.0), np.array([-1.0]), 0)
 
+    # NaN passes a plain "mean < 0" check; Poisson would otherwise raise
+    # NumPy's "lam value too large" on NaN and inf
+    @pytest.mark.parametrize("model", [GaussianNoise(1.0), PoissonNoise(0.0)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_mean_rejected(self, model, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample(model, np.array([bad, 1.0]), 0)
+
 
 class TestLogLikelihood:
     def test_gaussian_zero_residual(self, identity_h):

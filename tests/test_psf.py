@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from lensless_crb import (
     Diffuser,
@@ -13,6 +14,7 @@ from lensless_crb import (
     generate_psf,
     multiplexing_index,
 )
+from lensless_crb.psf import _wrap_blur
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,45 @@ class TestDiffuser:
     def test_contrast_that_overflows_is_rejected(self, contrast):
         with pytest.raises(ValueError, match="contrast"):
             generate_psf(PsfSpec(Diffuser(contrast=contrast), (16, 16), 0))
+
+
+def _ndimage_diffuser(kind, h, w, rng):
+    """Diffuser.grid as written with scipy.ndimage, the reference for the blur."""
+    z = gaussian_filter(rng.standard_normal((h, w)), sigma=kind.correlation_length,
+                        mode="wrap")
+    z = (z - z.mean()) / z.std()
+    return gaussian_filter(np.exp(kind.contrast * np.clip(z, -1.5, 1.5)),
+                           sigma=kind.correlation_length / 2.0, mode="wrap")
+
+
+class TestWrapBlur:
+    @pytest.mark.parametrize("sigma", [0.5, 1, 1.5, 3, 7.3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (1, 17), (17, 1),
+                                       (2, 2), (3, 5), (7, 4), (16, 16), (31, 9),
+                                       (40, 40)])
+    def test_matches_ndimage_wrap_bit_for_bit(self, sigma, shape):
+        # grids smaller than the kernel radius wrap round several times
+        a = np.random.default_rng(100 * shape[0] + shape[1]).standard_normal(shape) * 10.0
+        assert np.array_equal(_wrap_blur(a, sigma),
+                              gaussian_filter(a, sigma, mode="wrap"))
+
+    def test_random_grids_match_ndimage(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            shape = tuple(rng.integers(1, 41, size=2))
+            sigma = float(rng.uniform(0.5, 12.0))
+            a = rng.lognormal(0.0, 2.0, size=shape)
+            assert np.array_equal(_wrap_blur(a, sigma),
+                                  gaussian_filter(a, sigma, mode="wrap")), (shape, sigma)
+
+    @pytest.mark.parametrize("seed", [0, 3, 11, 42])
+    @pytest.mark.parametrize("kind", [Diffuser(), Diffuser(correlation_length=1.7,
+                                                           contrast=-3.0)])
+    def test_diffuser_matches_ndimage_reference(self, seed, kind):
+        def rng():
+            return np.random.default_rng(cli.derive_seed(seed, "psf"))
+        assert np.array_equal(kind.grid(32, 32, rng()),
+                              _ndimage_diffuser(kind, 32, 32, rng()))
 
 
 class TestUnknownKind:

@@ -165,17 +165,44 @@ def test_every_third_party_test_import_is_declared():
     assert third_party and undeclared == []
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # each of these adds most of a second to every command's start-up
-    heavy = ["scipy.signal", "scipy.sparse", "scipy.optimize"]
+def _fresh_python(code):
+    """stdout of code run in a new interpreter that imports the package from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = ("import sys, lensless_crb\n"
-            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # signal, sparse and optimize add most of a second to every command's
+    # start-up; ndimage and special tens of milliseconds each. The CLI entry
+    # point imports lensless_crb.cli as well as the package.
+    heavy = ["scipy.signal", "scipy.sparse", "scipy.optimize",
+             "scipy.ndimage", "scipy.special"]
+    code = ("import sys, lensless_crb, lensless_crb.cli\n"
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    assert _fresh_python(code) == ""
+
+
+def test_poisson_log_likelihood_loads_gammaln_where_it_runs():
+    # scipy.special is imported inside PoissonNoise.log_pdf, not at start-up
+    code = """
+import sys
+import numpy as np
+from lensless_crb import PoissonNoise, build_system_matrix, log_likelihood
+H = build_system_matrix(np.array([[0.5, 0.25], [0.25, 0.0]]), (3, 3))
+v = np.linspace(1.0, 9.0, 9)
+y = np.arange(H.k, dtype=float) % 4
+assert "scipy.special" not in sys.modules
+got = log_likelihood(PoissonNoise(0.5), H, v, y)
+from scipy.special import gammaln
+mean = H.matrix @ v + 0.5
+want = float(np.sum(y * np.log(mean) - mean - gammaln(y + 1.0)))
+print(abs(got - want) <= 1e-12 * abs(want))
+"""
+    assert _fresh_python(code) == "True"
 
 
 def _uses(tree, name):

@@ -61,6 +61,13 @@ class TestPgm16:
             write_pgm16(path, np.array([[1.0, bad]]))
         assert not path.exists()
 
+    def test_negative_grid_rejected(self, tmp_path):
+        # a negative sample would wrap in the unsigned cast and show as mid-gray
+        path = tmp_path / "g.pgm"
+        with pytest.raises(ValueError, match="non-negative"):
+            write_pgm16(path, np.array([[-1.0, 2.0]]))
+        assert not path.exists()
+
     def test_all_zero_grid(self, tmp_path):
         path = tmp_path / "g.pgm"
         assert write_pgm16(path, np.zeros((2, 2))) == 0.0
