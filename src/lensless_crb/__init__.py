@@ -12,6 +12,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     FactorizationError,
+    GramUnderflowError,
     PlacementError,
     SingularRateError,
     TrialFailureError,
@@ -58,7 +59,8 @@ from .psf import (
 )
 
 __all__ = [
-    "ConfigError", "DimensionError", "FactorizationError", "PlacementError",
+    "ConfigError", "DimensionError", "FactorizationError", "GramUnderflowError",
+    "PlacementError",
     "SingularRateError", "TrialFailureError",
     "TrialReport", "make_gls_solver", "nnls_estimate", "poisson_mle", "run_trials",
     "CrbMap", "crb_from_fisher",

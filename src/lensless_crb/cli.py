@@ -405,11 +405,12 @@ def cmd_study(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: dict):
+def _verify_checks(cfg: dict, draws: dict):
     """Yield (check name, status, detail); status in PASS/FAIL/SKIP.
 
     Every parameter is checked before the first check runs, so a bad one
-    fails the command before any result is printed.
+    fails the command before any result is printed. Each Monte Carlo check
+    that runs records how its model drew (model.draw_path) in draws.
     """
     seed = cfg["seed"]
     n_samples = cfg["n_samples"]
@@ -443,6 +444,7 @@ def _verify_checks(cfg: dict):
             continue
         mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
                                        derive_seed(seed, f"mc-{label}"))
+        draws[label] = model.draw_path(forward(H, v) + model.background)
         err = relative_error(mc, closed_forms[label])
         yield f"mc_fisher_{label}", "PASS" if err < MC_FISHER_LIMIT else "FAIL", \
             f"rel Frobenius error {err:.4f} (limit {MC_FISHER_LIMIT:g}, n={n_samples})"
@@ -484,8 +486,9 @@ def _verify_checks(cfg: dict):
 def cmd_verify(args, cfg: dict) -> int:
     out_dir = Path(args.out) if args.out else None
     results, check_s = [], {}
+    draws = {}   # each Monte Carlo check's draw path, if it ran
     t0 = t_check = time.perf_counter()
-    for name, status, detail in _verify_checks(cfg):
+    for name, status, detail in _verify_checks(cfg, draws):
         # a check's time runs from the end of the previous one, so the first
         # check carries the set-up of H and the object
         check_s[name] = time.perf_counter() - t_check
@@ -507,6 +510,7 @@ def cmd_verify(args, cfg: dict) -> int:
             "blas_threads": blas_thread_cap() if ran_mc else None,
             "chunk_samples": fisher.MC_CHUNK,
             "block_bytes": GRAM_BLOCK_BYTES,
+            "draws": draws,
         }
         finish_manifest(manifest, out_dir, {"verify": elapsed, **check_s})
     if failed:

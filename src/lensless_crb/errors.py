@@ -48,5 +48,17 @@ class TrialFailureError(RuntimeError):
         return type(self), (self.n_failed, self.n_trials)
 
 
+class GramUnderflowError(FloatingPointError):
+    """H^T H underflowed to zero: the PSF is too faint for float64."""
+
+    def __init__(self, psf_peak: float):
+        self.psf_peak = psf_peak
+        super().__init__(f"H^T H underflows to zero for a PSF of peak {psf_peak:.3g}; "
+                         "scale the PSF up")
+
+    def __reduce__(self):
+        return type(self), (self.psf_peak,)
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""

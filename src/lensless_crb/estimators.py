@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import blas, eigvalsh
 
 from . import fisher
-from .errors import DimensionError, TrialFailureError
+from .errors import DimensionError, GramUnderflowError, TrialFailureError
 from .fisher import CrbMap, loaded_cholesky
 from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 from .noise import sample
@@ -113,11 +113,15 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
 
     Step 1/L with L the largest eigenvalue of H^T H (LAPACK), so the objective
     never rises. Non-convergence returns the last iterate with
-    converged=False.
+    converged=False. GramUnderflowError if H^T H underflows to L = 0 (every
+    squared PSF entry below the smallest subnormal: a peak below about
+    2e-162).
     """
     def setup(Y):
         A = weighted_gram(H)
         L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
+        if not L > 0:
+            raise GramUnderflowError(float(np.max(H.psf)))
         HtY = adjoint(H, Y)
         gathered, HtY_r = None, None    # the running columns and their HtY
 
@@ -139,9 +143,11 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
 def _poisson_objective(Y, B):
     """Sum of y ln b - b per column; the -ln(y!) constant is omitted.
 
-    The log is taken only where y > 0; a zero count adds -b alone.
+    The log of the floored image is finite everywhere, so a zero count adds
+    0 * ln b - b, which is exactly -b.
     """
-    t = np.log(np.maximum(B, 1e-300), out=np.zeros_like(B), where=Y > 0)
+    t = np.maximum(B, 1e-300)
+    np.log(t, out=t)
     t *= Y
     t -= B
     return t.sum(axis=0)

@@ -88,12 +88,20 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     So the result depends only on (model, H, v, n_samples, seed), bitwise,
     whatever the worker or BLAS thread count, and it is exactly symmetric.
 
+    The draws come from model.sampler(mean), built once here and shared by
+    the workers read-only. For Poisson that is noise.PoissonTables: per-pixel
+    CDF tables with a guide table, inverted with one rng.random double per
+    count (about a quarter of rng.poisson's time at the rates verify draws),
+    unless the tables would exceed GRAM_BLOCK_BYTES; then rng.poisson draws.
+
     Memory is bounded whatever n_samples is: a worker draws and projects its
     chunk in row blocks of at most GRAM_BLOCK_BYTES of measurements (one
     row if a row is larger), and holds at most four block-sized arrays at
-    once (the draws, their score weights and two ufunc temporaries). Beyond
-    its d x d partials the call allocates less than
-    workers * 4 * GRAM_BLOCK_BYTES.
+    once: the draws, their score weights and two ufunc temporaries (with
+    Poisson tables two: the uniforms, which become the counts in place,
+    beside first their guide bins and then the score weights). Beyond its
+    d x d partials the call allocates less than workers * 4 *
+    GRAM_BLOCK_BYTES, the Poisson tables (at most GRAM_BLOCK_BYTES) included.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -101,10 +109,11 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     # on the calling thread, so they share one copy
     build_matrix(H)
     mean = forward(H, v) + model.background
+    draw = model.sampler(mean)
     # spawned one at a time, the children are those of spawn(n_chunks), and
     # no per-chunk object outlives its chunk
     ss = np.random.SeedSequence(seed)
-    chunks = (partial(_chunk_gram, model, H, mean, ss.spawn(1)[0],
+    chunks = (partial(_chunk_gram, model, H, mean, draw, ss.spawn(1)[0],
                       min(MC_CHUNK, n_samples - start))
               for start in range(0, n_samples, MC_CHUNK))
     workers = monte_carlo_workers(n_samples)
@@ -151,17 +160,17 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_gram(model, H: SystemMatrix, mean, seed_seq, m: int) -> np.ndarray:
-    """S^T S over m samples from one seed chunk, drawn in row blocks of at
-    most GRAM_BLOCK_BYTES of measurements; a generator's draws split into
-    blocks are the draws of one call."""
+def _chunk_gram(model, H: SystemMatrix, mean, draw, seed_seq, m: int) -> np.ndarray:
+    """S^T S over m samples from one seed chunk, drawn by draw(rng, shape)
+    in row blocks of at most GRAM_BLOCK_BYTES of measurements; a
+    generator's draws split into blocks are the draws of one call."""
     rng = np.random.default_rng(seed_seq)
     rows = max(1, GRAM_BLOCK_BYTES // (8 * H.k))
 
     def block(n):
         # adjoint returns the row-major H^T W^T, so S = W H is column-major
         # and dsyrk reads it without a copy
-        return adjoint(H, model.score_weights(model.draw(rng, mean, (n, H.k)), mean).T).T
+        return adjoint(H, model.score_weights(draw(rng, (n, H.k)), mean).T).T
 
     return gram(((0, block(min(rows, m - start))) for start in range(0, m, rows)), H.d)
 

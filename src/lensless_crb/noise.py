@@ -9,13 +9,16 @@ Each model holds its per-measurement math: the additive background of its
 mean measurement, its draws, its log-density, its score weights r (score =
 H^T r), its curvature weights w (Hessian = -H^T diag(w) H) and its
 closed-form Fisher matrix. The functions below apply that math through H,
-whatever the model.
+whatever the model. A model's sampler(mean) draws many measurements around
+one fixed mean row, as the Monte Carlo Fisher does: Poisson counts then come
+from PoissonTables, one uniform per count.
 
 The Poisson background floor keeps likelihood, score, and Fisher information
 well defined where a sparse object's PSF copies never deposit photons;
 background = 0 is allowed and raises explicit errors on zero rates.
 """
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -23,7 +26,11 @@ import numpy as np
 
 from . import fisher as _fisher
 from .errors import DimensionError, SingularRateError
-from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
+from .forward_model import GRAM_BLOCK_BYTES, SystemMatrix, adjoint, forward, weighted_gram
+
+# bytes of PoissonTables per table entry: its CDF value and two guide bins,
+# each a float64 first guess and a bool flag
+TABLE_ENTRY_BYTES = 8 + 2 * (8 + 1)
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,14 @@ class GaussianNoise:
 
     def draw(self, rng, mean, shape) -> np.ndarray:
         return mean + rng.normal(0.0, np.sqrt(self.sigma2), size=shape)
+
+    def sampler(self, mean):
+        """draw(rng, shape) around the fixed mean row: the model's own draws."""
+        return lambda rng, shape: self.draw(rng, mean, shape)
+
+    def draw_path(self, mean) -> dict:
+        """How sampler(mean) draws, as a manifest records it."""
+        return {"path": "rng.normal", "table_bytes": 0}
 
     def log_pdf(self, y, mean) -> float:
         r = y - mean
@@ -63,6 +78,19 @@ class PoissonNoise:
     def draw(self, rng, mean, shape) -> np.ndarray:
         return rng.poisson(mean, size=shape).astype(float)
 
+    def sampler(self, mean):
+        """draw(rng, shape) around the fixed mean row: PoissonTables inversion,
+        one rng.random double per count, unless its tables would exceed
+        GRAM_BLOCK_BYTES (table_bytes gives 0); then rng.poisson, as draw."""
+        if table_bytes(mean):
+            return PoissonTables(mean).draw
+        return lambda rng, shape: self.draw(rng, mean, shape)
+
+    def draw_path(self, mean) -> dict:
+        """How sampler(mean) draws, as a manifest records it."""
+        nbytes = table_bytes(mean)
+        return {"path": "tables" if nbytes else "rng.poisson", "table_bytes": nbytes}
+
     def log_pdf(self, y, mean) -> float:
         # imported here: only a Poisson log-likelihood needs scipy.special
         from scipy.special import gammaln
@@ -74,6 +102,11 @@ class PoissonNoise:
         return float(np.sum(ylogb - mean - gammaln(y + 1.0)))
 
     def score_weights(self, y, mean):
+        if np.all(mean > 0):
+            # a zero count gives 0 / mean = 0, as _poisson_ratio does
+            r = np.divide(y, mean)
+            r -= 1.0
+            return r
         return _poisson_ratio(mean, y) - 1.0
 
     def curvature(self, y, mean):
@@ -82,6 +115,95 @@ class PoissonNoise:
     def fisher(self, H: SystemMatrix, v) -> np.ndarray:
         """Closed-form Fisher matrix at object v."""
         return _fisher.fisher_poisson(H, v, self.background)
+
+
+def _table_length(top: float) -> int:
+    """Counts 0 .. n-1 that the tables hold for rates up to top. The Poisson
+    tail P(X >= n) lies below 1e-23 for every rate up to top."""
+    return math.ceil(top + 10.0 * math.sqrt(top) + 24.0)
+
+
+def _check_mean(mean) -> None:
+    if not np.all((mean >= 0) & (mean < np.inf)):
+        raise ValueError("mean measurement must be finite and non-negative")
+
+
+def table_bytes(mean) -> int:
+    """Bytes of the PoissonTables of the mean row, or 0 when they would
+    exceed GRAM_BLOCK_BYTES and PoissonNoise.sampler draws with rng.poisson.
+    The choice depends on the mean alone. ValueError unless the mean is
+    finite and non-negative."""
+    mean = np.asarray(mean, dtype=float)
+    _check_mean(mean)
+    nbytes = mean.size * _table_length(float(np.max(mean))) * TABLE_ENTRY_BYTES
+    return nbytes if nbytes <= GRAM_BLOCK_BYTES else 0
+
+
+class PoissonTables:
+    """Poisson counts around one fixed mean row by inversion of per-pixel
+    CDF tables with a guide table (Chen & Asau, AIIE Trans. 6(2), 1974;
+    Devroye, Non-Uniform Random Variate Generation, 1986, ch. III).
+
+    Row i of cdf holds F_i(j) = P(X_i <= j) for j < n, with n the same for
+    every pixel, built from the log-pmf j log(lam) - lam - log j! as a
+    cumulative sum of logs and normalized to end at 1. Its last entry is
+    +inf, so the tail beyond it (below 1e-23) counts as n - 1, and a pixel
+    of rate 0 always draws 0. A count is the smallest j with u < F_i(j) for
+    one uniform u. With G = 2n bins per pixel, bin g = floor(u * G) holds as
+    its first guess (guide) the number of entries whose own bin lies below
+    g; floor(fl(x * G)) rises with x, so the count is never below it, and is
+    exactly it unless an entry shares u's bin (ambiguous). Only those draws
+    step up through the table, on compacted indices.
+    """
+
+    def __init__(self, mean):
+        lam = np.asarray(mean, dtype=float)
+        k, n = lam.size, _table_length(float(np.max(lam)))
+        self.n, self.bins = n, 2 * n
+        G = self.bins
+        with np.errstate(divide="ignore"):   # log 0 = -inf: no mass past j = 0
+            log_lam = np.log(lam)
+        cdf = np.empty((k, n))
+        cdf[:, 0] = -lam
+        np.subtract(log_lam[:, None], np.log(np.arange(1.0, n)), out=cdf[:, 1:])
+        np.cumsum(cdf, axis=1, out=cdf)
+        np.exp(cdf, out=cdf)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        cdf[:, -1] = np.inf
+        # each entry's bin, as draw computes a uniform's; +inf lands past the last
+        entry_bin = np.minimum(cdf * G, G).astype(np.intp)
+        entry_bin += np.arange(0, k * (G + 1), G + 1)[:, None]
+        per_bin = np.bincount(entry_bin.ravel(), minlength=k * (G + 1)).reshape(k, G + 1)
+        self.ambiguous = (per_bin[:, :G] > 0).ravel()
+        guide = np.zeros((k, G))
+        np.cumsum(per_bin[:, :G - 1], axis=1, out=guide[:, 1:])
+        self.guide = guide.ravel()
+        self.cdf = cdf.ravel()
+        self.row_bins = np.arange(0, k * G, G)   # first bin of each pixel
+
+    def draw(self, rng, shape) -> np.ndarray:
+        """Counts of the given (rows, k) shape, as floats, from one
+        rng.random call: one double per count, in row-major order, so draws
+        split into row blocks are the draws of one call."""
+        u = rng.random(shape)
+        q = np.multiply(u, self.bins, out=np.empty(shape, np.intp), casting="unsafe")
+        q += self.row_bins
+        pos = np.flatnonzero(np.take(self.ambiguous, q, mode="clip"))
+        flat = u.reshape(-1)
+        u_pos, q_pos = flat[pos], q.reshape(-1)[pos]
+        # mode="clip" writes into u without the buffered copy of mode="raise"
+        np.take(self.guide, q, out=u, mode="clip")
+        del q   # the steps below need only the compacted arrays
+        t = q_pos // self.bins * self.n          # the pixel's first entry ...
+        t += flat[pos].astype(np.intp)           # ... plus its first guess
+        more = np.take(self.cdf, t, mode="clip") <= u_pos
+        while np.any(more):
+            pos, t, u_pos = pos[more], t[more], u_pos[more]
+            t += 1
+            flat[pos] += 1.0
+            more = np.take(self.cdf, t, mode="clip") <= u_pos
+        return u
 
 
 def _poisson_ratio(b, y):
@@ -116,8 +238,7 @@ def sample(model, b, seed) -> np.ndarray:
     drawn in order from the one stream, as successive calls would draw them.
     """
     mean = np.asarray(b, dtype=float) + model.background
-    if not np.all((mean >= 0) & (mean < np.inf)):
-        raise ValueError("mean measurement must be finite and non-negative")
+    _check_mean(mean)
     return model.draw(np.random.default_rng(seed), mean, mean.shape)
 
 

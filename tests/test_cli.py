@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 from lensless_crb import (ConfigError, FactorizationError, TrialFailureError, cli, fisher,
-                          forward_model, objects)
+                          forward_model, noise, objects)
 from lensless_crb.cli import main
 from lensless_crb.storage import checksum_tree, read_grid_csv, sha256_file
 
@@ -343,11 +343,26 @@ class TestVerifyCommand:
         assert sorted(timings) == sorted(["verify"] + checks)
         assert all(timings[c] >= 0 for c in checks)
         assert sum(timings[c] for c in checks) <= timings["verify"] + 1e-5
-        # two chunks cap the three CPUs at two workers, each at one BLAS thread
-        assert manifest["monte_carlo"] == {"workers": 2,
-                                           "blas_threads": forward_model.blas_thread_cap(),
-                                           "chunk_samples": fisher.MC_CHUNK,
-                                           "block_bytes": forward_model.GRAM_BLOCK_BYTES}
+        # two chunks cap the three CPUs at two workers, each at one BLAS thread;
+        # the Poisson counts came from tables of verify's 289 measurement pixels
+        table_bytes = manifest["monte_carlo"]["draws"]["poisson"]["table_bytes"]
+        assert manifest["monte_carlo"] == {
+            "workers": 2, "blas_threads": forward_model.blas_thread_cap(),
+            "chunk_samples": fisher.MC_CHUNK, "block_bytes": forward_model.GRAM_BLOCK_BYTES,
+            "draws": {"gaussian": {"path": "rng.normal", "table_bytes": 0},
+                      "poisson": {"path": "tables", "table_bytes": table_bytes}}}
+        assert table_bytes % (289 * noise.TABLE_ENTRY_BYTES) == 0
+        assert 0 < table_bytes <= forward_model.GRAM_BLOCK_BYTES
+
+    def test_manifest_records_rng_poisson_when_tables_exceed_the_block(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(noise, "GRAM_BLOCK_BYTES", 1 << 10)
+        out = tmp_path / "v"
+        assert run("verify", "--n-samples", fisher.MC_CHUNK, "--n-trials", 0,
+                   "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["monte_carlo"]["draws"]["poisson"] == {"path": "rng.poisson",
+                                                               "table_bytes": 0}
 
     def test_manifest_records_uncapped_blas_threads_as_null(self, tmp_path,
                                                              monkeypatch):
@@ -368,6 +383,7 @@ class TestVerifyCommand:
             {"mc_fisher_gaussian": "SKIP", "mc_fisher_poisson": "SKIP"}
         assert manifest["monte_carlo"]["workers"] == 0
         assert manifest["monte_carlo"]["blas_threads"] is None
+        assert manifest["monte_carlo"]["draws"] == {}
 
     def test_skipped_monte_carlo_checks_are_the_noise_models(self, monkeypatch, capsys):
         # the Monte Carlo check names come from NOISE_MODELS whether they run or not

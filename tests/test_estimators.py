@@ -5,6 +5,7 @@ from scipy.optimize import nnls as scipy_nnls
 from lensless_crb import (
     DimensionError,
     GaussianNoise,
+    GramUnderflowError,
     ObjectSpec,
     PoissonNoise,
     SparseBeads,
@@ -402,6 +403,17 @@ class TestRunTrials:
                        estimator_options={"max_iters": 2})
         assert (info.value.n_failed, info.value.n_trials) == (10, 10)
         assert isinstance(info.value, RuntimeError)
+
+    def test_underflowing_gram_raises_typed_error(self):
+        # a valid PSF so faint that H^T H underflows to zero: NNLS's step
+        # 1/L would be infinite, so it names the PSF scale instead of
+        # returning non-finite estimates
+        H = build_system_matrix(np.full((1, 1), 1e-200), (1, 2))
+        with pytest.raises(GramUnderflowError, match="1e-200") as info:
+            run_trials(GaussianNoise(1.0), H, [1.0, 2.0], "nnls", 10, seed=0,
+                       estimator_options={"max_iters": 2})
+        assert info.value.psf_peak == 1e-200
+        assert isinstance(info.value, FloatingPointError)
 
     def test_non_finite_object_rejected(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))

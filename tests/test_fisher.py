@@ -25,7 +25,7 @@ from lensless_crb import (
     score,
     vectorize,
 )
-from lensless_crb import fisher
+from lensless_crb import fisher, noise
 from lensless_crb.fisher import MC_CHUNK
 from lensless_crb.forward_model import GRAM_BLOCK_BYTES
 from lensless_crb.oracles import relative_error
@@ -170,13 +170,15 @@ class TestFisherMonteCarlo:
 
 
 def serial_monte_carlo(model, H, v, n_samples, seed):
-    """Monte Carlo Fisher with whole-chunk draws, summed one chunk after another."""
+    """Monte Carlo Fisher with whole-chunk draws from the model's sampler,
+    summed one chunk after another."""
     mean = forward(H, v) + model.background
+    draw = model.sampler(mean)
     n_chunks = -(-n_samples // MC_CHUNK)
     J = np.zeros((H.d, H.d))
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         m = min(MC_CHUNK, n_samples - i * MC_CHUNK)
-        Y = model.draw(np.random.default_rng(child), mean, (m, H.k))
+        Y = draw(np.random.default_rng(child), (m, H.k))
         S = model.score_weights(Y, mean) @ H.matrix
         J += S.T @ S
     return J / n_samples
@@ -191,9 +193,10 @@ class FailingModel:
 
     background = 0.0
 
-    def draw(self, rng, mean, shape):
+    def sampler(self, mean):
         # the last entry of a spawned child's key is its chunk index
-        return np.full(shape, float(rng.bit_generator.seed_seq.spawn_key[-1]))
+        return lambda rng, shape: np.full(shape,
+                                          float(rng.bit_generator.seed_seq.spawn_key[-1]))
 
     def score_weights(self, y, mean):
         if y[0, 0] == 1.0:
@@ -293,6 +296,36 @@ class TestMonteCarloChunks:
             sys.setswitchinterval(interval)
         for J in results[1:]:
             np.testing.assert_array_equal(J, results[0])
+
+    def test_rng_poisson_path_bitwise_equal_across_worker_counts(self, small_lenslet_h,
+                                                                 monkeypatch):
+        # rates whose tables would exceed GRAM_BLOCK_BYTES draw with
+        # rng.poisson, and still give the same J at every worker count
+        model, v = PoissonNoise(1e-3), np.linspace(1.0, 40.0, small_lenslet_h.d) * 400.0
+        assert noise.table_bytes(forward(small_lenslet_h, v) + model.background) == 0
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fisher, "cpu_count", lambda w=workers: w)
+            results.append(fisher_monte_carlo(model, small_lenslet_h, v, self.N, seed=9))
+        for J in results[1:]:
+            np.testing.assert_array_equal(J, results[0])
+        reference = serial_monte_carlo(model, small_lenslet_h, v, self.N, seed=9)
+        assert relative_error(results[0], reference) < 1e-13
+
+    def test_poisson_tables_built_once_on_the_calling_thread(self, small_lenslet_h,
+                                                             monkeypatch):
+        built = []
+        tables = noise.PoissonTables.__init__
+
+        def recording(self, mean):
+            built.append(threading.get_ident())
+            tables(self, mean)
+
+        monkeypatch.setattr(noise.PoissonTables, "__init__", recording)
+        monkeypatch.setattr(fisher, "cpu_count", lambda: 3)
+        fisher_monte_carlo(PoissonNoise(1e-3), small_lenslet_h,
+                           np.linspace(1.0, 40.0, small_lenslet_h.d), self.N, seed=9)
+        assert built == [threading.get_ident()]
 
     def test_dense_matrix_built_once_on_the_calling_thread(self, small_lenslet_h,
                                                            monkeypatch, dense_builds):

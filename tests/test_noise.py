@@ -13,6 +13,7 @@ from lensless_crb import (
     sample,
     score,
 )
+from lensless_crb import noise
 from lensless_crb.oracles import fd_gradient, fd_jacobian, relative_error
 
 
@@ -125,6 +126,18 @@ class TestScore:
             score(PoissonNoise(0.0), H, [0.0, 1.0], [1.0, 1.0])
         assert exc.value.pixel == 0
 
+    def test_poisson_weights_keep_the_ratio_bits(self):
+        # the one-pass weights when every rate is positive, against the
+        # masked ratio, on counts with many zeros; y is left as it was
+        rng = np.random.default_rng(4)
+        mean = rng.uniform(1e-3, 50.0, size=37)
+        y = rng.poisson(mean, size=(200, 37)).astype(float)
+        y_before = y.copy()
+        w = PoissonNoise(0.0).score_weights(y, mean)
+        np.testing.assert_array_equal(w, noise._poisson_ratio(mean, y) - 1.0)
+        assert not np.shares_memory(w, y)
+        np.testing.assert_array_equal(y, y_before)
+
     @pytest.mark.parametrize("model", [GaussianNoise(0.8), PoissonNoise(0.0)])
     def test_zero_mean_over_samples(self, model):
         H = two_by_two_h()
@@ -177,6 +190,65 @@ class TestHessian:
                 y = np.abs(y)
             hess = hessian_log_likelihood(model, H, v, y)
             assert np.linalg.eigvalsh(hess).max() <= 1e-10
+
+
+class TestPoissonTables:
+    """PoissonNoise.sampler draws by guide-table inversion (noise.PoissonTables)."""
+
+    RATES = np.array([0.0, 1e-3, 0.44, 3.0, 47.0, 100.0])
+
+    def test_counts_follow_the_poisson_pmf(self):
+        # a chi-squared test per pixel against scipy.stats' pmf, with bins of
+        # fewer than 5 expected counts merged into one
+        from scipy import stats
+
+        n = 400_000
+        Y = PoissonNoise(0.0).sampler(self.RATES)(np.random.default_rng(21),
+                                                  (n, self.RATES.size))
+        assert np.all(Y[:, 0] == 0)
+        for lam, y in zip(self.RATES[1:], Y[:, 1:].T):
+            counts = np.bincount(y.astype(np.intp))
+            expected = n * stats.poisson.pmf(np.arange(counts.size), lam)
+            big = expected >= 5
+            observed = np.append(counts[big], n - counts[big].sum())
+            expected = np.append(expected[big], n - expected[big].sum())
+            chi2 = np.sum((observed - expected) ** 2 / expected)
+            p = stats.chi2.sf(chi2, observed.size - 1)
+            assert p > 1e-3, (lam, chi2, observed.size)
+
+    def test_one_uniform_per_count_in_row_major_order(self):
+        # each count is the smallest j with u < F(j) for the double that
+        # rng.random gives at its place, so split draws equal one draw
+        tables = noise.PoissonTables(self.RATES)
+        cdf = tables.cdf.reshape(self.RATES.size, tables.n)
+        U = np.random.default_rng(5).random((5000, self.RATES.size))
+        want = np.stack([np.searchsorted(cdf[i], U[:, i], side="right")
+                         for i in range(self.RATES.size)], axis=1)
+        rng = np.random.default_rng(5)
+        got = np.concatenate([tables.draw(rng, (rows, self.RATES.size))
+                              for rows in (1, 1999, 3000)])
+        np.testing.assert_array_equal(got, want)
+
+    def test_tables_rise_to_one_and_their_bytes_are_counted(self):
+        tables = noise.PoissonTables(self.RATES)
+        cdf = tables.cdf.reshape(self.RATES.size, tables.n)
+        assert np.all(np.diff(cdf, axis=1) >= 0)
+        assert np.all(cdf[:, -1] == np.inf) and np.all(cdf[:, -2] == 1.0)
+        assert noise.table_bytes(self.RATES) == (tables.cdf.nbytes + tables.guide.nbytes
+                                                 + tables.ambiguous.nbytes)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_non_finite_or_negative_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PoissonNoise(0.0).sampler(np.array([1.0, bad]))
+
+    def test_large_rates_draw_with_rng_poisson(self):
+        # tables beyond GRAM_BLOCK_BYTES: the model's own rng.poisson draws
+        mean = np.full(300, 1e4)
+        assert noise.table_bytes(mean) == 0
+        got = PoissonNoise(0.0).sampler(mean)(np.random.default_rng(3), (7, 300))
+        want = PoissonNoise(0.0).draw(np.random.default_rng(3), mean, (7, 300))
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("fn", [log_likelihood, score, hessian_log_likelihood])

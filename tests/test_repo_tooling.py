@@ -176,11 +176,12 @@ def _fresh_python(code):
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # signal, sparse and optimize add most of a second to every command's
-    # start-up; ndimage and special tens of milliseconds each. The CLI entry
-    # point imports lensless_crb.cli as well as the package.
+    # signal, sparse, optimize and stats each add hundreds of milliseconds
+    # to every command's start-up, ndimage and special tens; the Poisson
+    # tables need none of them. The CLI entry point imports lensless_crb.cli
+    # as well as the package.
     heavy = ["scipy.signal", "scipy.sparse", "scipy.optimize",
-             "scipy.ndimage", "scipy.special"]
+             "scipy.ndimage", "scipy.special", "scipy.stats"]
     code = ("import sys, lensless_crb, lensless_crb.cli\n"
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     assert _fresh_python(code) == ""
