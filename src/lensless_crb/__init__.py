@@ -27,7 +27,7 @@ from .estimators import (
 from .fisher import (
     CrbMap,
     crb_from_fisher,
-    fisher_gaussian,
+    fisher_information,
     fisher_monte_carlo,
     fisher_poisson,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "SingularRateError", "TrialFailureError",
     "TrialReport", "make_gls_solver", "nnls_estimate", "poisson_mle", "run_trials",
     "CrbMap", "crb_from_fisher",
-    "fisher_gaussian", "fisher_monte_carlo", "fisher_poisson",
+    "fisher_information", "fisher_monte_carlo", "fisher_poisson",
     "SystemMatrix", "VectorizedObject", "adjoint", "build_system_matrix",
     "forward", "pad_psf", "vectorize",
     "GaussianNoise", "PoissonNoise", "hessian_log_likelihood", "log_likelihood",

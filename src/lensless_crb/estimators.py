@@ -26,7 +26,7 @@ from . import fisher
 from .errors import DimensionError, GramUnderflowError, TrialFailureError
 from .fisher import CrbMap, loaded_cholesky
 from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
-from .noise import sample
+from .noise import check_parameter, sample
 
 TRIAL_CHUNK = 1000    # trials sampled and decoded as one batch
 TINY = np.finfo(float).tiny   # smallest normal float64
@@ -161,7 +161,7 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     H^T 1 is the PSF mass at every pixel. The objective is ln p(y; v) with
     the additive constant dropped; it never falls.
     """
-    fisher.check_parameter("background", background, allow_zero=True)
+    check_parameter("background", background, allow_zero=True)
     mass = H.psf.sum()
 
     def setup(Y):

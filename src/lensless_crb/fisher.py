@@ -1,9 +1,11 @@
 """Fisher information matrices and Cramér-Rao bound extraction.
 
-Closed forms:
+Every closed form is one weighted Gram, built by fisher_information(model,
+H, v): J = H^T diag(w) H with the noise model's per-measurement Fisher
+weights w at the mean measurement b = H v + background:
 
-* Gaussian: J = H^T H / sigma2 (object-independent).
-* Poisson:  J = H^T diag(1 / (H v + background)) H.
+* Gaussian: w = 1 / sigma2 (object-independent, so v may be None).
+* Poisson:  w = 1 / b.
 
 Every Fisher matrix is a plain (d, d) symmetric PSD array. A Monte Carlo
 estimator built from sampled score outer products serves as an independent
@@ -13,7 +15,6 @@ eps = epsilon_rel * max(diag(J)), so Gaussian and Poisson scales both
 behave: diag((L L^T)^-1) holds the squared column norms of L^-1.
 """
 
-import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -24,27 +25,13 @@ import numpy as np
 # cho_solve pairs with loaded_cholesky; the GLS solver calls it as fisher.cho_solve
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
-from .errors import DimensionError, FactorizationError, SingularRateError
-from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, build_matrix, forward,
-                            gram, one_blas_thread, weighted_gram)
+from .errors import DimensionError, FactorizationError
+from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, build_matrix, gram,
+                            one_blas_thread, weighted_gram)
+from .noise import GaussianNoise, PoissonNoise, check_parameter, mean_measurement
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
 EPSILON_REL = 1e-9    # default diagonal loading, relative to max(diag(J))
-
-
-def check_parameter(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise ValueError unless value is finite and positive with a finite
-    reciprocal (or zero, if allowed).
-
-    An infinite variance or background would give J = 0, whose reported
-    bound is the artefact 1/eps of the diagonal loading; one so small that
-    its reciprocal overflows (1e-320, say) would give infinite Fisher
-    weights; a negative or non-finite eps would report no bound at all.
-    """
-    value = float(value)
-    if not (allow_zero and value == 0 or 0 < value < math.inf and 1.0 / value < math.inf):
-        bound = "0, or finite and positive" if allow_zero else "finite and positive"
-        raise ValueError(f"{name} must be {bound} with a finite reciprocal, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,19 +46,22 @@ class CrbMap:
         return self.values.reshape(self.object_shape)
 
 
+def fisher_information(model, H: SystemMatrix, v=None) -> np.ndarray:
+    """Closed-form Fisher matrix H^T diag(w) H of the noise model at object
+    v, with w = model.fisher_weights of its mean measurement. v = None gives
+    the model no mean, which only an object-independent model accepts."""
+    mean = None if v is None else mean_measurement(model, H, v)
+    return weighted_gram(H, model.fisher_weights(mean))
+
+
 def fisher_gaussian(H: SystemMatrix, sigma2: float) -> np.ndarray:
-    """Closed-form Fisher matrix for i.i.d. Gaussian noise."""
-    check_parameter("sigma2", sigma2)
-    return weighted_gram(H, 1.0 / sigma2)
+    """fisher_information for i.i.d. Gaussian noise of variance sigma2."""
+    return fisher_information(GaussianNoise(sigma2), H)
 
 
 def fisher_poisson(H: SystemMatrix, v, background: float = 0.0) -> np.ndarray:
-    """Closed-form Fisher matrix for Poisson noise at object v."""
-    check_parameter("background", background, allow_zero=True)
-    rate = forward(H, v) + background
-    if np.any(rate <= 0):
-        raise SingularRateError(int(np.argmax(rate <= 0)))
-    return weighted_gram(H, 1.0 / rate)
+    """fisher_information for Poisson noise over background at object v."""
+    return fisher_information(PoissonNoise(background), H, v)
 
 
 def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
@@ -108,7 +98,7 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     # the workers' adjoint reads H's dense matrix: build and cache it here,
     # on the calling thread, so they share one copy
     build_matrix(H)
-    mean = forward(H, v) + model.background
+    mean = mean_measurement(model, H, v)
     draw = model.sampler(mean)
     # spawned one at a time, the children are those of spawn(n_chunks), and
     # no per-chunk object outlives its chunk

@@ -7,11 +7,14 @@ Two measurement models over the noiseless image b = H v:
 
 Each model holds its per-measurement math: the additive background of its
 mean measurement, its draws, its log-density, its score weights r (score =
-H^T r), its curvature weights w (Hessian = -H^T diag(w) H) and its
-closed-form Fisher matrix. The functions below apply that math through H,
-whatever the model. A model's sampler(mean) draws many measurements around
-one fixed mean row, as the Monte Carlo Fisher does: Poisson counts then come
-from PoissonTables, one uniform per count.
+H^T r), its curvature weights w (Hessian = -H^T diag(w) H) and its Fisher
+weights (1 / sigma2, or 1 / mean; fisher.fisher_information forms
+J = H^T diag(w) H from them). No model method sees H: the functions below
+apply that math through H, whatever the model, at the one mean measurement
+mean_measurement(model, H, v). A model validates its parameter once, when it
+is built. A model's sampler(mean) draws many measurements around one fixed
+mean row, as the Monte Carlo Fisher does: Poisson counts then come from
+PoissonTables, one uniform per count.
 
 The Poisson background floor keeps likelihood, score, and Fisher information
 well defined where a sparse object's PSF copies never deposit photons;
@@ -24,7 +27,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import fisher as _fisher
 from .errors import DimensionError, SingularRateError
 from .forward_model import GRAM_BLOCK_BYTES, SystemMatrix, adjoint, forward, weighted_gram
 
@@ -33,13 +35,28 @@ from .forward_model import GRAM_BLOCK_BYTES, SystemMatrix, adjoint, forward, wei
 TABLE_ENTRY_BYTES = 8 + 2 * (8 + 1)
 
 
+def check_parameter(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise ValueError unless value is finite and positive with a finite
+    reciprocal (or zero, if allowed).
+
+    An infinite variance or background would give J = 0, whose reported
+    bound is the artefact 1/eps of the diagonal loading; one so small that
+    its reciprocal overflows (1e-320, say) would give infinite Fisher
+    weights; a negative or non-finite eps would report no bound at all.
+    """
+    value = float(value)
+    if not (allow_zero and value == 0 or 0 < value < math.inf and 1.0 / value < math.inf):
+        bound = "0, or finite and positive" if allow_zero else "finite and positive"
+        raise ValueError(f"{name} must be {bound} with a finite reciprocal, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GaussianNoise:
     sigma2: float  # per-pixel variance, photons^2
     background: ClassVar[float] = 0.0   # the mean measurement is b itself
 
     def __post_init__(self):
-        _fisher.check_parameter("sigma2", self.sigma2)
+        check_parameter("sigma2", self.sigma2)
 
     def draw(self, rng, mean, shape) -> np.ndarray:
         return mean + rng.normal(0.0, np.sqrt(self.sigma2), size=shape)
@@ -63,9 +80,10 @@ class GaussianNoise:
     def curvature(self, y, mean):
         return 1.0 / self.sigma2
 
-    def fisher(self, H: SystemMatrix, v) -> np.ndarray:
-        """Closed-form Fisher matrix; the object v does not enter it."""
-        return _fisher.fisher_gaussian(H, self.sigma2)
+    def fisher_weights(self, mean):
+        """Fisher weight of every measurement: 1 / sigma2, whatever the mean
+        (which may be None: the Gaussian Fisher matrix takes no object)."""
+        return 1.0 / self.sigma2
 
 
 @dataclass(frozen=True)
@@ -73,7 +91,7 @@ class PoissonNoise:
     background: float = 0.0  # photons, added to every rate
 
     def __post_init__(self):
-        _fisher.check_parameter("background", self.background, allow_zero=True)
+        check_parameter("background", self.background, allow_zero=True)
 
     def draw(self, rng, mean, shape) -> np.ndarray:
         return rng.poisson(mean, size=shape).astype(float)
@@ -112,9 +130,15 @@ class PoissonNoise:
     def curvature(self, y, mean):
         return _poisson_ratio(mean, y) / np.where(mean > 0, mean, 1.0)
 
-    def fisher(self, H: SystemMatrix, v) -> np.ndarray:
-        """Closed-form Fisher matrix at object v."""
-        return _fisher.fisher_poisson(H, v, self.background)
+    def fisher_weights(self, mean):
+        """Fisher weight of each measurement, 1 / mean. DimensionError
+        without a mean (the Poisson Fisher matrix depends on the object),
+        SingularRateError at the first zero rate."""
+        if mean is None:
+            raise DimensionError("the Poisson Fisher matrix needs an object")
+        if np.any(mean <= 0):
+            raise SingularRateError(int(np.argmax(mean <= 0)))
+        return 1.0 / mean
 
 
 def _table_length(top: float) -> int:
@@ -226,7 +250,8 @@ def _measurement(H: SystemMatrix, y) -> np.ndarray:
     return y
 
 
-def _mean(model, H: SystemMatrix, v) -> np.ndarray:
+def mean_measurement(model, H: SystemMatrix, v) -> np.ndarray:
+    """The model's mean measurement H v + background at object v."""
     return forward(H, v) + model.background
 
 
@@ -245,16 +270,16 @@ def sample(model, b, seed) -> np.ndarray:
 def log_likelihood(model, H: SystemMatrix, v, y) -> float:
     """ln p(y; v). Poisson returns -inf when a zero rate meets a nonzero count."""
     y = _measurement(H, y)
-    return model.log_pdf(y, _mean(model, H, v))
+    return model.log_pdf(y, mean_measurement(model, H, v))
 
 
 def score(model, H: SystemMatrix, v, y) -> np.ndarray:
     """Gradient of the log-likelihood with respect to the object pixels."""
     y = _measurement(H, y)
-    return adjoint(H, model.score_weights(y, _mean(model, H, v)))
+    return adjoint(H, model.score_weights(y, mean_measurement(model, H, v)))
 
 
 def hessian_log_likelihood(model, H: SystemMatrix, v, y) -> np.ndarray:
     """Hessian of the log-likelihood; Gaussian is y-independent."""
     y = _measurement(H, y)
-    return -weighted_gram(H, model.curvature(y, _mean(model, H, v)))
+    return -weighted_gram(H, model.curvature(y, mean_measurement(model, H, v)))

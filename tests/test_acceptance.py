@@ -19,7 +19,6 @@ from lensless_crb import (
     PoissonNoise,
     build_system_matrix,
     crb_from_fisher,
-    fisher_gaussian,
     fisher_monte_carlo,
     fisher_poisson,
     forward,
@@ -31,6 +30,7 @@ from lensless_crb import (
     score,
 )
 from lensless_crb.cli import main
+from lensless_crb.fisher import fisher_gaussian
 from lensless_crb.oracles import fd_gradient, fd_jacobian, relative_error
 from lensless_crb.psf import Diffuser, Lenslets, PsfSpec
 from lensless_crb.storage import checksum_tree, read_grid_csv, sha256_file

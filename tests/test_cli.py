@@ -615,12 +615,12 @@ def _count_calls(monkeypatch, module, name, call_log):
 
 
 @pytest.mark.parametrize("study, expected", [
-    ("fig2", {"build_system_matrix": 7, "fisher_gaussian": 7}),
-    ("fig3", {"build_system_matrix": 7, "generate_object": 2, "fisher_poisson": 14}),
+    ("fig2", {"build_system_matrix": 7, "fisher_information": 7}),
+    ("fig3", {"build_system_matrix": 7, "generate_object": 2, "fisher_information": 14}),
 ])
 def test_study_builds_each_h_once(tmp_path, monkeypatch, call_log, study, expected):
     for module, name in ((cli, "build_system_matrix"), (objects, "generate_object"),
-                         (fisher, "fisher_gaussian"), (fisher, "fisher_poisson")):
+                         (fisher, "fisher_information")):
         _count_calls(monkeypatch, module, name, call_log)
     cfg = tmp_path / "small.cfg"
     cfg.write_text("psf_size = 16\nobject_size = 8\n")   # 15 rml spots need 16x16

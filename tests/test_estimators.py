@@ -13,7 +13,6 @@ from lensless_crb import (
     adjoint,
     build_system_matrix,
     crb_from_fisher,
-    fisher_gaussian,
     fisher_poisson,
     forward,
     generate_object,
@@ -27,6 +26,7 @@ from lensless_crb import (
     vectorize,
 )
 from lensless_crb import estimators, fisher
+from lensless_crb.fisher import fisher_gaussian
 from lensless_crb.psf import Lenslets, PsfSpec
 from conftest import one_working_array_bound, traced_peak_bytes
 

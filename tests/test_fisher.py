@@ -15,7 +15,7 @@ from lensless_crb import (
     SingularRateError,
     build_system_matrix,
     crb_from_fisher,
-    fisher_gaussian,
+    fisher_information,
     fisher_monte_carlo,
     fisher_poisson,
     forward,
@@ -26,7 +26,7 @@ from lensless_crb import (
     vectorize,
 )
 from lensless_crb import fisher, noise
-from lensless_crb.fisher import MC_CHUNK
+from lensless_crb.fisher import MC_CHUNK, fisher_gaussian
 from lensless_crb.forward_model import GRAM_BLOCK_BYTES
 from lensless_crb.oracles import relative_error
 from lensless_crb.psf import Diffuser, Lenslets, PsfSpec, Rml
@@ -121,6 +121,30 @@ class TestFisherPoisson:
             fisher_poisson(H, np.array([0.0, 1.0]), 0.0)
 
 
+class TestFisherInformation:
+    @pytest.mark.parametrize("beta", [1e2, 1e4, 1e6])
+    def test_poisson_tends_to_unit_gaussian_at_large_background(self, small_lenslet_h, beta):
+        # beta / (Hv + beta) = 1 - Hv / (Hv + beta) and H >= 0, so
+        # beta * J_Poisson lies within max(Hv) / beta of H^T H, the Gaussian
+        # Fisher matrix at sigma2 = 1, in relative Frobenius norm
+        H = small_lenslet_h
+        v = np.random.default_rng(8).uniform(0.5, 2.0, size=H.d)
+        poisson = beta * fisher_information(PoissonNoise(beta), H, v)
+        gaussian = fisher_information(GaussianNoise(1.0), H)
+        err = relative_error(poisson, gaussian)
+        assert 0 < err <= np.max(forward(H, v)) / beta
+
+    def test_gaussian_needs_no_object(self, small_lenslet_h):
+        v = np.ones(small_lenslet_h.d)
+        np.testing.assert_array_equal(
+            fisher_information(GaussianNoise(2.0), small_lenslet_h, v),
+            fisher_information(GaussianNoise(2.0), small_lenslet_h))
+
+    def test_poisson_without_object_raises(self, small_lenslet_h):
+        with pytest.raises(DimensionError):
+            fisher_information(PoissonNoise(1e-3), small_lenslet_h)
+
+
 class TestFisherMonteCarlo:
     def test_gaussian_matches_closed_form(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
@@ -148,10 +172,7 @@ class TestFisherMonteCarlo:
     def test_oracle_equivalence_small_instance(self, model, small_lenslet_h):
         rng = np.random.default_rng(2)
         v = rng.uniform(0.5, 2.0, size=small_lenslet_h.d)
-        if isinstance(model, GaussianNoise):
-            closed = fisher_gaussian(small_lenslet_h, model.sigma2)
-        else:
-            closed = fisher_poisson(small_lenslet_h, v, model.background)
+        closed = fisher_information(model, small_lenslet_h, v)
         mc = fisher_monte_carlo(model, small_lenslet_h, v, 200_000, seed=3)
         assert relative_error(mc, closed) < 0.05
 
@@ -523,8 +544,8 @@ class TestCrb:
         from lensless_crb import DenseCells, ObjectSpec, generate_object
 
         v = vectorize(generate_object(ObjectSpec(DenseCells(), (8, 8), 100.0, 0)))
-        fishers = {kind: [model.fisher(build_system_matrix(generate_psf(PsfSpec(kind, (8, 8), 0)),
-                                                           (8, 8), (8 + e, 8 + e)), v)
+        fishers = {kind: [fisher_information(model, build_system_matrix(
+                              generate_psf(PsfSpec(kind, (8, 8), 0)), (8, 8), (8 + e, 8 + e)), v)
                           for e in (0, 2, 6)]
                    for kind in (Lenslets(3), Diffuser())}
         for unpadded, *padded in fishers.values():

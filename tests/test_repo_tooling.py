@@ -22,12 +22,18 @@ from lensless_crb import build_system_matrix, cli, estimators, fisher, noise
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+def _load_script(folder, name):
+    """A module of the repository that lies outside the package, as loaded
+    from its file."""
+    spec = importlib.util.spec_from_file_location(f"{folder}_{name}",
+                                                  ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_perfbench(name):
+    return _load_script("perfbench", name)
 
 
 def _tracing_targets():
@@ -365,3 +371,73 @@ def test_only_the_study_starts_processes():
                                or name.split(".")[-1] in names
                                or name.startswith("concurrent.futures.process"))]
     assert offenders == []
+
+
+def test_noise_imports_nothing_from_fisher():
+    # fisher builds its closed forms from the noise models' Fisher weights,
+    # so the modules import in one order: noise first, then fisher
+    imported = []
+    for node in ast.walk(ast.parse((ROOT / "src" / "lensless_crb" / "noise.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert [name for name in imported if "fisher" in name.split(".")] == []
+
+
+@pytest.mark.parametrize("model", [noise.GaussianNoise, noise.PoissonNoise])
+def test_no_noise_model_method_sees_h(model):
+    # a model holds per-measurement math; the noise functions and
+    # fisher.fisher_information apply it through H
+    tree = ast.parse((ROOT / "src" / "lensless_crb" / "noise.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == model.__name__)
+    offenders = [f"{model.__name__}.{node.name}" for node in cls.body
+                 if isinstance(node, ast.FunctionDef)
+                 and "H" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]]
+    assert offenders == [] and not hasattr(model, "fisher")
+
+
+def test_fisher_information_builds_every_closed_form():
+    # the Gaussian and Poisson closed forms are one weighted Gram of the
+    # model's Fisher weights, formed in one place
+    tree = ast.parse((ROOT / "src" / "lensless_crb" / "fisher.py").read_text())
+    callers = [func for func, _line in _uses(tree, "weighted_gram")
+               if func is not None]   # the import names it outside any function
+    assert callers == ["fisher_information"]
+
+
+def test_code_line_counter_rules():
+    # blank lines, comments and module, class and function docstrings do not
+    # count; every line of a multi-line statement or non-doc string does
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self, x):
+        """Function
+        docstring."""
+        y = (x +
+             1)
+        s = """a string
+        that is no docstring"""
+        return y, s
+'''
+    code_lines = _load_script("tools", "code_lines").code_lines
+    assert code_lines(source) == 8
+    assert code_lines("") == 0
+
+
+def test_code_line_counter_prints_each_module_and_the_total(tmp_path):
+    (tmp_path / "a.py").write_text("x = 1\n\n# note\ny = 2\n")
+    (tmp_path / "b.py").write_text('"""Doc."""\nz = 3\n')
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert [line.split() for line in out.splitlines()] == \
+        [["2", "a.py"], ["1", "b.py"], ["3", "total"]]
