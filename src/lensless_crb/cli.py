@@ -449,17 +449,20 @@ def _verify_checks(cfg: dict, draws: dict):
         yield f"mc_fisher_{label}", "PASS" if err < MC_FISHER_LIMIT else "FAIL", \
             f"rel Frobenius error {err:.4f} (limit {MC_FISHER_LIMIT:g}, n={n_samples})"
 
-    # finite-difference cross-checks of score and Hessian
+    # finite-difference cross-checks of score and Hessian; each differences
+    # the change from v_small, formed per measurement, so the checks keep
+    # their digits at any background or variance
     v_small = rng.uniform(0.5, 2.0, size=H.d)
     for label, model in models.items():
         y = noise.sample(model, forward(H, v_small), derive_seed(seed, f"fd-{label}"))
         g = noise.score(model, H, v_small, y)
-        g_fd = fd_gradient(lambda x: noise.log_likelihood(model, H, x, y), v_small)
+        g_fd = fd_gradient(lambda x: noise.log_likelihood(model, H, x, y, reference=v_small),
+                           v_small)
         err = relative_error(g_fd, g)
         yield f"fd_score_{label}", "PASS" if err < FD_SCORE_LIMIT else "FAIL", \
             f"rel error {err:.3g} (limit {FD_SCORE_LIMIT:g})"
         hess = noise.hessian_log_likelihood(model, H, v_small, y)
-        h_fd = fd_jacobian(lambda x: noise.score(model, H, x, y), v_small)
+        h_fd = fd_jacobian(lambda x: noise.score(model, H, x, y, reference=v_small), v_small)
         err = relative_error(h_fd, hess)
         yield f"fd_hessian_{label}", "PASS" if err < FD_HESSIAN_LIMIT else "FAIL", \
             f"rel error {err:.3g} (limit {FD_HESSIAN_LIMIT:g})"

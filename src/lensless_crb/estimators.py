@@ -24,7 +24,7 @@ from scipy.linalg import blas, eigvalsh
 
 from . import fisher
 from .errors import DimensionError, GramUnderflowError, TrialFailureError
-from .fisher import CrbMap, loaded_cholesky
+from .fisher import CrbMap, diagonal_load, loaded_cholesky
 from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 from .noise import check_parameter, sample
 
@@ -38,12 +38,13 @@ TINY = np.finfo(float).tiny   # smallest normal float64
 
 
 def make_gls_solver(H: SystemMatrix):
-    """Factor (H^T H + eps*I) once, with loaded_cholesky's default eps;
+    """Factor (H^T H + eps*I) once, with diagonal_load's default eps;
     return a solver mapping y -> v.
 
     The solver accepts y of shape (k,) or (k, n) and may return negatives.
     """
-    c, _ = loaded_cholesky(weighted_gram(H))
+    G = weighted_gram(H)
+    c = loaded_cholesky(G, diagonal_load(G))
 
     def solve(y):
         return fisher.cho_solve(c, adjoint(H, y))

@@ -12,7 +12,10 @@ estimator built from sampled score outer products serves as an independent
 oracle for both closed forms. The CRB is the diagonal of the inverse Fisher
 matrix, computed through a Cholesky factorization J + eps*I = L L^T with
 eps = epsilon_rel * max(diag(J)), so Gaussian and Poisson scales both
-behave: diag((L L^T)^-1) holds the squared column norms of L^-1.
+behave: diag((L L^T)^-1) holds the squared column norms of L^-1. A J equal
+to its point reflection J[::-1, ::-1], as every Gaussian Fisher matrix is,
+splits into an even and an odd block of half its size, and the two blocks
+are factored and inverted in place of J, at a quarter of the flops.
 """
 
 import os
@@ -26,8 +29,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
 
 from .errors import DimensionError, FactorizationError
-from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, build_matrix, gram,
-                            one_blas_thread, weighted_gram)
+from .forward_model import (GRAM_BLOCK_BYTES, STRIP, SystemMatrix, adjoint, build_matrix,
+                            gram, one_blas_thread, weighted_gram)
 from .noise import GaussianNoise, PoissonNoise, check_parameter, mean_measurement
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
@@ -165,13 +168,8 @@ def _chunk_gram(model, H: SystemMatrix, mean, draw, seed_seq, m: int) -> np.ndar
     return gram(((0, block(min(rows, m - start))) for start in range(0, m, rows)), H.d)
 
 
-def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):
-    """Cholesky factor of the symmetric matrix A + eps*I, and the eps used.
-
-    eps = epsilon_rel * max(diag(A)). A is loaded and factored in place (a
-    column-major float A is not copied): the factor is A's lower triangle,
-    and A's entries above the diagonal stay as they were. Raises
-    FactorizationError when A + eps*I is not positive definite.
+def diagonal_load(A: np.ndarray, epsilon_rel: float = EPSILON_REL) -> float:
+    """The diagonal load eps = epsilon_rel * max(diag(A)) of the symmetric A.
 
     An epsilon_rel of 1 or more is a ValueError: then eps >= max(diag(A)),
     so every loaded bound is at most 1/eps <= 1 / max(diag(A)), while every
@@ -180,30 +178,116 @@ def loaded_cholesky(A: np.ndarray, epsilon_rel: float = EPSILON_REL):
     check_parameter("epsilon_rel", epsilon_rel, allow_zero=True)
     if epsilon_rel >= 1:
         raise ValueError(f"epsilon_rel must be below 1, got {epsilon_rel!r}")
-    eps = epsilon_rel * float(np.max(np.diag(A)))
+    return epsilon_rel * float(np.max(np.diag(A)))
+
+
+def loaded_cholesky(A: np.ndarray, eps: float):
+    """Cholesky factor of the symmetric matrix A + eps*I, as cho_factor gives it.
+
+    A is loaded and factored in place (a column-major float A is not
+    copied): the factor is A's lower triangle, and A's entries above the
+    diagonal stay as they were. Raises FactorizationError when A + eps*I is
+    not positive definite.
+    """
     A[np.diag_indices_from(A)] += eps
     try:
-        return cho_factor(A, lower=True, overwrite_a=True), eps
+        return cho_factor(A, lower=True, overwrite_a=True)
     except LinAlgError as exc:
         raise FactorizationError(eps, f"Cholesky of A + eps*I failed (eps={eps!r}): {exc}")
 
 
 def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL, *,
                     object_shape) -> CrbMap:
-    """diag((J + eps*I)^-1) via Cholesky and a triangular inverse, laid out on
-    the (height, width) object_shape; the epsilon actually used is recorded.
+    """diag((J + eps*I)^-1), eps = diagonal_load(J, epsilon_rel), laid out on
+    the (height, width) object_shape; the eps used is recorded. J is read
+    from its lower triangle alone and is left unchanged. DimensionError
+    unless J is square with one row per pixel of object_shape.
 
-    The one working array is a copy of J's lower triangle, column-major with
-    zeros above the diagonal; it is loaded, factored and inverted in place,
-    and J itself is left unchanged. DimensionError unless J is square with
-    one row per pixel of object_shape."""
+    A J that equals its point reflection J[::-1, ::-1] (every Gaussian
+    Fisher matrix: an entry depends only on the lag between its two pixels,
+    and not on the lag's sign) splits orthogonally into an even and an odd
+    block of half its size (Cantoni & Butler, Linear Algebra Appl. 13(3),
+    1976). With m = d // 2 and P the index reversal, E = J11 + J12 P and
+    O = J11 - J12 P, J12 P read from the lower-left block as J[d-1-i, j];
+    for odd d the middle pixel joins E, with sqrt(2) * J[m, :m] as its row
+    and J[m, m] as its diagonal entry. Both halves take the same eps, which
+    the orthogonal split leaves a multiple of I, so the map is exactly the
+    bound of J + eps*I: 0.5 * (diag E^-1 + diag O^-1) on the first m
+    pixels, mirrored onto the last m, and (E^-1)_mm on the middle one. Two
+    (d/2)^3 factorizations replace one d^3. Any other J, and a 1 x 1 one,
+    is factored whole.
+
+    Each factored matrix is one working array, a column-major copy of its
+    lower triangle with zeros above the diagonal; _inverse_diagonal loads,
+    factors and inverts it in place.
+    """
     h, w = int(object_shape[0]), int(object_shape[1])
     J = np.asarray(J, dtype=float)
     if J.shape != (h * w, h * w):
         raise DimensionError(f"object shape {(h, w)} does not match J of shape {J.shape}")
-    (L, _lower), eps = loaded_cholesky(np.triu(J.T).T, epsilon_rel)
+    eps = diagonal_load(J, epsilon_rel)
+    d = len(J)
+    m = d // 2
+    n = d - m
+    if m == 0 or not _centrosymmetric(J):
+        return CrbMap(_inverse_diagonal(_lower(J), eps), eps, (h, w))
+    reflected = J[::-1]   # reflected[i, j] = J[d-1-i, j]
+    even = J[:n, :n] + reflected[:n, :n]
+    if n > m:
+        # the middle row folded onto itself: 2 J[m, :m] -> sqrt(2) J[m, :m]
+        even[m] *= np.sqrt(0.5)
+        even[m, m] = J[m, m]
+    even = _inverse_diagonal(_lower(even), eps)
+    odd = _inverse_diagonal(_lower(J[:m, :m] - reflected[:m, :m]), eps)
+    half = 0.5 * (even[:m] + odd)
+    return CrbMap(np.concatenate([half, even[m:], half[::-1]]), eps, (h, w))
+
+
+def _centrosymmetric(J: np.ndarray) -> bool:
+    """Whether the symmetric J that its lower triangle gives equals its point
+    reflection J[::-1, ::-1], bit for bit.
+
+    Only the lower triangle is read. A corner pair J[0, 0] != J[-1, -1]
+    rejects J at once. Otherwise, with m = d // 2, the lower-left block
+    read upside down, J[d-1-i, j] for i, j < m, must be symmetric; the
+    top-left triangle must be the bottom-right one reflected; and for odd d
+    the middle row J[m, :m] must be the middle column below it reversed.
+    """
+    d = len(J)
+    m = d // 2
+    if J[0, 0] != J[-1, -1]:
+        return False
+    reflected = J[::-1]
+    return (_lower_equal(J[:m, :m], J[::-1, ::-1][:m, :m])
+            and _lower_equal(reflected[:m, :m], reflected[:m, :m])
+            and (d % 2 == 0 or np.array_equal(J[m, :m], reflected[:m, m])))
+
+
+def _lower_equal(A: np.ndarray, B: np.ndarray) -> bool:
+    """Whether A[i, j] == B[j, i] for every i >= j of the square A and B:
+    the lower triangle of A against that of B.T, compared in strips of
+    STRIP columns, so the transposed reads stay in cache."""
+    m = len(A)
+    for s in range(0, m, STRIP):
+        e = min(s + STRIP, m)
+        if not (np.array_equal(A[e:, s:e], B[s:e, e:].T)
+                and np.array_equal(np.tril(A[s:e, s:e]), np.tril(B[s:e, s:e].T))):
+            return False
+    return True
+
+
+def _lower(A: np.ndarray) -> np.ndarray:
+    """A column-major copy of A's lower triangle, zeros above the diagonal."""
+    return np.triu(A.T).T
+
+
+def _inverse_diagonal(A: np.ndarray, eps: float) -> np.ndarray:
+    """diag((A + eps*I)^-1) of the symmetric A held as a column-major lower
+    triangle with zeros above the diagonal: A is loaded and factored in
+    place (A + eps*I = L L^T), dtrtri inverts L in place, and the diagonal
+    holds the squared column norms of L^-1."""
+    L, _lower_flag = loaded_cholesky(A, eps)
     Linv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(eps, f"triangular inverse failed (info={info})")
-    return CrbMap(np.einsum("ij,ij->j", Linv, Linv), eps, (h, w))
-
+    return np.einsum("ij,ij->j", Linv, Linv)

@@ -7,9 +7,11 @@ Two measurement models over the noiseless image b = H v:
 
 Each model holds its per-measurement math: the additive background of its
 mean measurement, its draws, its log-density, its score weights r (score =
-H^T r), its curvature weights w (Hessian = -H^T diag(w) H) and its Fisher
-weights (1 / sigma2, or 1 / mean; fisher.fisher_information forms
-J = H^T diag(w) H from them). No model method sees H: the functions below
+H^T r), the changes of both when the mean moves (differenced per
+measurement, so the finite-difference oracles keep their digits at any
+background or variance), its curvature weights w (Hessian = -H^T diag(w)
+H) and its Fisher weights (1 / sigma2, or 1 / mean;
+fisher.fisher_information forms J = H^T diag(w) H from them). No model method sees H: the functions below
 apply that math through H, whatever the model, at the one mean measurement
 mean_measurement(model, H, v). A model validates its parameter once, when it
 is built. A model's sampler(mean) draws many measurements around one fixed
@@ -74,8 +76,17 @@ class GaussianNoise:
         return float(-0.5 * np.sum(r * r) / self.sigma2
                      - 0.5 * y.size * np.log(2.0 * np.pi * self.sigma2))
 
+    def log_pdf_change(self, y, mean, change) -> float:
+        """log_pdf(y, mean + change) - log_pdf(y, mean), differenced per
+        measurement: sum(change (2 (y - mean) - change)) / (2 sigma2)."""
+        return float(np.sum(change * (2.0 * (y - mean) - change)) / (2.0 * self.sigma2))
+
     def score_weights(self, y, mean):
         return (y - mean) / self.sigma2
+
+    def score_weights_change(self, y, mean, change):
+        """score_weights(y, mean + change) - score_weights(y, mean): -change / sigma2."""
+        return -change / self.sigma2
 
     def curvature(self, y, mean):
         return 1.0 / self.sigma2
@@ -119,6 +130,14 @@ class PoissonNoise:
             ylogb = np.where(y > 0, y * np.log(mean), 0.0)
         return float(np.sum(ylogb - mean - gammaln(y + 1.0)))
 
+    def log_pdf_change(self, y, mean, change) -> float:
+        """log_pdf(y, mean + change) - log_pdf(y, mean), differenced per
+        measurement: sum(y log1p(change / mean)) - sum(change), a zero count
+        adding only -change. The means must be positive."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ylog = np.where(y > 0, y * np.log1p(change / mean), 0.0)
+        return float(np.sum(ylog) - np.sum(change))
+
     def score_weights(self, y, mean):
         if np.all(mean > 0):
             # a zero count gives 0 / mean = 0, as _poisson_ratio does
@@ -126,6 +145,11 @@ class PoissonNoise:
             r -= 1.0
             return r
         return _poisson_ratio(mean, y) - 1.0
+
+    def score_weights_change(self, y, mean, change):
+        """score_weights(y, mean + change) - score_weights(y, mean), formed
+        as -y change / ((mean + change) mean). The means must be positive."""
+        return -y * change / ((mean + change) * mean)
 
     def curvature(self, y, mean):
         return _poisson_ratio(mean, y) / np.where(mean > 0, mean, 1.0)
@@ -267,16 +291,47 @@ def sample(model, b, seed) -> np.ndarray:
     return model.draw(np.random.default_rng(seed), mean, mean.shape)
 
 
-def log_likelihood(model, H: SystemMatrix, v, y) -> float:
-    """ln p(y; v). Poisson returns -inf when a zero rate meets a nonzero count."""
+def log_likelihood(model, H: SystemMatrix, v, y, reference=None) -> float:
+    """ln p(y; v). Poisson returns -inf when a zero rate meets a nonzero count.
+
+    Given a reference object, the log-likelihood ratio ln p(y; v) -
+    ln p(y; reference) instead, differenced per measurement (the model's
+    log_pdf_change) over the measurements whose mean moves, so it keeps its
+    digits however large the log-likelihood itself is: a sum over k
+    measurements of size k * background, or k/2 log(2 pi sigma2), would
+    lose a small change to round-off. The reference's moved Poisson rates
+    must be positive.
+    """
     y = _measurement(H, y)
-    return model.log_pdf(y, mean_measurement(model, H, v))
+    if reference is None:
+        return model.log_pdf(y, mean_measurement(model, H, v))
+    _moved, *args = _moved_means(model, H, v, y, reference)
+    return model.log_pdf_change(*args)
 
 
-def score(model, H: SystemMatrix, v, y) -> np.ndarray:
-    """Gradient of the log-likelihood with respect to the object pixels."""
+def score(model, H: SystemMatrix, v, y, reference=None) -> np.ndarray:
+    """Gradient of the log-likelihood with respect to the object pixels.
+
+    Given a reference object, score(v) - score(reference) instead, from the
+    per-measurement change of the score weights (the model's
+    score_weights_change), not from the difference of two scores.
+    """
     y = _measurement(H, y)
-    return adjoint(H, model.score_weights(y, mean_measurement(model, H, v)))
+    if reference is None:
+        return adjoint(H, model.score_weights(y, mean_measurement(model, H, v)))
+    moved, *args = _moved_means(model, H, v, y, reference)
+    r = np.zeros(H.k)
+    r[moved] = model.score_weights_change(*args)
+    return adjoint(H, r)
+
+
+def _moved_means(model, H: SystemMatrix, v, y, reference):
+    """The measurements whose mean moves from object reference to v: their
+    mask, and at them the counts y, the reference's mean measurement and
+    the change H (v - reference) of the mean."""
+    change = forward(H, np.asarray(v, dtype=float) - reference)
+    moved = change != 0
+    return moved, y[moved], mean_measurement(model, H, reference)[moved], change[moved]
 
 
 def hessian_log_likelihood(model, H: SystemMatrix, v, y) -> np.ndarray:

@@ -450,6 +450,19 @@ class TestVerifyCommand:
         # without the Monte Carlo checks, the finite differences handle zero rates
         assert run("verify", "--background", 0, "--n-samples", 100, "--n-trials", 0) == 0
 
+    @pytest.mark.parametrize("flag, value", [
+        *[("--background", b) for b in (0, 1e-3, 1, 1e3, 1e6, 1e9)],
+        *[("--sigma2", s) for s in (1e-6, 1, 1e6, 1e12)]])
+    def test_finite_difference_checks_pass_at_every_scale(self, capsys, flag, value):
+        # the likelihood sums grow with k * background or k/2 log(2 pi
+        # sigma2); the checks difference per measurement, so they keep their
+        # digits, and beta = 0 leaves out the rates no object pixel reaches
+        assert run("verify", "--n-samples", 0, "--n-trials", 0, flag, value) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(line.split(":")[0] for line in lines if "fd_" in line) == \
+            ["PASS fd_hessian_gaussian", "PASS fd_hessian_poisson",
+             "PASS fd_score_gaussian", "PASS fd_score_poisson"]
+
     @pytest.mark.parametrize("flags", [("--sigma2", -1), ("--background", "inf"),
                                        ("--n-samples", -5), ("--n-trials", -5),
                                        ("--sigma2", "1e-320"), ("--background", "1e-320")])

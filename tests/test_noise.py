@@ -192,6 +192,60 @@ class TestHessian:
             assert np.linalg.eigvalsh(hess).max() <= 1e-10
 
 
+class TestChangeFromReference:
+    """log_likelihood and score against a reference object, differenced per
+    measurement before summing."""
+
+    MODELS = [GaussianNoise(1.3), PoissonNoise(0.05)]
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_equal_the_differences_at_moderate_scale(self, model, small_lenslet_h):
+        H = small_lenslet_h
+        rng = np.random.default_rng(14)
+        v0, v = rng.uniform(0.5, 2.0, size=(2, H.d))
+        y = sample(model, forward(H, v0), seed=5)
+        ratio = log_likelihood(model, H, v, y, reference=v0)
+        assert ratio == pytest.approx(log_likelihood(model, H, v, y)
+                                      - log_likelihood(model, H, v0, y), rel=1e-10)
+        np.testing.assert_allclose(score(model, H, v, y, reference=v0),
+                                   score(model, H, v, y) - score(model, H, v0, y),
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_zero_at_the_reference(self, model, small_lenslet_h):
+        H = small_lenslet_h
+        v = np.linspace(0.5, 2.0, H.d)
+        y = sample(model, forward(H, v), seed=6)
+        assert log_likelihood(model, H, v, y, reference=v) == 0.0
+        np.testing.assert_array_equal(score(model, H, v, y, reference=v), np.zeros(H.d))
+
+    @pytest.mark.parametrize("model", [GaussianNoise(1e12), PoissonNoise(1e9)],
+                             ids=["sigma2=1e12", "background=1e9"])
+    def test_finite_differences_hold_at_large_scale(self, model, small_lenslet_h):
+        # the whole log-likelihood and score would lose the change over one
+        # FD step to round-off here; the per-measurement changes keep it
+        H = small_lenslet_h
+        v = np.random.default_rng(15).uniform(0.5, 2.0, size=H.d)
+        y = sample(model, forward(H, v), seed=7)
+        g_fd = fd_gradient(lambda x: log_likelihood(model, H, x, y, reference=v), v)
+        assert relative_error(g_fd, score(model, H, v, y)) < 1e-9
+        h_fd = fd_jacobian(lambda x: score(model, H, x, y, reference=v), v)
+        assert relative_error(h_fd, hessian_log_likelihood(model, H, v, y)) < 1e-9
+
+    def test_poisson_ratio_leaves_out_unmoved_zero_rates(self):
+        # at zero background the padded measurements no pixel reaches have
+        # rate 0 before and after, and add nothing
+        H = build_system_matrix(np.ones((1, 1)), (1, 2), (2, 2))
+        v0, v = np.array([1.0, 2.0]), np.array([1.5, 2.0])
+        y = forward(H, v0)
+        assert np.any(forward(H, v0) == 0)
+        want = 1.0 * np.log(1.5) - 0.5
+        assert log_likelihood(PoissonNoise(0.0), H, v, y, reference=v0) \
+            == pytest.approx(want, rel=1e-14)
+        np.testing.assert_allclose(score(PoissonNoise(0.0), H, v, y, reference=v0),
+                                   [1 / 1.5 - 1, 0.0], rtol=1e-14)
+
+
 class TestPoissonTables:
     """PoissonNoise.sampler draws by guide-table inversion (noise.PoissonTables)."""
 

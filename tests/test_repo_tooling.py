@@ -282,6 +282,19 @@ def test_gram_storage_is_decided_in_forward_model_alone():
             if name.startswith(("scipy.linalg.blas", "forward_model._"))] == []
 
 
+def test_one_factor_and_one_triangular_inverse():
+    # every SPD matrix the package factors goes through loaded_cholesky, and
+    # every CRB diagonal through _inverse_diagonal, so the half blocks of a
+    # centrosymmetric Fisher matrix reuse the whole matrix's step
+    calls = {name: [(path.name, func)
+                    for path in sorted((ROOT / "src" / "lensless_crb").glob("*.py"))
+                    for func, _line in _uses(ast.parse(path.read_text()), name)
+                    if func is not None]   # the import names it outside any function
+             for name in ("cho_factor", "dtrtri")}
+    assert calls == {"cho_factor": [("fisher.py", "loaded_cholesky")],
+                     "dtrtri": [("fisher.py", "_inverse_diagonal")]}
+
+
 def test_cli_computes_bounds_only_in_the_case_path():
     # crb and study share write_case, so how a case's CRB is computed and
     # summarised is decided once; verify's GLS check bounds its own trials
