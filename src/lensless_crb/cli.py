@@ -9,8 +9,11 @@ verify  run the Monte Carlo / finite-difference / efficiency oracle suite
 study   run the canned Gaussian (fig2) or Poisson (fig3) multiplexing study
         (its PSFs on one forked worker process per CPU, each at one BLAS thread)
 
-Configuration is a flat ``key = value`` text file; CLI flags override file
-keys. Each command takes only the keys it reads (``COMMAND_KEYS``). All
+Configuration is a flat ``key = value`` text file (``--config``, taken by
+every command), each key set at most once; flags override file keys. Each
+command reads only its ``COMMAND_KEYS``, and its flags are exactly those
+keys: ``--key`` with dashes for underscores, less the command's own prefix
+(``psf_kind`` is ``--kind`` on ``psf`` and ``--psf-kind`` on ``crb``). All
 randomness flows from one master seed through named substreams.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure or failed
@@ -137,7 +140,7 @@ COMMAND_KEYS = {
 
 
 def parse_config_file(path) -> dict:
-    cfg = {}
+    cfg, set_on = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -149,7 +152,9 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        cfg[key] = value
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
+        cfg[key], set_on[key] = value, lineno
     return cfg
 
 
@@ -174,14 +179,14 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             if kind is int and cfg[key] < 0:
                 raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
-    for key, table in (("psf_kind", PSF_KINDS), ("object_kind", OBJECT_KINDS),
-                       ("noise", NOISE_MODELS)):
+    for key, table in NAME_TABLES.items():
         if key in cfg and cfg[key] not in table:
             raise ConfigError(f"unknown {key}: {cfg[key]!r}")
     return cfg
 
 
-# One name table per family: each feeds argparse choices and config lookup.
+# One name table per family: each feeds its flag's choices, the check in
+# resolve_config and the config lookup.
 PSF_KINDS = {
     "lenslets": lambda cfg: psf.Lenslets(cfg["psf_n"]),
     "rml": lambda cfg: psf.Rml(cfg["psf_n_spots"],
@@ -195,6 +200,7 @@ NOISE_MODELS = {
     "gaussian": lambda cfg: noise.GaussianNoise(cfg["sigma2"]),
     "poisson": lambda cfg: noise.PoissonNoise(cfg["background"]),
 }
+NAME_TABLES = {"psf_kind": PSF_KINDS, "object_kind": OBJECT_KINDS, "noise": NOISE_MODELS}
 
 
 def make_psf_grid(cfg: dict) -> np.ndarray:
@@ -279,8 +285,13 @@ def environment() -> dict:
     }
 
 
-def base_manifest(cfg: dict, command: str) -> dict:
-    return {
+def write_run_manifest(out_dir: Path, cfg: dict, command: str, seconds: dict,
+                       **fields) -> None:
+    """Write out_dir/manifest.json, making out_dir if need be: the fields
+    every command records, the command's own fields, the checksums of every
+    file under out_dir and the seconds as its timings."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    storage.write_manifest(out_dir / "manifest.json", {
         "toolkit_version": __version__,
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},
@@ -288,13 +299,10 @@ def base_manifest(cfg: dict, command: str) -> dict:
         "notes": {"surrogates": SURROGATE_NOTE,
                   **({"psf_pad": PAD_NOTE} if "psf_pad" in cfg else {})},
         "psf_surrogate": True,
-    }
-
-
-def finish_manifest(manifest: dict, out_dir: Path, timings: dict) -> None:
-    manifest["files"] = storage.checksum_tree(out_dir)
-    manifest["timings"] = rounded(timings)
-    storage.write_manifest(out_dir / "manifest.json", manifest)
+        **fields,
+        "files": storage.checksum_tree(out_dir),
+        "timings": rounded(seconds),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -302,47 +310,45 @@ def finish_manifest(manifest: dict, out_dir: Path, timings: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _write_grid_command(out, name: str, cfg: dict, grid, stat: str, value) -> int:
-    """Write <name>.csv / <name>.pgm and a manifest recording one statistic."""
+def _write_grid_command(out, name: str, cfg: dict, grid, stat: str, measure) -> int:
+    """Write <name>.csv / <name>.pgm and a manifest recording the grid's
+    measure as stat."""
+    value = measure(grid)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     storage.write_grid_csv(out_dir / f"{name}.csv", grid)
-    manifest = base_manifest(cfg, name)
-    manifest["pgm_scale"] = storage.write_pgm16(out_dir / f"{name}.pgm", grid)
-    manifest[stat] = value
-    finish_manifest(manifest, out_dir, {})
+    scale = storage.write_pgm16(out_dir / f"{name}.pgm", grid)
+    write_run_manifest(out_dir, cfg, name, {}, pgm_scale=scale, **{stat: value})
     print(f"wrote {out_dir / (name + '.csv')} ({stat.replace('_', ' ')} {value:.4g})")
     return EXIT_OK
 
 
 def cmd_psf(args, cfg: dict) -> int:
-    grid = make_psf_grid(cfg)
-    return _write_grid_command(args.out, "psf", cfg, grid, "multiplexing_index",
-                               psf.multiplexing_index(grid))
+    """Generate an encoder PSF."""
+    return _write_grid_command(args.out, "psf", cfg, make_psf_grid(cfg), "multiplexing_index",
+                               psf.multiplexing_index)
 
 
 def cmd_object(args, cfg: dict) -> int:
-    grid = make_object_grid(cfg)
-    return _write_grid_command(args.out, "object", cfg, grid, "sparsity",
-                               objects.sparsity(grid))
+    """Generate a test object."""
+    return _write_grid_command(args.out, "object", cfg, make_object_grid(cfg), "sparsity",
+                               objects.sparsity)
 
 
 def cmd_crb(args, cfg: dict) -> int:
+    """Run one object -> H -> Fisher -> CRB case."""
     out_dir = Path(args.out)
     t0 = time.perf_counter()
     obj = make_object_grid(cfg)
     psf_grid = make_psf_grid(cfg)
     model = NOISE_MODELS[cfg["noise"]](cfg)
     t1 = time.perf_counter()
-    H = build_system_matrix(psf_grid, obj.shape, pad_shape(cfg, psf_grid))
-    info = write_case(out_dir, cfg, model, H, psf_grid, obj)
-    t2 = time.perf_counter()
-    manifest = base_manifest(cfg, "crb")
-    manifest.update(info)
-    manifest["background"] = model.background
+    cases, pipeline_s = _psf_cases(out_dir, cfg, model, "", psf_grid, [("", obj)])
+    info = cases[""]
     # the case's stage timings are part of its pipeline time
-    finish_manifest(manifest, out_dir,
-                    {"generate": t1 - t0, "pipeline": t2 - t1, **info["timings"]})
+    write_run_manifest(out_dir, cfg, "crb",
+                       {"generate": t1 - t0, "pipeline": pipeline_s, **info["timings"]},
+                       **info, background=model.background)
     print(f"wrote {out_dir / 'crb.csv'} (mean CRB "
           f"{info['summary']['mean']:.6g}, epsilon {info['epsilon_used']:.3g})")
     return EXIT_OK
@@ -363,12 +369,11 @@ def _psf_cases(out_dir: Path, cfg: dict, model, psf_name: str, psf_grid,
 
 
 def cmd_study(args, cfg: dict) -> int:
+    """Run a canned multiplexing study."""
     name = args.name
     noise_name, object_kinds = STUDIES[name]
     model = NOISE_MODELS[noise_name](cfg)
     out_dir = Path(args.out) / name
-    manifest = base_manifest(cfg, f"study {name}")
-    manifest["background"] = model.background
     # every PSF and object is generated before anything is written, so a
     # study that cannot generate them writes nothing
     psf_grids = {psf_name: make_psf_grid({**DEFAULTS, **cfg, **keys})
@@ -379,7 +384,6 @@ def cmd_study(args, cfg: dict) -> int:
     # one worker process per usable CPU, at most one per PSF; each case ran
     # at blas_threads (null: not capped)
     workers = min(fisher.cpu_count(), len(STUDY_PSFS))
-    manifest["case_pool"] = {"workers": workers, "blas_threads": blas_thread_cap()}
     cases, timings = {}, {}
     # one job per PSF, so each H is built once. Processes, since SciPy's
     # BLAS wrappers hold the GIL; forked, so they share the parent's imports;
@@ -394,14 +398,15 @@ def cmd_study(args, cfg: dict) -> int:
         cases.update(psf_cases)
     # cases are listed object-major: every dense_* case before any sparse_*
     order = [prefix + psf_name for prefix, _ in study_objects for psf_name in STUDY_PSFS]
-    manifest["cases"] = {case: cases[case] for case in order}
     rows = [",".join(["case", *SUMMARY_STATS])]
     for case in order:
         rows.append(",".join([case] + [repr(cases[case]["summary"][stat])
                                        for stat in SUMMARY_STATS]))
     (out_dir / "summary.csv").write_text("\n".join(rows) + "\n")
-    finish_manifest(manifest, out_dir, timings)
-    print(f"study {name}: {len(manifest['cases'])} cases -> {out_dir}")
+    write_run_manifest(out_dir, cfg, f"study {name}", timings, background=model.background,
+                       case_pool={"workers": workers, "blas_threads": blas_thread_cap()},
+                       cases={case: cases[case] for case in order})
+    print(f"study {name}: {len(order)} cases -> {out_dir}")
     return EXIT_OK
 
 
@@ -487,7 +492,7 @@ def _verify_checks(cfg: dict, draws: dict):
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    out_dir = Path(args.out) if args.out else None
+    """Run the oracle suite at reduced size."""
     results, check_s = [], {}
     draws = {}   # each Monte Carlo check's draw path, if it ran
     t0 = t_check = time.perf_counter()
@@ -500,21 +505,19 @@ def cmd_verify(args, cfg: dict) -> int:
         t_check = time.perf_counter()
     elapsed = time.perf_counter() - t0
     failed = [r["check"] for r in results if r["status"] == "FAIL"]
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = base_manifest(cfg, "verify")
-        manifest["checks"] = results
+    if args.out:
         # workers ran, each at blas_threads (null: not capped), only if a
         # Monte Carlo check did, and so recorded its draws
         ran_mc = bool(draws)
-        manifest["monte_carlo"] = {
+        monte_carlo = {
             "workers": fisher.monte_carlo_workers(cfg["n_samples"]) if ran_mc else 0,
             "blas_threads": blas_thread_cap() if ran_mc else None,
             "chunk_samples": fisher.MC_CHUNK,
             "block_bytes": GRAM_BLOCK_BYTES,
             "draws": draws,
         }
-        finish_manifest(manifest, out_dir, {"verify": elapsed, **check_s})
+        write_run_manifest(Path(args.out), cfg, "verify", {"verify": elapsed, **check_s},
+                           checks=results, monte_carlo=monte_carlo)
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -525,62 +528,52 @@ def cmd_verify(args, cfg: dict) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_pipeline_flags(p):
-    """Flags of the commands that compute bounds (crb, verify, study)."""
-    p.add_argument("--config")
-    p.add_argument("--sigma2", type=float, help="Gaussian per-pixel variance")
-    p.add_argument("--background", type=float, help="Poisson background floor")
+# the help of each key whose flag name does not say what its value is; the
+# kinds, the noise model and the grid sides need none
+KEY_HELP = {
+    "seed": "master seed",
+    "sigma2": "Gaussian per-pixel variance",
+    "background": "Poisson background floor",
+    "epsilon_rel": "relative diagonal loading before inversion",
+    "n_samples": "Monte Carlo Fisher samples",
+    "n_trials": "GLS efficiency trials",
+    "psf_n": "lenslet count",
+    "psf_n_spots": "RML spot count",
+    "psf_width_min": "narrowest RML spot width",
+    "psf_width_max": "widest RML spot width",
+    "psf_corr_length": "diffuser correlation length",
+    "psf_contrast": "diffuser log-intensity contrast",
+    "psf_pad": "padded PSF size (default: PSF size + 2)",
+    "object_n": "blob or bead count (default: the kind's)",
+    "object_peak": "peak photons",
+}
+# each command's function; its docstring is the command's help
+COMMANDS = {"psf": cmd_psf, "object": cmd_object, "crb": cmd_crb, "verify": cmd_verify,
+            "study": cmd_study}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, whose flags are the config keys it reads
+    (for study, those of every study): ``--key`` with dashes, less the
+    command's own prefix. Values stay strings; resolve_config converts and
+    checks them."""
     parser = argparse.ArgumentParser(
         prog="lensless-crb",
         description="Fisher information and Cramér-Rao bounds for lensless "
                     "imaging encoders")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("psf", help="generate an encoder PSF")
-    p.add_argument("--kind", dest="psf_kind", choices=list(PSF_KINDS))
-    p.add_argument("--n", dest="psf_n", type=int, help="lenslet count")
-    p.add_argument("--size", dest="psf_size", type=int, help="grid side length")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_psf)
-
-    p = sub.add_parser("object", help="generate a test object")
-    p.add_argument("--kind", dest="object_kind", choices=list(OBJECT_KINDS))
-    p.add_argument("--n", dest="object_n", type=int, help="blob or bead count")
-    p.add_argument("--size", dest="object_size", type=int)
-    p.add_argument("--peak", dest="object_peak", type=float, help="peak photons")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_object)
-
-    p = sub.add_parser("crb", help="run one CRB pipeline from a config")
-    p.add_argument("--noise", choices=list(NOISE_MODELS))
-    p.add_argument("--out", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_crb)
-
-    p = sub.add_parser("verify", help="run the oracle suite at reduced size")
-    p.add_argument("--out")
-    p.add_argument("--n-trials", dest="n_trials", type=int)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("study", help="run a canned multiplexing study")
-    p.add_argument("name", choices=list(STUDIES))
-    p.add_argument("--out", required=True)
-    _add_pipeline_flags(p)
-    p.set_defaults(func=cmd_study)
-
-    for name in ("crb", "study"):
-        sub.choices[name].add_argument("--psf-pad", dest="psf_pad", type=int,
-                                       help="padded PSF size (default: PSF size + 2)")
-        sub.choices[name].add_argument("--epsilon-rel", dest="epsilon_rel", type=float,
-                                       help="relative diagonal loading before inversion")
-    for p in sub.choices.values():
-        p.add_argument("--seed", type=int, help="master seed")
+    for name, func in COMMANDS.items():
+        p = sub.add_parser(name, help=func.__doc__)
+        # verify prints its checks, so it alone may run without writing
+        p.add_argument("--out", required=name != "verify", help="output directory")
+        p.add_argument("--config", help="key = value config file, overridden by flags")
+        for key in sorted(set().union(*(keys for command, keys in COMMAND_KEYS.items()
+                                        if command.split()[0] == name))):
+            flag = key.removeprefix(f"{name}_").replace("_", "-")
+            p.add_argument(f"--{flag}", dest=key, choices=NAME_TABLES.get(key),
+                           help=KEY_HELP.get(key))
+    sub.choices["study"].add_argument("name", choices=list(STUDIES))
     return parser
 
 
@@ -590,10 +583,9 @@ def main(argv=None) -> int:
     command = f"{args.command} {args.name}" if "name" in args else args.command
     try:
         # flags whose dest is a config key override the config file
-        config = getattr(args, "config", None)
-        cfg = resolve_config(command, parse_config_file(config) if config else {},
+        cfg = resolve_config(command, parse_config_file(args.config) if args.config else {},
                              {k: v for k, v in vars(args).items() if k in DEFAULTS})
-        return args.func(args, cfg)
+        return COMMANDS[args.command](args, cfg)
     except (SingularRateError, FactorizationError, TrialFailureError,
             FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

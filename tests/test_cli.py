@@ -158,6 +158,14 @@ class TestConfigHandling:
         cfg.write_text("sigma2 = huge\n")
         assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 2
 
+    def test_key_set_twice_is_config_error_naming_both_lines(self, tmp_path, capsys):
+        # the later line does not silently win
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("sigma2 = 1\npsf_kind = delta\nsigma2 = 4\n")
+        assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert f"{cfg}:3: sigma2 is already set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run("crb", "--config", tmp_path / "absent.cfg",
                    "--out", tmp_path / "o") == 2
@@ -272,6 +280,11 @@ class TestConfigHandling:
                    "--out", blocker / "sub") == 4
 
 
+# the fields every command's manifest records
+MANIFEST_BASE_FIELDS = {"toolkit_version", "command", "config", "environment", "notes",
+                        "psf_surrogate", "files", "timings"}
+
+
 class TestCommandKeys:
     @pytest.mark.parametrize("command, argv", [
         ("psf", ("psf", "--size", 16)),
@@ -290,6 +303,21 @@ class TestCommandKeys:
         assert manifest["command"] == command
         assert set(manifest["config"]) == cli.COMMAND_KEYS[command]
         assert ("psf_pad" in manifest["notes"]) == ("psf_pad" in manifest["config"])
+
+    @pytest.mark.parametrize("argv, own", [
+        (("psf",), {"pgm_scale", "multiplexing_index"}),
+        (("object",), {"pgm_scale", "sparsity"}),
+        (("crb", "--config", "small.cfg"),
+         {"pgm_scale", "epsilon_used", "summary", "background"}),
+        (("verify", "--n-samples", 0, "--n-trials", 0), {"checks", "monte_carlo"}),
+        (("study", "fig2", "--config", "small.cfg"), {"background", "case_pool", "cases"})])
+    def test_every_manifest_has_the_base_fields_and_its_own(self, tmp_path, monkeypatch,
+                                                            argv, own):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "small.cfg").write_text("psf_size = 16\nobject_size = 8\n")
+        assert run(*argv, "--out", "o") == 0
+        manifest = json.loads(next((tmp_path / "o").rglob("manifest.json")).read_text())
+        assert set(manifest) == MANIFEST_BASE_FIELDS | own
 
     @pytest.mark.parametrize("argv, config, key", [
         (("study", "fig3"), "psf_kind = rml", "psf_kind"),
@@ -594,6 +622,20 @@ def test_psf_and_object_commands_write_the_grids_a_study_uses(tmp_path):
     for name in ("psf", "object"):
         assert sha256_file(crb / f"{name}.csv") \
             == sha256_file(tmp_path / name / f"{name}.csv")
+    # so do psf and object given crb's generator keys at other values
+    keys = {"psf": "psf_kind = rml\npsf_n_spots = 8\npsf_size = 16\n",
+            "object": "object_kind = beads\nobject_n = 5\nobject_size = 16\n"}
+    for name, lines in keys.items():
+        (tmp_path / f"{name}.cfg").write_text(lines)
+        assert run(name, "--config", tmp_path / f"{name}.cfg", "--seed", 3,
+                   "--out", tmp_path / f"{name}2") == 0
+    cfg.write_text(keys["psf"] + keys["object"] + "noise = poisson\n")
+    assert run("crb", "--config", cfg, "--seed", 3, "--out", tmp_path / "crb2") == 0
+    for name in ("psf", "object"):
+        assert sha256_file(tmp_path / "crb2" / f"{name}.csv") \
+            == sha256_file(tmp_path / f"{name}2" / f"{name}.csv")
+    assert read_grid_csv(tmp_path / "psf2" / "psf.csv").shape == (16, 16)
+    assert np.count_nonzero(read_grid_csv(tmp_path / "object2" / "object.csv")) == 5
 
 
 def test_study_rejects_psf_kind(tmp_path, capsys):

@@ -317,18 +317,55 @@ def test_cli_builds_grids_and_writes_cases_in_one_place_each():
     assert offenders == []
 
 
+def _subparsers():
+    """The CLI's subparser of each command name."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_flag_sets_a_key_its_command_reads():
     # a flag whose key the command does not read would be refused by
     # resolve_config on every use; the two studies share one subparser
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     offenders = []
-    for name, p in sub.choices.items():
+    for name, p in _subparsers().items():
         reads = set().union(*(keys for command, keys in cli.COMMAND_KEYS.items()
                               if command.split()[0] == name))
         offenders += [f"{name} {a.dest}" for a in p._actions
                       if a.dest not in {"help", "out", "config", "name"} | reads]
     assert offenders == []
+
+
+def test_every_key_a_command_reads_has_one_flag():
+    # the converse: no key a command reads is left settable by file alone
+    parsers = _subparsers()
+    offenders = [f"{command} {key}" for command, keys in cli.COMMAND_KEYS.items()
+                 for key in sorted(keys)
+                 if sum(len(a.option_strings) for a in parsers[command.split()[0]]._actions
+                        if a.dest == key) != 1]
+    assert offenders == []
+
+
+# every flag the commands took before their flags were made from their keys,
+# with the key (or argument) it set
+EARLIER_FLAGS = {
+    "psf": {"--kind": "psf_kind", "--n": "psf_n", "--size": "psf_size"},
+    "object": {"--kind": "object_kind", "--n": "object_n", "--size": "object_size",
+               "--peak": "object_peak"},
+    "crb": {"--noise": "noise", "--sigma2": "sigma2", "--background": "background",
+            "--psf-pad": "psf_pad", "--epsilon-rel": "epsilon_rel", "--config": "config"},
+    "verify": {"--sigma2": "sigma2", "--background": "background", "--n-samples": "n_samples",
+               "--n-trials": "n_trials", "--config": "config"},
+    "study": {"--sigma2": "sigma2", "--background": "background", "--psf-pad": "psf_pad",
+              "--epsilon-rel": "epsilon_rel", "--config": "config"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(EARLIER_FLAGS))
+def test_every_earlier_flag_keeps_its_name_and_key(command):
+    options = _subparsers()[command]._option_string_actions
+    flags = {**EARLIER_FLAGS[command], "--seed": "seed", "--out": "out"}
+    assert {flag: options[flag].dest for flag in flags if flag in options} == flags
 
 
 def test_cli_decides_no_case_by_comparing_a_name():
