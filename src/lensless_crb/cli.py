@@ -16,8 +16,8 @@ keys: ``--key`` with dashes for underscores, less the command's own prefix
 (``psf_kind`` is ``--kind`` on ``psf`` and ``--psf-kind`` on ``crb``). All
 randomness flows from one master seed through named substreams.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure or failed
-verification check, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (out of
+memory included) or failed verification check, 4 I/O error.
 """
 
 import argparse
@@ -52,10 +52,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-PAD_NOTE = ("PSF zero-padded by 2 pixels per axis before building H, so 32x32 objects and "
-            "PSFs give 65x65 measurements; padding adds only all-zero rows to H, so it changes "
-            "k and the cost, not the bound, but at background 0 those rows have zero Poisson "
-            "rate (SingularRateError); set psf_pad to the PSF size for plain full convolution")
 SURROGATE_NOTE = ("PSF and object generators are statistical surrogates; only "
                   "orderings and shapes are comparable to hardware encoders")
 
@@ -119,7 +115,7 @@ DEFAULTS = {
     "psf_corr_length": 3.0,
     "psf_contrast": 2.0,
     "psf_size": 32,
-    "psf_pad": None,          # None -> PSF side + 2
+    "psf_pad": None,          # None -> PSF side: full convolution
     "object_kind": "cells",
     "object_n": None,         # blobs or beads; None -> kind default
     "object_peak": 100.0,
@@ -214,14 +210,6 @@ def make_psf_grid(cfg: dict) -> np.ndarray:
                                         derive_seed(cfg["seed"], "psf")))
 
 
-def pad_shape(cfg: dict, psf_grid) -> tuple[int, int]:
-    """Padded PSF shape: psf_pad per axis if set, else the PSF grid's shape
-    + 2 per axis (always for verify, which reads no psf_pad)."""
-    if cfg.get("psf_pad") is not None:
-        return cfg["psf_pad"], cfg["psf_pad"]
-    return psf_grid.shape[0] + 2, psf_grid.shape[1] + 2
-
-
 def make_object_grid(cfg: dict) -> np.ndarray:
     """Object grid per the config, seeded by the master seed's "object"
     substream."""
@@ -296,8 +284,7 @@ def write_run_manifest(out_dir: Path, cfg: dict, command: str, seconds: dict,
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},
         "environment": environment(),
-        "notes": {"surrogates": SURROGATE_NOTE,
-                  **({"psf_pad": PAD_NOTE} if "psf_pad" in cfg else {})},
+        "notes": {"surrogates": SURROGATE_NOTE},
         "psf_surrogate": True,
         **fields,
         "files": storage.checksum_tree(out_dir),
@@ -361,7 +348,8 @@ def _psf_cases(out_dir: Path, cfg: dict, model, psf_name: str, psf_grid,
     case entries by case name and the PSF's seconds."""
     t0 = time.perf_counter()
     size = (cfg["object_size"], cfg["object_size"])
-    H = build_system_matrix(psf_grid, size, pad_shape(cfg, psf_grid))
+    pad = cfg["psf_pad"]
+    H = build_system_matrix(psf_grid, size, None if pad is None else (pad, pad))
     cases = {prefix + psf_name: write_case(out_dir / (prefix + psf_name), cfg, model, H,
                                            psf_grid, obj)
              for prefix, obj in study_objects}
@@ -426,7 +414,7 @@ def _verify_checks(cfg: dict, draws: dict):
     case = {**DEFAULTS, **cfg, **VERIFY_CASE}
     psf_grid = make_psf_grid(case)
     obj = make_object_grid(case)
-    H = build_system_matrix(psf_grid, obj.shape, pad_shape(cfg, psf_grid))
+    H = build_system_matrix(psf_grid, obj.shape)
     v = obj.ravel()
 
     # structural invariants of H
@@ -480,7 +468,7 @@ def _verify_checks(cfg: dict, draws: dict):
             yield f"{decoder}_efficiency", "SKIP", "skipped-insufficient-trials"
             continue
         psf1 = make_psf_grid({**case, "psf_n": 1})
-        H1 = build_system_matrix(psf1, obj.shape, pad_shape(cfg, psf1))
+        H1 = build_system_matrix(psf1, obj.shape)
         cmap = fisher.crb_from_fisher(fisher.fisher_information(model, H1, v_small),
                                       object_shape=H1.obj_shape)
         report = run_trials(model, H1, v_small, decoder, n_trials,
@@ -543,7 +531,7 @@ KEY_HELP = {
     "psf_width_max": "widest RML spot width",
     "psf_corr_length": "diffuser correlation length",
     "psf_contrast": "diffuser log-intensity contrast",
-    "psf_pad": "padded PSF size (default: PSF size + 2)",
+    "psf_pad": "padded PSF size (default: PSF size, the full convolution)",
     "object_n": "blob or bead count (default: the kind's)",
     "object_peak": "peak photons",
 }
@@ -587,7 +575,7 @@ def main(argv=None) -> int:
                              {k: v for k, v in vars(args).items() if k in DEFAULTS})
         return COMMANDS[args.command](args, cfg)
     except (SingularRateError, FactorizationError, TrialFailureError,
-            FloatingPointError) as exc:
+            FloatingPointError, MemoryError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, DimensionError, PlacementError, ValueError) as exc:

@@ -3,10 +3,10 @@
 Objects and PSFs live on 2-D non-negative pixel grids (photons per pixel).
 Image formation is full 2-D convolution with a fixed PSF, realized as a
 system matrix H so that the noiseless measurement is b = H v for the
-row-major vectorized object v. The PSF may be zero-padded before building
-H; padding to (psf + 2) per axis turns 32x32 objects into 65x65
-measurements. Padding adds only all-zero rows to H, so it changes k and the
-cost but not the Fisher matrix.
+row-major vectorized object v. By default H is the full linear
+convolution, so 32x32 objects and PSFs give 63x63 measurements. The PSF may
+be zero-padded before building H; padding adds only all-zero rows to H, so
+it changes k and the cost but not the Fisher matrix.
 
 ``build_system_matrix`` pads the PSF once more, by the object extent less
 one per side, into H's canvas, and every product and Gram reads windows of

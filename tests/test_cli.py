@@ -302,7 +302,7 @@ class TestCommandKeys:
         manifest = json.loads(manifest.read_text())
         assert manifest["command"] == command
         assert set(manifest["config"]) == cli.COMMAND_KEYS[command]
-        assert ("psf_pad" in manifest["notes"]) == ("psf_pad" in manifest["config"])
+        assert manifest["notes"] == {"surrogates": cli.SURROGATE_NOTE}
 
     @pytest.mark.parametrize("argv, own", [
         (("psf",), {"pgm_scale", "multiplexing_index"}),
@@ -339,8 +339,8 @@ class TestCommandKeys:
         assert not out.exists()
 
     def test_verify_has_no_psf_pad_flag(self, tmp_path):
-        # verify pads its fixed 8x8 PSFs to 10x10 whatever the config says,
-        # and its GLS check loads J as the GLS solver does
+        # verify convolves its fixed 8x8 PSFs unpadded whatever the config
+        # says, and its GLS check loads J as the GLS solver does
         for flag in ("--psf-pad", "--epsilon-rel"):
             with pytest.raises(SystemExit) as info:
                 run("verify", flag, 50, "--out", tmp_path / "o")
@@ -372,14 +372,15 @@ class TestVerifyCommand:
         assert all(timings[c] >= 0 for c in checks)
         assert sum(timings[c] for c in checks) <= timings["verify"] + 1e-5
         # two chunks cap the three CPUs at two workers, each at one BLAS thread;
-        # the Poisson counts came from tables of verify's 289 measurement pixels
+        # the Poisson counts came from tables of verify's 225 measurement
+        # pixels, the 15x15 full convolution of its 8x8 PSF and object
         table_bytes = manifest["monte_carlo"]["draws"]["poisson"]["table_bytes"]
         assert manifest["monte_carlo"] == {
             "workers": 2, "blas_threads": forward_model.blas_thread_cap(),
             "chunk_samples": fisher.MC_CHUNK, "block_bytes": forward_model.GRAM_BLOCK_BYTES,
             "draws": {"gaussian": {"path": "rng.normal", "table_bytes": 0},
                       "poisson": {"path": "tables", "table_bytes": table_bytes}}}
-        assert table_bytes % (289 * noise.TABLE_ENTRY_BYTES) == 0
+        assert table_bytes % (225 * noise.TABLE_ENTRY_BYTES) == 0
         assert 0 < table_bytes <= forward_model.GRAM_BLOCK_BYTES
 
     def test_manifest_records_rng_poisson_when_tables_exceed_the_block(
@@ -465,10 +466,20 @@ class TestVerifyCommand:
         assert [c["status"] for c in manifest["checks"]] == ["FAIL"]
         assert manifest["monte_carlo"]["workers"] == 0
 
-    def test_zero_poisson_rate_fails_before_any_check(self, tmp_path, capsys):
-        # the padded 10x10 operator has measurement pixels that no object
-        # pixel reaches, so at zero background the Poisson closed form that
-        # the Monte Carlo check compares with has a zero rate
+    def test_zero_background_passes_every_check(self, capsys):
+        # H is the full convolution, so every measurement pixel is reached
+        # by the instance's dense cells and no rate is zero at beta 0
+        assert run("verify", "--background", 0, "--n-samples", 20_000,
+                   "--n-trials", 1000) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        assert all(line.startswith("PASS") for line in lines)
+
+    def test_zero_poisson_rate_fails_before_any_check(self, tmp_path, monkeypatch, capsys):
+        # beads leave the object's corners empty, so at zero background the
+        # corner measurements have a zero rate in the Poisson closed form
+        # that the Monte Carlo check compares with
+        monkeypatch.setattr(cli, "VERIFY_CASE", {**cli.VERIFY_CASE, "object_kind": "beads"})
         out = tmp_path / "v"
         assert run("verify", "--background", 0, "--n-trials", 0, "--out", out) == 3
         captured = capsys.readouterr()
@@ -701,6 +712,44 @@ def test_poisson_runs_build_no_dense_system_matrix(tmp_path, dense_builds, comma
     assert dense_builds() == []
 
 
+@pytest.mark.parametrize("pad, out_shape", [((), (23, 23)), (("--psf-pad", 18), (25, 25))],
+                         ids=["default", "psf-pad-18"])
+@pytest.mark.parametrize("command", [("crb",), ("study", "fig2"), ("study", "fig3")],
+                         ids=["crb", "fig2", "fig3"])
+def test_h_is_the_full_convolution_unless_padded(tmp_path, monkeypatch, call_log, command,
+                                                 pad, out_shape):
+    # by default each H measures object + PSF - 1 pixels per axis, in a
+    # study's worker processes too; psf_pad enlarges the plane
+    build = cli.build_system_matrix
+
+    def spy(*args):
+        H = build(*args)
+        call_log.record(repr(H.out_shape))
+        return H
+
+    monkeypatch.setattr(cli, "build_system_matrix", spy)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("psf_size = 16\nobject_size = 8\n")
+    assert run(*command, "--config", cfg, *pad, "--out", tmp_path / "out") == 0
+    assert call_log.lines() == [repr(out_shape)] * (1 if command == ("crb",)
+                                                    else len(cli.STUDY_PSFS))
+
+
+@pytest.mark.parametrize("study", ["fig2", "fig3"])
+def test_psf_pad_leaves_every_study_bound(tmp_path, study):
+    # padding adds only all-zero rows to H, and they add nothing to J
+    cfg = _small_study_config(tmp_path)
+    assert run("study", study, "--config", cfg, "--out", tmp_path / "full") == 0
+    assert run("study", study, "--config", cfg, "--psf-pad", 18,
+               "--out", tmp_path / "padded") == 0
+    maps = sorted((tmp_path / "full" / study).glob("*/crb.csv"))
+    assert len(maps) == len(cli.STUDY_PSFS) * len(cli.STUDIES[study][1])
+    for path in maps:
+        padded = tmp_path / "padded" / study / path.parent.name / "crb.csv"
+        np.testing.assert_allclose(read_grid_csv(padded), read_grid_csv(path),
+                                   rtol=1e-9, atol=0)
+
+
 def _small_study_config(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("psf_size = 16\nobject_size = 16\n")
@@ -745,8 +794,27 @@ def test_a_case_that_fails_in_a_worker_exits_3(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "fig3" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (("crb", "--object-size", 100_000), "make_object_grid"),
+    (("study", "fig2"), "write_case")], ids=["crb", "study-worker"])
+def test_out_of_memory_is_numeric_error(tmp_path, monkeypatch, capsys, argv, stage):
+    # an array too large to allocate, in the command's process or in a study
+    # worker, ends the run with one line, writing nothing and leaving no worker
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, stage, too_large)
+    out = tmp_path / "o"
+    assert run(*argv, "--config", _small_study_config(tmp_path), "--out", out) == 3
+    assert capsys.readouterr().err == "numeric error: Unable to allocate 74.5 GiB\n"
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 def test_study_at_zero_background_exits_3_naming_one_pixel(tmp_path, capsys):
-    # the padded border is reached by no bead, so its rate is zero at beta 0
+    # the 16x16 objects leave corner pixels empty (the dense cells their
+    # bottom-right corner, the beads nearly every pixel), so measurements
+    # that only those pixels reach have a zero rate at beta 0
     assert run("study", "fig3", "--config", _small_study_config(tmp_path),
                "--background", 0, "--out", tmp_path) == 3
     err = capsys.readouterr().err
