@@ -430,6 +430,15 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines and not [line for line in lines if "efficiency" in line]
 
+    def test_monte_carlo_checks_pass_at_the_smallest_budget_they_run(self, capsys):
+        # seed 8 drew the largest Poisson error of seeds 6-35: 0.052 at 10 000
+        # samples, 0.037 at 20 000
+        assert run("verify", "--seed", 8, "--n-samples", cli.MC_MIN_SAMPLES,
+                   "--n-trials", 0) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if "mc_fisher" in line] \
+            == ["PASS mc_fisher_gaussian", "PASS mc_fisher_poisson"]
+
     def test_insufficient_budget_skips(self, capsys):
         code = run("verify", "--n-samples", 100, "--n-trials", 10)
         lines = capsys.readouterr().out.strip().splitlines()

@@ -25,7 +25,7 @@ from lensless_crb import (
     score,
     vectorize,
 )
-from lensless_crb import fisher, noise
+from lensless_crb import cli, fisher, noise
 from lensless_crb.fisher import MC_CHUNK, fisher_gaussian
 from lensless_crb.forward_model import GRAM_BLOCK_BYTES
 from lensless_crb.oracles import relative_error
@@ -630,8 +630,15 @@ def lenslet_gaussian_fisher(object_shape):
     return fisher_gaussian(build_system_matrix(psf, object_shape), 1.0)
 
 
+def split_sizes(d):
+    """The sizes crb_from_fisher factors for a J of size d that equals its
+    point reflection: two halves for even d, J whole for odd d."""
+    return [d // 2, d // 2] if d % 2 == 0 else [d]
+
+
 class TestCentrosymmetricSplit:
-    """crb_from_fisher factors a J that equals J[::-1, ::-1] as two half blocks."""
+    """crb_from_fisher factors a J of even size that equals J[::-1, ::-1] as two
+    half blocks."""
 
     @pytest.mark.parametrize("make, shape", [
         (lenslet_gaussian_fisher, (8, 8)),
@@ -643,7 +650,7 @@ class TestCentrosymmetricSplit:
         J = make(shape)
         d = len(J)
         cmap = crb_from_fisher(J, epsilon_rel, object_shape=shape)
-        assert factored_sizes == [d - d // 2, d // 2]
+        assert factored_sizes == split_sizes(d)
         assert cmap.epsilon_used == epsilon_rel * np.max(np.diag(J))
         loaded = J + cmap.epsilon_used * np.eye(d)
         np.testing.assert_allclose(cmap.values, np.diag(np.linalg.inv(loaded)), rtol=1e-8)
@@ -655,6 +662,23 @@ class TestCentrosymmetricSplit:
         factored_sizes.clear()
         crb_from_fisher(fisher_information(PoissonNoise(1e-3), H, v), object_shape=(8, 8))
         assert factored_sizes == [64]
+
+    @pytest.mark.parametrize("pad", [None, (34, 34)], ids=["unpadded", "pad-34"])
+    @pytest.mark.parametrize("psf_name", list(cli.STUDY_PSFS))
+    def test_every_study_psf_follows_the_symmetry(self, psf_name, pad, factored_sizes):
+        # fig2's CRB time rests on every study Gaussian J splitting; a Gram
+        # that broke the symmetry by one ulp would double it unnoticed
+        cfg = {**cli.DEFAULTS, "seed": 3, **cli.STUDY_PSFS[psf_name]}
+        H = build_system_matrix(cli.make_psf_grid(cfg), (32, 32), pad)
+        J = fisher_information(cli.NOISE_MODELS["gaussian"](cfg), H)
+        assert np.array_equal(J, J[::-1, ::-1])
+        crb_from_fisher(J, object_shape=(32, 32))
+        assert factored_sizes == [512, 512]
+        factored_sizes.clear()
+        v = cli.make_object_grid({**cfg, "object_kind": "cells"}).ravel()
+        crb_from_fisher(fisher_information(cli.NOISE_MODELS["poisson"](cfg), H, v),
+                        object_shape=(32, 32))
+        assert factored_sizes == [1024]
 
     # (63, 0) is left out: its point reflection is its own mirror entry
     @pytest.mark.parametrize("i, j", [(5, 3), (40, 2), (62, 0), (50, 45)])
@@ -669,24 +693,16 @@ class TestCentrosymmetricSplit:
 
     @pytest.mark.parametrize("shape", [(8, 8), (3, 5)])
     def test_reads_only_the_lower_triangle(self, shape, factored_sizes):
+        # NaN above the diagonal breaks the symmetry, so that J is factored
+        # whole, from its lower triangle
         J = lenslet_gaussian_fisher(shape)
         d = len(J)
         lower = np.tril(J)
         lower[np.triu_indices(d, 1)] = np.nan
         want = crb_from_fisher(J, object_shape=shape).values
         got = crb_from_fisher(lower, object_shape=shape).values
-        assert factored_sizes == [d - d // 2, d // 2] * 2
-        np.testing.assert_array_equal(got, want)
-
-    def test_upper_triangle_does_not_choose_the_path(self, factored_sizes):
-        # a lower triangle without the symmetry takes the whole path, even
-        # when the full array it sits in equals its point reflection
-        J = np.array([[2.0, 0.5, 0.0], [0.1, 3.0, 0.1], [0.0, 0.5, 2.0]])
-        assert np.array_equal(J, J[::-1, ::-1])
-        cmap = crb_from_fisher(J, 0.0, object_shape=(1, 3))
-        assert factored_sizes == [3]
-        S = np.tril(J) + np.tril(J, -1).T
-        np.testing.assert_allclose(cmap.values, np.diag(np.linalg.inv(S)), rtol=1e-14)
+        assert factored_sizes == split_sizes(d) + [d]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_one_pixel(self, factored_sizes):
         cmap = crb_from_fisher(np.array([[4.0]]), 0.0, object_shape=(1, 1))
@@ -743,8 +759,8 @@ class TestExactCrbOracle:
 
 
 class TestExactGaussianCrbOracle:
-    """The unloaded (eps = 0) bound of Gaussian Fisher matrices, which take
-    the half-block path, on 16x16 (d = 256) and 15x15 (d = 225, odd)
+    """The unloaded (eps = 0) bound of Gaussian Fisher matrices on 16x16
+    (d = 256, the half-block path) and 15x15 (d = 225, odd, factored whole)
     objects. The worst per-pixel error against eigh measured 2.9e-12
     relative (rml, cond about 3.5e5)."""
 
@@ -758,7 +774,7 @@ class TestExactGaussianCrbOracle:
                                 (18, 18))
         J = fisher_information(GaussianNoise(1.0), H)
         crb = crb_from_fisher(J, 0.0, object_shape=(side, side)).values
-        assert factored_sizes == [H.d - H.d // 2, H.d // 2]
+        assert factored_sizes == split_sizes(H.d)
         np.testing.assert_allclose(crb, eigh_inverse_diagonal(J), rtol=self.RTOL)
 
 
