@@ -8,8 +8,12 @@ Three estimators probe the bounds empirically:
 * Poisson maximum likelihood via Richardson-Lucy multiplicative updates,
   which preserve positivity and never decrease the likelihood.
 
-The two iterative decoders give only their start value, step and objective
-to one per-column loop, ``_iterate``, and return its ``DecoderResult``.
+The two iterative decoders give their start, its objective and a step that
+returns the next iterate with its objective to one per-column stopping loop,
+``_iterate``, and return its ``DecoderResult``. Each step forms only the
+products it needs: RL one image Hv + background per iteration, which serves
+its next ratio and its likelihood; NNLS one product (H^T H) V and no image,
+tracking its squared residual from its gradient.
 
 ``run_trials`` repeats sample -> estimate with draws from one generator and
 accumulates per-pixel mean/variance with chunked Welford merges, so the
@@ -61,19 +65,19 @@ class DecoderResult(NamedTuple):
     values: np.ndarray    # (d, n) last iterate of each column
     converged: bool       # every column met the stopping rule
     n_iters: int          # iterations of the slowest column
+    column_converged: np.ndarray | None = None   # (n,) which columns met it
 
 
-def _iterate(H: SystemMatrix, y, setup, objective, max_iters: int, tol: float,
-             background: float = 0.0) -> DecoderResult:
+def _iterate(H: SystemMatrix, y, setup, max_iters: int, tol: float) -> DecoderResult:
     """Iterate each column of the (k, n) batch y until its objective settles.
 
-    setup(Y) returns the start (d, n) and step(V, Y, B, cols), which maps the
-    running columns V to their next iterate; B = HV + background is their
-    image and cols their indices in the batch. objective(Y, B) gives one value
-    per column. The image of each iterate is formed once and serves both the
-    objective and the next step. A column stops when its objective changes by
-    less than tol relative; it is then written back and dropped, so the
-    running columns stay one contiguous array.
+    setup(Y) returns the start (d, n), its objective (n,) and step(V, keep),
+    which maps the running columns V to their next iterate and its
+    objective. keep is None, or the mask of the columns still running among
+    those of the previous call; the step applies it to the per-column state
+    it carries. A column stops when its objective changes by less than tol
+    relative; it is then written back and dropped, so the running columns
+    stay one contiguous array.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -82,30 +86,23 @@ def _iterate(H: SystemMatrix, y, setup, objective, max_iters: int, tol: float,
     Y = np.asarray(y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != H.k:
         raise DimensionError(f"decoders take a ({H.k}, n) batch, got shape {Y.shape}")
-    V, step = setup(Y)
+    V, f, step = setup(Y)
     cols = np.arange(Y.shape[1])      # the running columns, in batch order
-    Vr, Yr = V, Y
-    B = forward(H, V)
-    B += background
-    f = objective(Y, B)
+    done = np.zeros(Y.shape[1], dtype=bool)
+    Vr, keep = V, None
     n_iters = 0
     while n_iters < max_iters and cols.size:
         n_iters += 1
-        Vr = step(Vr, Yr, B, cols)
-        B = forward(H, Vr)
-        B += background
-        new, old = objective(Yr, B), f[cols]
-        stop = np.abs(new - old) / np.maximum(np.abs(old), 1e-300) < tol
-        f[cols] = new
+        Vr, new = step(Vr, keep)
+        stop = np.abs(new - f) / np.maximum(np.abs(f), 1e-300) < tol
+        f, keep = new, None
         if np.any(stop):
             V[:, cols[stop]] = Vr[:, stop]
-            cols, Vr, Yr, B = cols[~stop], Vr[:, ~stop], Yr[:, ~stop], B[:, ~stop]
+            done[cols[stop]] = True
+            keep = ~stop
+            cols, Vr, f = cols[keep], Vr[:, keep], f[keep]
     V[:, cols] = Vr
-    return DecoderResult(V, cols.size == 0, n_iters)
-
-
-def _squared_residual(Y, B):
-    return np.sum((Y - B) ** 2, axis=0)
+    return DecoderResult(V, cols.size == 0, n_iters, done)
 
 
 def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
@@ -113,10 +110,14 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
     """Projected gradient descent on ||y - Hv||^2 with v >= 0, from v = 0.
 
     Step 1/L with L the largest eigenvalue of H^T H (LAPACK), so the objective
-    never rises. Non-convergence returns the last iterate with
-    converged=False. GramUnderflowError if H^T H underflows to L = 0 (every
-    squared PSF entry below the smallest subnormal: a peak below about
-    2e-162).
+    never rises. Each step forms one product (H^T H) V for its half-gradient
+    g = H^T H v - H^T y and no image Hv: the objective starts from ||y||^2 at
+    v = 0 and moves by <v' - v, g' + g>, the exact change of a quadratic.
+    Its level keeps the rounding of ||y||^2 (a few eps ||y||^2), but its
+    changes, which the stopping rule reads, are those of the residual.
+    Non-convergence returns the last iterate with converged=False.
+    GramUnderflowError if H^T H underflows to L = 0 (every squared PSF entry
+    below the smallest subnormal: a peak below about 2e-162).
     """
     def setup(Y):
         A = weighted_gram(H)
@@ -124,21 +125,31 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
         if not L > 0:
             raise GramUnderflowError(float(np.max(H.psf)))
         HtY = adjoint(H, Y)
-        gathered, HtY_r = None, None    # the running columns and their HtY
+        g = -HtY                  # the half-gradient at v = 0
+        f = np.sum(Y * Y, axis=0)
 
-        def step(V, Y, B, cols):
-            nonlocal gathered, HtY_r
-            if cols is not gathered:    # _iterate makes a new cols when one stops
-                gathered, HtY_r = cols, HtY[:, cols]
+        def step(V, keep):
+            nonlocal HtY, g, f
+            if keep is not None:
+                HtY, g, f = HtY[:, keep], g[:, keep], f[keep]
+            V_next = np.maximum(V - g / L, 0.0)
             # A is column-major and exactly symmetric, so A V = (V^T A)^T; V is
             # row-major, so dgemm reads V.T and A without a copy, and the
-            # half-gradient of the objective comes out row-major like V
-            grad = blas.dgemm(1.0, V.T, A).T - HtY_r
-            return np.maximum(V - grad / L, 0.0)
+            # half-gradient comes out row-major like V
+            g_next = blas.dgemm(1.0, V_next.T, A).T
+            g_next -= HtY
+            # the expanded ||y||^2 - 2<v, H^T y> + <v, Av> rounds ||y||^2
+            # afresh at every step, which at bright objects moves it by more
+            # than tol; this sum keeps one rounding throughout. g is spent
+            # after this step, so it takes the sum in place
+            g += g_next
+            f = f + np.sum((V_next - V) * g, axis=0)
+            g = g_next
+            return V_next, f
 
-        return np.zeros((H.d, Y.shape[1])), step
+        return np.zeros((H.d, Y.shape[1])), f, step
 
-    return _iterate(H, y, setup, _squared_residual, max_iters, tol)
+    return _iterate(H, y, setup, max_iters, tol)
 
 
 def _poisson_objective(Y, B):
@@ -168,8 +179,14 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     def setup(Y):
         if np.any(Y < 0):
             raise ValueError("Poisson measurements must be non-negative")
+        V = np.full((H.d, Y.shape[1]), max(Y.mean() / mass, 1e-12))
+        B = forward(H, V)         # the image HV + background of the iterate
+        B += background
 
-        def step(V, Y, B, cols):
+        def step(V, keep):
+            nonlocal Y, B
+            if keep is not None:
+                Y, B = Y[:, keep], B[:, keep]
             # a zero count over the floored rate is already +0.0
             ratio = np.maximum(B, 1e-300)
             np.divide(Y, ratio, out=ratio)
@@ -182,11 +199,13 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
             # of any rate above about 1e-290, so zeroing it keeps the
             # images' bits; the update keeps a 0 at 0.
             np.putmask(update, update < TINY, 0.0)
-            return update
+            B = forward(H, update)
+            B += background
+            return update, _poisson_objective(Y, B)
 
-        return np.full((H.d, Y.shape[1]), max(Y.mean() / mass, 1e-12)), step
+        return V, _poisson_objective(Y, B), step
 
-    return _iterate(H, y, setup, _poisson_objective, max_iters, tol, background)
+    return _iterate(H, y, setup, max_iters, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +220,15 @@ class TrialReport:
     per_pixel_variance: np.ndarray
     efficiency: np.ndarray | None   # variance / CRB, elementwise
     n_failed: int = 0
+    n_converged: int | None = None  # trials whose decoder met tol; None for GLS
+
+
+def _with_count(res: DecoderResult):
+    """A decoder's values and how many of its columns met the stopping rule
+    (all or none for a result built without the per-column mask)."""
+    mask = res.column_converged
+    n = res.values.shape[1] * res.converged if mask is None else np.count_nonzero(mask)
+    return res.values, int(n)
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
@@ -223,7 +251,8 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     runs at different seeds share none. DimensionError unless crb, if
     given, is a map of H's object.
     Estimates containing non-finite values count as failures; more than 1%
-    failures raises TrialFailureError.
+    failures raises TrialFailureError. n_converged counts the trials whose
+    decoder met its stopping rule (None for GLS, which is not iterative).
     """
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
@@ -234,25 +263,31 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     if estimator == "gls":
         if options:
             raise ValueError(f"gls takes no estimator options, got {sorted(options)}")
-        estimate = make_gls_solver(H)
+        solve = make_gls_solver(H)
+
+        def estimate(Y):
+            return solve(Y), None
     elif estimator == "nnls":
         def estimate(Y):
-            return nnls_estimate(H, Y, **options).values
+            return _with_count(nnls_estimate(H, Y, **options))
     elif estimator == "mle":
         def estimate(Y):
-            return poisson_mle(H, Y, background=model.background, **options).values
+            return _with_count(poisson_mle(H, Y, background=model.background, **options))
     else:
         raise ValueError(f"unknown estimator: {estimator!r}")
     b = forward(H, v_true)
     rng = np.random.default_rng(seed)
 
     n_acc, mean_acc, m2_acc = 0, np.zeros(H.d), np.zeros(H.d)
-    n_failed = 0
+    n_failed, n_converged = 0, None if estimator == "gls" else 0
     for start in range(0, n_trials, TRIAL_CHUNK):
         m = min(TRIAL_CHUNK, n_trials - start)
         # the decoders run faster on a row-major (k, m) batch than on the
         # transposed draws
-        V = estimate(np.ascontiguousarray(sample(model, np.broadcast_to(b, (m, H.k)), rng).T))
+        V, converged = estimate(
+            np.ascontiguousarray(sample(model, np.broadcast_to(b, (m, H.k)), rng).T))
+        if converged is not None:
+            n_converged += converged
         ok = np.all(np.isfinite(V), axis=0)
         n_failed += int(m - ok.sum())
         V = V[:, ok]
@@ -272,4 +307,4 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
             efficiency = np.where(crb.values > 0, variance / crb.values, np.inf)
     return TrialReport(n_trials=n_acc, per_pixel_mean=mean_acc,
                        per_pixel_variance=variance, efficiency=efficiency,
-                       n_failed=n_failed)
+                       n_failed=n_failed, n_converged=n_converged)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import blas, eigvalsh
 from scipy.optimize import nnls as scipy_nnls
 
 from lensless_crb import (
@@ -27,6 +28,8 @@ from lensless_crb import (
 )
 from lensless_crb import estimators, fisher
 from lensless_crb.fisher import fisher_gaussian
+from lensless_crb.forward_model import weighted_gram
+from lensless_crb.objects import DenseCells
 from lensless_crb.psf import Lenslets, PsfSpec
 from conftest import one_working_array_bound, traced_peak_bytes
 
@@ -53,6 +56,73 @@ def textbook_rl(H, Y, background, n_iters):
         ratio = np.where(Y > 0, Y / np.maximum(B, 1e-300), 0.0)
         V = V * (adjoint(H, ratio) / mass)
     return V
+
+
+def dense_cells_8x8(peak):
+    """The bead instance's H and a dense-cells object of the given peak, as
+    the decoder benchmark's NNLS trials use."""
+    psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
+    H = build_system_matrix(psf, (8, 8), (10, 10))
+    return H, vectorize(generate_object(ObjectSpec(DenseCells(n_blobs=3), (8, 8), peak, 11)))
+
+
+def textbook_nnls(H, Y, n_iters):
+    """Projected gradient with the gradient formed afresh from each iterate
+    and no objective, on nnls_estimate's Gram, step 1/L and product:
+    nnls_estimate's oracle at tol = 0."""
+    A = weighted_gram(H)
+    L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
+    HtY = adjoint(H, Y)
+    V = np.zeros((H.d, Y.shape[1]))
+    for _ in range(n_iters):
+        grad = blas.dgemm(1.0, V.T, A).T - HtY
+        V = np.maximum(V - grad / L, 0.0)
+    return V
+
+
+def record_nnls_steps(monkeypatch):
+    """Lists that fill, as NNLS runs, with the iterate and the objective of
+    its start and of each step it returns."""
+    iterates, objectives, iterate = [], [], estimators._iterate
+
+    def recording(H, y, setup, max_iters, tol):
+        def recorded_setup(Y):
+            V, f, step = setup(Y)
+            iterates.append(V.copy())
+            objectives.append(f.copy())
+
+            def recorded_step(V, keep):
+                V, f = step(V, keep)
+                iterates.append(V.copy())
+                objectives.append(f.copy())
+                return V, f
+
+            return V, f, recorded_step
+
+        return iterate(H, y, recorded_setup, max_iters, tol)
+
+    monkeypatch.setattr(estimators, "_iterate", recording)
+    return iterates, objectives
+
+
+def record_rl_objectives(monkeypatch):
+    """A list that fills with every evaluation of RL's objective."""
+    evaluate, trace = estimators._poisson_objective, []
+
+    def recording(Y, B):
+        f = evaluate(Y, B)
+        trace.append(f.copy())
+        return f
+
+    monkeypatch.setattr(estimators, "_poisson_objective", recording)
+    return trace
+
+
+def first_settled_step(f, tol):
+    """The first step whose objective moved by less than tol relative, or
+    None if none did: the stopping step of one column."""
+    settled = np.abs(np.diff(f)) / np.maximum(np.abs(f[:-1]), 1e-300) < tol
+    return int(np.argmax(settled)) + 1 if settled.any() else None
 
 
 def textbook_objective(Y, B):
@@ -135,6 +205,44 @@ class TestNnls:
         assert np.all(v >= 0)
         rnorm = np.linalg.norm(y - forward(H, v))
         assert rnorm ** 2 <= ref_rnorm ** 2 + 1e-6
+
+    def test_textbook_bits(self):
+        # carrying the gradient from one step to the next, and tracking the
+        # objective from it, leaves every iterate's bits as the textbook loop's
+        H, _ = beads_8x8()
+        rng = np.random.default_rng(9)
+        Y = forward(H, rng.uniform(0.0, 50.0, size=(H.d, 6))) + rng.normal(size=(H.k, 6))
+        V = nnls_estimate(H, Y, max_iters=400, tol=0.0).values
+        assert_same_bits(V, textbook_nnls(H, Y, 400))
+        assert np.any(V == 0.0) and np.any(V > 0.0)
+
+    @pytest.mark.parametrize("peak", [50.0, 1e6], ids=["peak-50", "peak-1e6"])
+    def test_tracked_objective_is_the_squared_residual(self, peak, monkeypatch):
+        # NNLS forms no image Hv: its objective starts at ||y||^2 and moves by
+        # the exact change of a quadratic. At every step it stays within one
+        # length-d inner product's worst-case rounding of ||y||^2 of the
+        # direct residual, so its error does not grow with the steps
+        # (measured: 5e-14 relative at peak 50; 1e-5 at peak 1e6, where
+        # ||y||^2 is 1e11 times the final residual). Its changes are exact to
+        # the rounding of the residual itself, so each column stops at the
+        # step the direct residual gives; the expanded form
+        # ||y||^2 - 2<v, H^T y> + <v, H^T H v> stops at peak 1e6 near step
+        # 6900 whatever tol is
+        H, v = dense_cells_8x8(peak)
+        y = forward(H, v.values) + np.random.default_rng(11).normal(size=H.k)
+        iterates, objectives = record_nnls_steps(monkeypatch)
+        nnls_estimate(H, y[:, None], max_iters=15_000, tol=0.0)
+        f = np.concatenate(objectives)
+        direct = np.sum((y[:, None] - forward(H, np.concatenate(iterates, axis=1))) ** 2,
+                        axis=0)
+        assert len(f) == 15_001
+        assert f[0] == np.sum(y * y)
+        assert np.all(np.abs(f - direct) <= H.d * np.finfo(float).eps * f[0])
+        assert first_settled_step(direct, 1e-6) is not None
+        for tol in (1e-6, 1e-9):
+            stop = first_settled_step(direct, tol)
+            res = nnls_estimate(H, y[:, None], max_iters=15_000, tol=tol)
+            assert (res.n_iters, res.converged) == (stop or 15_000, stop is not None)
 
 
 class TestPoissonMle:
@@ -221,21 +329,15 @@ def test_max_iters_validated(decoder, options):
         decoder(H, np.array([[1.0]]), **options)
 
 
-@pytest.mark.parametrize("decoder, objective, sign",
-                         [(nnls_estimate, "_squared_residual", -1.0),
-                          (poisson_mle, "_poisson_objective", 1.0)],
+@pytest.mark.parametrize("decoder, record, sign",
+                         [(nnls_estimate, lambda mp: record_nnls_steps(mp)[1], -1.0),
+                          (poisson_mle, record_rl_objectives, 1.0)],
                          ids=["nnls_estimate", "poisson_mle"])
-def test_objective_trace_monotone(decoder, objective, sign, monkeypatch):
+def test_objective_trace_monotone(decoder, record, sign, monkeypatch):
     # the NNLS residual never rises and the RL log-likelihood never falls;
-    # every evaluation of the objective is recorded, one per iterate
-    evaluate, trace = getattr(estimators, objective), []
-
-    def recording(Y, B):
-        f = evaluate(Y, B)
-        trace.append(f.copy())     # the loop updates the first result in place
-        return f
-
-    monkeypatch.setattr(estimators, objective, recording)
+    # one objective is recorded per iterate: each evaluation of RL's, and
+    # the start's and each step's of NNLS, which tracks its own
+    trace = record(monkeypatch)
     psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
     H = build_system_matrix(psf, (8, 8), (10, 10))
     rng = np.random.default_rng(5)
@@ -251,8 +353,9 @@ def test_objective_trace_monotone(decoder, objective, sign, monkeypatch):
 @pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
                          ids=lambda f: f.__name__)
 def test_one_image_per_iteration(decoder, monkeypatch):
-    # the image Hv (+ background) of an iterate serves its objective and the
-    # next step, so a call forms at most one image per iteration plus the start
+    # RL's image Hv + background of an iterate serves its objective and the
+    # next step, so a call forms at most one image per iteration plus the
+    # start; NNLS tracks its objective from its gradient and forms none
     calls = []
 
     def counted(H, v):
@@ -266,7 +369,7 @@ def test_one_image_per_iteration(decoder, monkeypatch):
     Y = rng.poisson(forward(H, rng.uniform(0.5, 3, size=(H.d, 3)))).astype(float)
     res = decoder(H, Y, max_iters=300, tol=1e-9)
     assert res.n_iters > 10
-    assert len(calls) <= res.n_iters + 1
+    assert len(calls) <= (res.n_iters + 1 if decoder is poisson_mle else 0)
 
 
 @pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
@@ -311,6 +414,35 @@ class TestBatchedDecoding:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("estimator", ["nnls", "mle"])
+    def test_converged_count_matches_single_column_calls(self, estimator, monkeypatch):
+        # options under which some trials meet tol and some do not
+        if estimator == "nnls":
+            (H, v), decoder, model = dense_cells_8x8(50.0), nnls_estimate, GaussianNoise(1.0)
+            kwargs, options = {}, {"max_iters": 1000, "tol": 1e-5}
+        else:
+            (H, v), decoder, model = beads_8x8(), poisson_mle, PoissonNoise(1e-7)
+            kwargs, options = {"background": 1e-7}, {"max_iters": 500, "tol": 1e-9}
+        batches = []
+
+        def recording(H, Y, **opts):
+            batches.append(Y.copy())
+            return decoder(H, Y, **opts)
+
+        monkeypatch.setattr(estimators, decoder.__name__, recording)
+        rep = run_trials(model, H, v, estimator, 20, seed=3, estimator_options=options)
+        (Y,) = batches
+        columns = [decoder(H, Y[:, [j]], **kwargs, **options) for j in range(20)]
+        assert 0 < rep.n_converged < 20
+        assert rep.n_converged == sum(c.converged for c in columns)
+        np.testing.assert_array_equal(decoder(H, Y, **kwargs, **options).column_converged,
+                                      [c.converged for c in columns])
+
+    def test_gls_reports_no_converged_count(self):
+        H = lenslet1_8x8()
+        rep = run_trials(GaussianNoise(1.0), H, np.ones(H.d), "gls", 10, seed=0)
+        assert rep.n_converged is None
+
     def test_vanishing_noise_zero_variance(self):
         H = lenslet1_8x8()
         v = np.full(H.d, 2.0)
