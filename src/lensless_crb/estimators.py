@@ -62,22 +62,26 @@ def make_gls_solver(H: SystemMatrix):
 
 
 class DecoderResult(NamedTuple):
-    values: np.ndarray    # (d, n) last iterate of each column
-    converged: bool       # every column met the stopping rule
-    n_iters: int          # iterations of the slowest column
-    column_converged: np.ndarray | None = None   # (n,) which columns met it
+    values: np.ndarray            # (d, n) last iterate of each column
+    n_iters: int                  # iterations of the slowest column
+    column_converged: np.ndarray  # (n,) which columns met the stopping rule
+
+    @property
+    def converged(self) -> bool:
+        """Every column met the stopping rule."""
+        return bool(self.column_converged.all())
 
 
 def _iterate(H: SystemMatrix, y, setup, max_iters: int, tol: float) -> DecoderResult:
     """Iterate each column of the (k, n) batch y until its objective settles.
 
-    setup(Y) returns the start (d, n), its objective (n,) and step(V, keep),
-    which maps the running columns V to their next iterate and its
-    objective. keep is None, or the mask of the columns still running among
-    those of the previous call; the step applies it to the per-column state
-    it carries. A column stops when its objective changes by less than tol
-    relative; it is then written back and dropped, so the running columns
-    stay one contiguous array.
+    setup(Y) returns the start V (d, n), its objective f (n,), a tuple of
+    per-column state arrays (each with n columns) and step(V, f, state),
+    which maps the running columns to their next iterate, its objective and
+    its state. The step holds no column state of its own: this loop alone
+    owns every per-column array. A column stops when its objective changes
+    by less than tol relative; it is then written back and dropped from V,
+    f and every state array, so the running columns stay contiguous.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -86,23 +90,24 @@ def _iterate(H: SystemMatrix, y, setup, max_iters: int, tol: float) -> DecoderRe
     Y = np.asarray(y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != H.k:
         raise DimensionError(f"decoders take a ({H.k}, n) batch, got shape {Y.shape}")
-    V, f, step = setup(Y)
+    V, f, state, step = setup(Y)
     cols = np.arange(Y.shape[1])      # the running columns, in batch order
     done = np.zeros(Y.shape[1], dtype=bool)
-    Vr, keep = V, None
+    Vr = V
     n_iters = 0
     while n_iters < max_iters and cols.size:
         n_iters += 1
-        Vr, new = step(Vr, keep)
+        Vr, new, state = step(Vr, f, state)
         stop = np.abs(new - f) / np.maximum(np.abs(f), 1e-300) < tol
-        f, keep = new, None
+        f = new
         if np.any(stop):
             V[:, cols[stop]] = Vr[:, stop]
             done[cols[stop]] = True
             keep = ~stop
             cols, Vr, f = cols[keep], Vr[:, keep], f[keep]
+            state = tuple(s[:, keep] for s in state)
     V[:, cols] = Vr
-    return DecoderResult(V, cols.size == 0, n_iters, done)
+    return DecoderResult(V, n_iters, done)
 
 
 def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
@@ -125,13 +130,9 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
         if not L > 0:
             raise GramUnderflowError(float(np.max(H.psf)))
         HtY = adjoint(H, Y)
-        g = -HtY                  # the half-gradient at v = 0
-        f = np.sum(Y * Y, axis=0)
 
-        def step(V, keep):
-            nonlocal HtY, g, f
-            if keep is not None:
-                HtY, g, f = HtY[:, keep], g[:, keep], f[keep]
+        def step(V, f, state):
+            HtY, g = state
             V_next = np.maximum(V - g / L, 0.0)
             # A is column-major and exactly symmetric, so A V = (V^T A)^T; V is
             # row-major, so dgemm reads V.T and A without a copy, and the
@@ -143,11 +144,10 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
             # than tol; this sum keeps one rounding throughout. g is spent
             # after this step, so it takes the sum in place
             g += g_next
-            f = f + np.sum((V_next - V) * g, axis=0)
-            g = g_next
-            return V_next, f
+            return V_next, f + np.sum((V_next - V) * g, axis=0), (HtY, g_next)
 
-        return np.zeros((H.d, Y.shape[1])), f, step
+        # at v = 0 the objective is ||y||^2 and the half-gradient -H^T y
+        return np.zeros((H.d, Y.shape[1])), np.sum(Y * Y, axis=0), (HtY, -HtY), step
 
     return _iterate(H, y, setup, max_iters, tol)
 
@@ -183,10 +183,8 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
         B = forward(H, V)         # the image HV + background of the iterate
         B += background
 
-        def step(V, keep):
-            nonlocal Y, B
-            if keep is not None:
-                Y, B = Y[:, keep], B[:, keep]
+        def step(V, f, state):
+            Y, B = state
             # a zero count over the floored rate is already +0.0
             ratio = np.maximum(B, 1e-300)
             np.divide(Y, ratio, out=ratio)
@@ -201,9 +199,9 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
             np.putmask(update, update < TINY, 0.0)
             B = forward(H, update)
             B += background
-            return update, _poisson_objective(Y, B)
+            return update, _poisson_objective(Y, B), (Y, B)
 
-        return V, _poisson_objective(Y, B), step
+        return V, _poisson_objective(Y, B), (Y, B), step
 
     return _iterate(H, y, setup, max_iters, tol)
 
@@ -224,11 +222,8 @@ class TrialReport:
 
 
 def _with_count(res: DecoderResult):
-    """A decoder's values and how many of its columns met the stopping rule
-    (all or none for a result built without the per-column mask)."""
-    mask = res.column_converged
-    n = res.values.shape[1] * res.converged if mask is None else np.count_nonzero(mask)
-    return res.values, int(n)
+    """A decoder's values and how many of its columns met the stopping rule."""
+    return res.values, int(np.count_nonzero(res.column_converged))
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):

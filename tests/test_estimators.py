@@ -87,17 +87,17 @@ def record_nnls_steps(monkeypatch):
 
     def recording(H, y, setup, max_iters, tol):
         def recorded_setup(Y):
-            V, f, step = setup(Y)
+            V, f, state, step = setup(Y)
             iterates.append(V.copy())
             objectives.append(f.copy())
 
-            def recorded_step(V, keep):
-                V, f = step(V, keep)
+            def recorded_step(V, f, state):
+                V, f, state = step(V, f, state)
                 iterates.append(V.copy())
                 objectives.append(f.copy())
-                return V, f
+                return V, f, state
 
-            return V, f, recorded_step
+            return V, f, state, recorded_step
 
         return iterate(H, y, recorded_setup, max_iters, tol)
 
@@ -526,7 +526,8 @@ class TestRunTrials:
         # sample rejects a non-finite mean, so a decoder that diverges on
         # every trial stands in for non-finite estimates
         def diverging(H, Y, **options):
-            return estimators.DecoderResult(np.full((H.d, Y.shape[1]), np.nan), False, 2)
+            return estimators.DecoderResult(np.full((H.d, Y.shape[1]), np.nan), 2,
+                                            np.zeros(Y.shape[1], dtype=bool))
 
         monkeypatch.setattr(estimators, "nnls_estimate", diverging)
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
