@@ -8,16 +8,20 @@ Three estimators probe the bounds empirically:
 * Poisson maximum likelihood via Richardson-Lucy multiplicative updates,
   which preserve positivity and never decrease the likelihood.
 
-The two iterative decoders give their start, its objective and a step that
-returns the next iterate with its objective to one per-column stopping loop,
-``_iterate``, and return its ``DecoderResult``. Each step forms only the
-products it needs: RL one image Hv + background per iteration, which serves
-its next ratio and its likelihood; NNLS one product (H^T H) V and no image,
-tracking its squared residual from its gradient.
+The two iterative decoders give their start, its objective, their
+per-column state arrays and a step to one per-column stopping loop,
+``_iterate``, which alone owns and compacts every per-column array, and
+return its ``DecoderResult``. Each step forms only the products it needs:
+RL one image Hv + background per iteration, which serves its next ratio and
+its likelihood; NNLS one product (H^T H) V and no image, tracking its
+squared residual from its gradient. Every column starts from its own data,
+so a trial's iterates do not depend on the trials decoded with it.
 
 ``run_trials`` repeats sample -> estimate with draws from one generator and
 accumulates per-pixel mean/variance with chunked Welford merges, so the
-statistics are independent of the chunk size.
+statistics do not depend on the chunk size, up to the rounding of the
+batched products; that rounding can move the stopping step of a column
+whose objective change lands within it of tol.
 """
 
 from dataclasses import dataclass
@@ -62,6 +66,9 @@ def make_gls_solver(H: SystemMatrix):
 
 
 class DecoderResult(NamedTuple):
+    """An iterative decoder's last iterates and its per-column convergence
+    record; converged is derived from that record."""
+
     values: np.ndarray            # (d, n) last iterate of each column
     n_iters: int                  # iterations of the slowest column
     column_converged: np.ndarray  # (n,) which columns met the stopping rule
@@ -119,7 +126,8 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
     g = H^T H v - H^T y and no image Hv: the objective starts from ||y||^2 at
     v = 0 and moves by <v' - v, g' + g>, the exact change of a quadratic.
     Its level keeps the rounding of ||y||^2 (a few eps ||y||^2), but its
-    changes, which the stopping rule reads, are those of the residual.
+    changes, which the stopping rule reads, are those of the residual. The
+    step carries each column's H^T y and g as its state.
     Non-convergence returns the last iterate with converged=False.
     GramUnderflowError if H^T H underflows to L = 0 (every squared PSF entry
     below the smallest subnormal: a peak below about 2e-162).
@@ -169,9 +177,11 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
                 max_iters: int = 10_000, tol: float = 1e-10) -> DecoderResult:
     """Richardson-Lucy iterations for the Poisson likelihood.
 
-    v <- v * [H^T (y / (Hv + background))] / H^T 1, started uniform positive;
-    H^T 1 is the PSF mass at every pixel. The objective is ln p(y; v) with
-    the additive constant dropped; it never falls.
+    v <- v * [H^T (y / (Hv + background))] / H^T 1; H^T 1 is the PSF mass
+    at every pixel. Each column starts uniform at max(mean(y_j) / mass,
+    1e-12), from its own counts alone. The objective is ln p(y; v) with the
+    additive constant dropped; it never falls. The step carries each
+    column's counts and image Hv + background as its state.
     """
     check_parameter("background", background, allow_zero=True)
     mass = H.psf.sum()
@@ -179,7 +189,7 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     def setup(Y):
         if np.any(Y < 0):
             raise ValueError("Poisson measurements must be non-negative")
-        V = np.full((H.d, Y.shape[1]), max(Y.mean() / mass, 1e-12))
+        V = np.full((H.d, Y.shape[1]), np.maximum(Y.mean(axis=0) / mass, 1e-12))
         B = forward(H, V)         # the image HV + background of the iterate
         B += background
 

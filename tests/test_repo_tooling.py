@@ -250,6 +250,13 @@ def test_forward_model_pads_one_psf_canvas():
     assert [func for func, _line in pads] == ["build_system_matrix"]
 
 
+def test_decoder_steps_hold_no_column_state():
+    # _iterate alone compacts the running columns, so a decoder's step
+    # rebinds none of its setup's arrays
+    tree = ast.parse((ROOT / "src" / "lensless_crb" / "estimators.py").read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Nonlocal)] == []
+
+
 def test_package_runs_no_product_on_numpys_blas():
     # every matrix product runs on SciPy's BLAS, so the package calls one
     # OpenBLAS and one_blas_thread has one library to set; NumPy's @, dot
