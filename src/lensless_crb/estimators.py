@@ -20,8 +20,8 @@ so a trial's iterates do not depend on the trials decoded with it.
 ``run_trials`` repeats sample -> estimate with draws from one generator and
 accumulates per-pixel mean/variance with chunked Welford merges, so the
 statistics do not depend on the chunk size, up to the rounding of the
-batched products; that rounding can move the stopping step of a column
-whose objective change lands within it of tol.
+batched products. That rounding moves a column's stopping step only when
+its objective change lands within rounding of tol.
 """
 
 from dataclasses import dataclass
