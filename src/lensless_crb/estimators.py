@@ -11,17 +11,21 @@ Three estimators probe the bounds empirically:
 The two iterative decoders give their start, its objective, their
 per-column state arrays and a step to one per-column stopping loop,
 ``_iterate``, which alone owns and compacts every per-column array, and
-return its ``DecoderResult``. Each step forms only the products it needs:
-RL one image Hv + background per iteration, which serves its next ratio and
-its likelihood; NNLS one product (H^T H) V and no image, tracking its
-squared residual from its gradient. Every column starts from its own data,
-so a trial's iterates do not depend on the trials decoded with it.
+return its ``DecoderResult``. The loop tests its stopping rule only on check
+steps, every STOP_STRIDE iterations and at max_iters, and asks a step for
+its objective only on a check step and the step before it. Each step forms
+only the products it needs: RL one image Hv + background per iteration,
+which serves its next ratio, and its likelihood only when asked; NNLS one
+product (H^T H) V and no image, forming its squared residual from its
+gradient only when asked. Every column starts from its own data, so a
+trial's iterates do not depend on the trials decoded with it.
 
 ``run_trials`` repeats sample -> estimate with draws from one generator and
 accumulates per-pixel mean/variance with chunked Welford merges, so the
 statistics do not depend on the chunk size, up to the rounding of the
-batched products. That rounding moves a column's stopping step only when
-its objective change lands within rounding of tol.
+batched products. That rounding moves a column's stopping step, by one
+stride, only when its objective change at a check step lands within
+rounding of tol.
 """
 
 from dataclasses import dataclass
@@ -37,6 +41,7 @@ from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
 from .noise import check_parameter, sample
 
 TRIAL_CHUNK = 1000    # trials sampled and decoded as one batch
+STOP_STRIDE = 10      # iterations between tests of the stopping rule
 TINY = np.finfo(float).tiny   # smallest normal float64
 
 
@@ -66,12 +71,18 @@ def make_gls_solver(H: SystemMatrix):
 
 
 class DecoderResult(NamedTuple):
-    """An iterative decoder's last iterates and its per-column convergence
-    record; converged is derived from that record."""
+    """An iterative decoder's last iterates and its per-column record: the
+    step at which each column stopped and whether it met the stopping rule.
+    n_iters and converged are derived from that record."""
 
     values: np.ndarray            # (d, n) last iterate of each column
-    n_iters: int                  # iterations of the slowest column
+    column_iters: np.ndarray      # (n,) the step at which each column stopped
     column_converged: np.ndarray  # (n,) which columns met the stopping rule
+
+    @property
+    def n_iters(self) -> int:
+        """Iterations of the slowest column."""
+        return int(self.column_iters.max(initial=0))
 
     @property
     def converged(self) -> bool:
@@ -83,12 +94,17 @@ def _iterate(H: SystemMatrix, y, setup, max_iters: int, tol: float) -> DecoderRe
     """Iterate each column of the (k, n) batch y until its objective settles.
 
     setup(Y) returns the start V (d, n), its objective f (n,), a tuple of
-    per-column state arrays (each with n columns) and step(V, f, state),
-    which maps the running columns to their next iterate, its objective and
-    its state. The step holds no column state of its own: this loop alone
-    owns every per-column array. A column stops when its objective changes
-    by less than tol relative; it is then written back and dropped from V,
-    f and every state array, so the running columns stay contiguous.
+    per-column state arrays (each with n columns) and step(V, f, state,
+    form), which maps the running columns to their next iterate, an
+    objective and its state. The objective is the new iterate's when form
+    is true and f, untouched, otherwise; the loop sets form only on check
+    steps (multiples of STOP_STRIDE, and max_iters) and the step before
+    each, so f always holds the objective of the step before a check. The
+    step holds no column state of its own: this loop alone owns every
+    per-column array. A column stops at the first check step whose one-step
+    objective change is below tol relative; it is then written back and
+    dropped from V, f and every state array, so the running columns stay
+    contiguous.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -100,21 +116,26 @@ def _iterate(H: SystemMatrix, y, setup, max_iters: int, tol: float) -> DecoderRe
     V, f, state, step = setup(Y)
     cols = np.arange(Y.shape[1])      # the running columns, in batch order
     done = np.zeros(Y.shape[1], dtype=bool)
+    iters = np.full(Y.shape[1], max_iters)
     Vr = V
     n_iters = 0
     while n_iters < max_iters and cols.size:
         n_iters += 1
-        Vr, new, state = step(Vr, f, state)
-        stop = np.abs(new - f) / np.maximum(np.abs(f), 1e-300) < tol
+        check = n_iters % STOP_STRIDE == 0 or n_iters == max_iters
+        before_check = (n_iters + 1) % STOP_STRIDE == 0 or n_iters + 1 == max_iters
+        Vr, new, state = step(Vr, f, state, check or before_check)
+        if check:
+            stop = np.abs(new - f) / np.maximum(np.abs(f), 1e-300) < tol
         f = new
-        if np.any(stop):
+        if check and np.any(stop):
             V[:, cols[stop]] = Vr[:, stop]
             done[cols[stop]] = True
+            iters[cols[stop]] = n_iters
             keep = ~stop
             cols, Vr, f = cols[keep], Vr[:, keep], f[keep]
             state = tuple(s[:, keep] for s in state)
     V[:, cols] = Vr
-    return DecoderResult(V, n_iters, done)
+    return DecoderResult(V, iters, done)
 
 
 def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
@@ -123,11 +144,15 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
 
     Step 1/L with L the largest eigenvalue of H^T H (LAPACK), so the objective
     never rises. Each step forms one product (H^T H) V for its half-gradient
-    g = H^T H v - H^T y and no image Hv: the objective starts from ||y||^2 at
-    v = 0 and moves by <v' - v, g' + g>, the exact change of a quadratic.
+    g = H^T H v - H^T y and no image Hv. The objective starts from ||y||^2 at
+    v = 0, and when the loop asks for it, it moves from the iterate where it
+    was last formed (the anchor) by <v' - v_a, g' + g_a>, the exact change
+    of a quadratic over the whole span. So the step before a check adds the
+    change since the last check and the check step the one-step change.
     Its level keeps the rounding of ||y||^2 (a few eps ||y||^2), but its
     changes, which the stopping rule reads, are those of the residual. The
-    step carries each column's H^T y and g as its state.
+    step carries each column's H^T y, g and its anchor v_a and g_a as its
+    state.
     Non-convergence returns the last iterate with converged=False.
     GramUnderflowError if H^T H underflows to L = 0 (every squared PSF entry
     below the smallest subnormal: a peak below about 2e-162).
@@ -139,23 +164,25 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
             raise GramUnderflowError(float(np.max(H.psf)))
         HtY = adjoint(H, Y)
 
-        def step(V, f, state):
-            HtY, g = state
+        def step(V, f, state, form):
+            HtY, g, V_a, g_a = state
             V_next = np.maximum(V - g / L, 0.0)
             # A is column-major and exactly symmetric, so A V = (V^T A)^T; V is
             # row-major, so dgemm reads V.T and A without a copy, and the
             # half-gradient comes out row-major like V
             g_next = blas.dgemm(1.0, V_next.T, A).T
             g_next -= HtY
+            if not form:
+                return V_next, f, (HtY, g_next, V_a, g_a)
             # the expanded ||y||^2 - 2<v, H^T y> + <v, Av> rounds ||y||^2
             # afresh at every step, which at bright objects moves it by more
-            # than tol; this sum keeps one rounding throughout. g is spent
-            # after this step, so it takes the sum in place
-            g += g_next
-            return V_next, f + np.sum((V_next - V) * g, axis=0), (HtY, g_next)
+            # than tol; this sum keeps one rounding throughout
+            f = f + np.sum((V_next - V_a) * (g_next + g_a), axis=0)
+            return V_next, f, (HtY, g_next, V_next, g_next)
 
         # at v = 0 the objective is ||y||^2 and the half-gradient -H^T y
-        return np.zeros((H.d, Y.shape[1])), np.sum(Y * Y, axis=0), (HtY, -HtY), step
+        V, g = np.zeros((H.d, Y.shape[1])), -HtY
+        return V, np.sum(Y * Y, axis=0), (HtY, g, V, g), step
 
     return _iterate(H, y, setup, max_iters, tol)
 
@@ -180,8 +207,11 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
     v <- v * [H^T (y / (Hv + background))] / H^T 1; H^T 1 is the PSF mass
     at every pixel. Each column starts uniform at max(mean(y_j) / mass,
     1e-12), from its own counts alone. The objective is ln p(y; v) with the
-    additive constant dropped; it never falls. The step carries each
-    column's counts and image Hv + background as its state.
+    additive constant dropped; it never falls. Each step forms the image
+    Hv + background, which the next ratio needs, but takes its logarithm
+    for the objective only when the loop asks: on a check step and the
+    step before it. The step carries each column's counts and image as its
+    state.
     """
     check_parameter("background", background, allow_zero=True)
     mass = H.psf.sum()
@@ -193,7 +223,7 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
         B = forward(H, V)         # the image HV + background of the iterate
         B += background
 
-        def step(V, f, state):
+        def step(V, f, state, form):
             Y, B = state
             # a zero count over the floored rate is already +0.0
             ratio = np.maximum(B, 1e-300)
@@ -209,7 +239,7 @@ def poisson_mle(H: SystemMatrix, y, background: float = 0.0,
             np.putmask(update, update < TINY, 0.0)
             B = forward(H, update)
             B += background
-            return update, _poisson_objective(Y, B), (Y, B)
+            return update, _poisson_objective(Y, B) if form else f, (Y, B)
 
         return V, _poisson_objective(Y, B), (Y, B), step
 
@@ -229,11 +259,8 @@ class TrialReport:
     efficiency: np.ndarray | None   # variance / CRB, elementwise
     n_failed: int = 0
     n_converged: int | None = None  # trials whose decoder met tol; None for GLS
-
-
-def _with_count(res: DecoderResult):
-    """A decoder's values and how many of its columns met the stopping rule."""
-    return res.values, int(np.count_nonzero(res.column_converged))
+    # (min, median, max) over trials of the step each stopped at; None for GLS
+    iterations: tuple[int, float, int] | None = None
 
 
 def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
@@ -257,7 +284,9 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     given, is a map of H's object.
     Estimates containing non-finite values count as failures; more than 1%
     failures raises TrialFailureError. n_converged counts the trials whose
-    decoder met its stopping rule (None for GLS, which is not iterative).
+    decoder met its stopping rule and iterations gives the (min, median,
+    max) of the steps at which the trials stopped (both None for GLS, which
+    is not iterative).
     """
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
@@ -274,25 +303,28 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
             return solve(Y), None
     elif estimator == "nnls":
         def estimate(Y):
-            return _with_count(nnls_estimate(H, Y, **options))
+            res = nnls_estimate(H, Y, **options)
+            return res.values, res
     elif estimator == "mle":
         def estimate(Y):
-            return _with_count(poisson_mle(H, Y, background=model.background, **options))
+            res = poisson_mle(H, Y, background=model.background, **options)
+            return res.values, res
     else:
         raise ValueError(f"unknown estimator: {estimator!r}")
     b = forward(H, v_true)
     rng = np.random.default_rng(seed)
 
     n_acc, mean_acc, m2_acc = 0, np.zeros(H.d), np.zeros(H.d)
-    n_failed, n_converged = 0, None if estimator == "gls" else 0
+    n_failed, n_converged, stop_steps = 0, None if estimator == "gls" else 0, []
     for start in range(0, n_trials, TRIAL_CHUNK):
         m = min(TRIAL_CHUNK, n_trials - start)
         # the decoders run faster on a row-major (k, m) batch than on the
         # transposed draws
-        V, converged = estimate(
+        V, res = estimate(
             np.ascontiguousarray(sample(model, np.broadcast_to(b, (m, H.k)), rng).T))
-        if converged is not None:
-            n_converged += converged
+        if res is not None:
+            n_converged += int(np.count_nonzero(res.column_converged))
+            stop_steps.append(res.column_iters)
         ok = np.all(np.isfinite(V), axis=0)
         n_failed += int(m - ok.sum())
         V = V[:, ok]
@@ -306,10 +338,15 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     if n_failed > 0.01 * n_trials:
         raise TrialFailureError(n_failed, n_trials)
     variance = m2_acc / (n_acc - 1)
+    iterations = None
+    if stop_steps:
+        steps = np.concatenate(stop_steps)
+        iterations = (int(steps.min()), float(np.median(steps)), int(steps.max()))
     efficiency = None
     if crb is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
             efficiency = np.where(crb.values > 0, variance / crb.values, np.inf)
     return TrialReport(n_trials=n_acc, per_pixel_mean=mean_acc,
                        per_pixel_variance=variance, efficiency=efficiency,
-                       n_failed=n_failed, n_converged=n_converged)
+                       n_failed=n_failed, n_converged=n_converged,
+                       iterations=iterations)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import blas, eigvalsh
@@ -46,15 +48,22 @@ def beads_8x8():
     return H, vectorize(generate_object(ObjectSpec(SparseBeads(2), (8, 8), 100.0, 5)))
 
 
-def textbook_rl(H, Y, background, n_iters):
+def textbook_rl_iterates(H, Y, background, n_iters):
     """Richardson-Lucy with every pass in full and no flush of subnormal
-    pixels: poisson_mle's oracle at tol = 0."""
+    pixels, yielding the start and each of n_iters iterates."""
     mass = H.psf.sum()
     V = np.full((H.d, Y.shape[1]), np.maximum(Y.mean(axis=0) / mass, 1e-12))
+    yield V
     for _ in range(n_iters):
         B = forward(H, V) + background
         ratio = np.where(Y > 0, Y / np.maximum(B, 1e-300), 0.0)
         V = V * (adjoint(H, ratio) / mass)
+        yield V
+
+
+def textbook_rl(H, Y, background, n_iters):
+    """poisson_mle's oracle at tol = 0: the last textbook iterate."""
+    *_, V = textbook_rl_iterates(H, Y, background, n_iters)
     return V
 
 
@@ -66,35 +75,47 @@ def dense_cells_8x8(peak):
     return H, vectorize(generate_object(ObjectSpec(DenseCells(n_blobs=3), (8, 8), peak, 11)))
 
 
-def textbook_nnls(H, Y, n_iters):
+def textbook_nnls_iterates(H, Y, n_iters):
     """Projected gradient with the gradient formed afresh from each iterate
-    and no objective, on nnls_estimate's Gram, step 1/L and product:
-    nnls_estimate's oracle at tol = 0."""
+    and no objective, on nnls_estimate's Gram, step 1/L and product,
+    yielding the start and each of n_iters iterates."""
     A = weighted_gram(H)
     L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
     HtY = adjoint(H, Y)
     V = np.zeros((H.d, Y.shape[1]))
+    yield V
     for _ in range(n_iters):
         grad = blas.dgemm(1.0, V.T, A).T - HtY
         V = np.maximum(V - grad / L, 0.0)
+        yield V
+
+
+def textbook_nnls(H, Y, n_iters):
+    """nnls_estimate's oracle at tol = 0: the last textbook iterate."""
+    *_, V = textbook_nnls_iterates(H, Y, n_iters)
     return V
 
 
 def record_nnls_steps(monkeypatch):
-    """Lists that fill, as NNLS runs, with the iterate and the objective of
-    its start and of each step it returns."""
-    iterates, objectives, iterate = [], [], estimators._iterate
+    """Lists that fill, as NNLS runs, with the step number, the iterate and
+    the objective of its start and of each step that forms its objective."""
+    steps, iterates, objectives, iterate = [], [], [], estimators._iterate
 
     def recording(H, y, setup, max_iters, tol):
         def recorded_setup(Y):
             V, f, state, step = setup(Y)
+            count = itertools.count(1)
+            steps.append(0)
             iterates.append(V.copy())
             objectives.append(f.copy())
 
-            def recorded_step(V, f, state):
-                V, f, state = step(V, f, state)
-                iterates.append(V.copy())
-                objectives.append(f.copy())
+            def recorded_step(V, f, state, form):
+                V, f, state = step(V, f, state, form)
+                n = next(count)
+                if form:
+                    steps.append(n)
+                    iterates.append(V.copy())
+                    objectives.append(f.copy())
                 return V, f, state
 
             return V, f, state, recorded_step
@@ -102,7 +123,7 @@ def record_nnls_steps(monkeypatch):
         return iterate(H, y, recorded_setup, max_iters, tol)
 
     monkeypatch.setattr(estimators, "_iterate", recording)
-    return iterates, objectives
+    return steps, iterates, objectives
 
 
 def record_rl_objectives(monkeypatch):
@@ -118,11 +139,22 @@ def record_rl_objectives(monkeypatch):
     return trace
 
 
-def first_settled_step(f, tol):
-    """The first step whose objective moved by less than tol relative, or
-    None if none did: the stopping step of one column."""
-    settled = np.abs(np.diff(f)) / np.maximum(np.abs(f[:-1]), 1e-300) < tol
-    return int(np.argmax(settled)) + 1 if settled.any() else None
+def check_steps(max_iters):
+    """The steps at which the decoders test their stopping rule: the
+    multiples of STOP_STRIDE up to max_iters, and max_iters."""
+    return np.union1d(np.arange(estimators.STOP_STRIDE, max_iters + 1,
+                                estimators.STOP_STRIDE), [max_iters])
+
+
+def first_settled_check(f, tol):
+    """The first check step whose objective moved by less than tol relative
+    from the step before, or None if none did: the stopping step of one
+    column whose objective at steps 0, 1, ..., max_iters is f. Only the
+    check steps and the steps before them are read."""
+    checks = check_steps(len(f) - 1)
+    before = f[checks - 1]
+    settled = np.abs(f[checks] - before) / np.maximum(np.abs(before), 1e-300) < tol
+    return int(checks[np.argmax(settled)]) if settled.any() else None
 
 
 def textbook_objective(Y, B):
@@ -218,29 +250,33 @@ class TestNnls:
 
     @pytest.mark.parametrize("peak", [50.0, 1e6], ids=["peak-50", "peak-1e6"])
     def test_tracked_objective_is_the_squared_residual(self, peak, monkeypatch):
-        # NNLS forms no image Hv: its objective starts at ||y||^2 and moves by
-        # the exact change of a quadratic. At every step it stays within one
-        # length-d inner product's worst-case rounding of ||y||^2 of the
-        # direct residual, so its error does not grow with the steps
-        # (measured: 5e-14 relative at peak 50; 1e-5 at peak 1e6, where
-        # ||y||^2 is 1e11 times the final residual). Its changes are exact to
-        # the rounding of the residual itself, so each column stops at the
-        # step the direct residual gives; the expanded form
-        # ||y||^2 - 2<v, H^T y> + <v, H^T H v> stops at peak 1e6 near step
-        # 6900 whatever tol is
+        # NNLS forms no image Hv: its objective starts at ||y||^2 and, on each
+        # check step and the step before it, moves by the exact change of a
+        # quadratic since the step it was last formed. Wherever it is formed
+        # it stays within one length-d inner product's worst-case rounding of
+        # ||y||^2 of the direct residual, so its error does not grow with the
+        # steps (measured: 5e-14 relative at peak 50; 1e-5 at peak 1e6,
+        # where ||y||^2 is 1e11 times the final residual). Its one-step
+        # changes at the check steps are exact to the rounding of the
+        # residual itself, so each column stops at the check step the direct
+        # residual gives; the expanded form ||y||^2 - 2<v, H^T y> +
+        # <v, H^T H v> stops at peak 1e6 near step 6900 whatever tol is
         H, v = dense_cells_8x8(peak)
         y = forward(H, v.values) + np.random.default_rng(11).normal(size=H.k)
-        iterates, objectives = record_nnls_steps(monkeypatch)
+        steps, iterates, objectives = record_nnls_steps(monkeypatch)
         nnls_estimate(H, y[:, None], max_iters=15_000, tol=0.0)
         f = np.concatenate(objectives)
         direct = np.sum((y[:, None] - forward(H, np.concatenate(iterates, axis=1))) ** 2,
                         axis=0)
-        assert len(f) == 15_001
+        checks = check_steps(15_000)
+        assert steps == sorted({0, *checks, *(checks - 1)})
         assert f[0] == np.sum(y * y)
         assert np.all(np.abs(f - direct) <= H.d * np.finfo(float).eps * f[0])
-        assert first_settled_step(direct, 1e-6) is not None
+        trace = np.full(15_001, np.nan)
+        trace[steps] = direct
+        assert first_settled_check(trace, 1e-6) is not None
         for tol in (1e-6, 1e-9):
-            stop = first_settled_step(direct, tol)
+            stop = first_settled_check(trace, tol)
             res = nnls_estimate(H, y[:, None], max_iters=15_000, tol=tol)
             assert (res.n_iters, res.converged) == (stop or 15_000, stop is not None)
 
@@ -330,13 +366,14 @@ def test_max_iters_validated(decoder, options):
 
 
 @pytest.mark.parametrize("decoder, record, sign",
-                         [(nnls_estimate, lambda mp: record_nnls_steps(mp)[1], -1.0),
+                         [(nnls_estimate, lambda mp: record_nnls_steps(mp)[2], -1.0),
                           (poisson_mle, record_rl_objectives, 1.0)],
                          ids=["nnls_estimate", "poisson_mle"])
 def test_objective_trace_monotone(decoder, record, sign, monkeypatch):
     # the NNLS residual never rises and the RL log-likelihood never falls;
-    # one objective is recorded per iterate: each evaluation of RL's, and
-    # the start's and each step's of NNLS, which tracks its own
+    # an objective is formed for the start and for each check step and the
+    # step before it: each evaluation of RL's, and each that NNLS forms
+    # from its gradient
     trace = record(monkeypatch)
     psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
     H = build_system_matrix(psf, (8, 8), (10, 10))
@@ -344,7 +381,7 @@ def test_objective_trace_monotone(decoder, record, sign, monkeypatch):
     v_true = rng.uniform(0.5, 3, size=H.d)
     y = rng.poisson(forward(H, v_true)).astype(float)
     res = decoder(H, y[:, None], max_iters=500, tol=0.0)
-    assert len(trace) == res.n_iters + 1
+    assert len(trace) == 1 + 2 * len(check_steps(res.n_iters))
     trace = np.concatenate(trace)
     assert len(trace) >= 100
     assert np.all(sign * np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
@@ -370,6 +407,73 @@ def test_one_image_per_iteration(decoder, monkeypatch):
     res = decoder(H, Y, max_iters=300, tol=1e-9)
     assert res.n_iters > 10
     assert len(calls) <= (res.n_iters + 1 if decoder is poisson_mle else 0)
+
+
+def test_objective_formed_only_around_check_steps(monkeypatch):
+    # RL's image serves every next ratio, but it takes the image's log for
+    # its objective only on a check step and the step before it, and once
+    # for the start
+    trace = record_rl_objectives(monkeypatch)
+    psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
+    H = build_system_matrix(psf, (8, 8), (10, 10))
+    rng = np.random.default_rng(6)
+    Y = rng.poisson(forward(H, rng.uniform(0.5, 3, size=(H.d, 3)))).astype(float)
+    res = poisson_mle(H, Y, max_iters=300, tol=1e-9)
+    assert res.n_iters > estimators.STOP_STRIDE
+    assert len(trace) <= 1 + 2 * -(-res.n_iters // estimators.STOP_STRIDE)
+
+
+class TestStoppingRule:
+    """A column stops at the first check step (a multiple of STOP_STRIDE, or
+    max_iters) whose one-step objective change is below tol relative, read
+    off the textbook iterates: RL's log-likelihood and NNLS's direct squared
+    residual. Each column is decoded alone, so its products are the
+    textbook's bit for bit."""
+
+    @pytest.mark.parametrize("max_iters", [400, 57])
+    @pytest.mark.parametrize("name", ["mle", "nnls"])
+    def test_stops_at_the_rules_check_step(self, name, max_iters):
+        if name == "mle":
+            H = lenslet1_8x8()
+            rng = np.random.default_rng(13)
+            Y = rng.poisson(forward(H, rng.uniform(0.5, 3.0, size=(H.d, 3))) + 1.0).astype(float)
+
+            def iterates_and_objectives(y):
+                iterates = list(textbook_rl_iterates(H, y, 1.0, max_iters))
+                return iterates, np.array([textbook_objective(y, forward(H, V) + 1.0)[0]
+                                           for V in iterates])
+
+            def decode(y, tol):
+                return poisson_mle(H, y, background=1.0, max_iters=max_iters, tol=tol)
+            tols = (1e-4, 1e-6, 1e-9)
+        else:
+            H, v = dense_cells_8x8(50.0)
+            Y = forward(H, v.values)[:, None] + np.random.default_rng(14).normal(
+                size=(H.k, 3))
+
+            def iterates_and_objectives(y):
+                iterates = list(textbook_nnls_iterates(H, y, max_iters))
+                return iterates, np.array([np.sum((y - forward(H, V)) ** 2)
+                                           for V in iterates])
+
+            def decode(y, tol):
+                return nnls_estimate(H, y, max_iters=max_iters, tol=tol)
+            tols = (1e-3, 1e-4, 1e-6)
+        last_check = check_steps(max_iters)[-2]
+        for j in range(Y.shape[1]):
+            y = Y[:, [j]]
+            iterates, f = iterates_and_objectives(y)
+            change = np.abs(np.diff(f)) / np.abs(f[:-1])
+            # a tol that the check step before max_iters misses and
+            # max_iters meets
+            at_max = np.sqrt(change[last_check - 1] * change[max_iters - 1])
+            assert first_settled_check(f, at_max) == max_iters
+            for tol in (*tols, at_max):
+                stop = first_settled_check(f, tol)
+                res = decode(y, tol)
+                assert (int(res.column_iters[0]), res.converged) == \
+                    (stop or max_iters, stop is not None)
+                assert_same_bits(res.values, iterates[stop or max_iters])
 
 
 @pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
@@ -407,6 +511,7 @@ class TestBatchedDecoding:
         assert len({c.n_iters for c in columns}) > 1
         assert batch.converged == all(c.converged for c in columns)
         assert batch.n_iters == max(c.n_iters for c in columns)
+        np.testing.assert_array_equal(batch.column_iters, [c.n_iters for c in columns])
         values = np.concatenate([c.values for c in columns], axis=1)
         # each column starts from its own data and leaves the batch at its
         # own stopping step; what is left is the rounding of the batched
@@ -436,13 +541,15 @@ class TestRunTrials:
         columns = [decoder(H, Y[:, [j]], **kwargs, **options) for j in range(20)]
         assert 0 < rep.n_converged < 20
         assert rep.n_converged == sum(c.converged for c in columns)
+        iters = [c.n_iters for c in columns]
+        assert rep.iterations == (min(iters), float(np.median(iters)), max(iters))
         np.testing.assert_array_equal(decoder(H, Y, **kwargs, **options).column_converged,
                                       [c.converged for c in columns])
 
     def test_gls_reports_no_converged_count(self):
         H = lenslet1_8x8()
         rep = run_trials(GaussianNoise(1.0), H, np.ones(H.d), "gls", 10, seed=0)
-        assert rep.n_converged is None
+        assert rep.n_converged is None and rep.iterations is None
 
     def test_vanishing_noise_zero_variance(self):
         H = lenslet1_8x8()
@@ -537,7 +644,8 @@ class TestRunTrials:
         # sample rejects a non-finite mean, so a decoder that diverges on
         # every trial stands in for non-finite estimates
         def diverging(H, Y, **options):
-            return estimators.DecoderResult(np.full((H.d, Y.shape[1]), np.nan), 2,
+            return estimators.DecoderResult(np.full((H.d, Y.shape[1]), np.nan),
+                                            np.full(Y.shape[1], 2),
                                             np.zeros(Y.shape[1], dtype=bool))
 
         monkeypatch.setattr(estimators, "nnls_estimate", diverging)
