@@ -26,6 +26,7 @@ from .estimators import (
 )
 from .fisher import (
     CrbMap,
+    bound,
     crb_from_fisher,
     fisher_information,
     fisher_monte_carlo,
@@ -63,7 +64,7 @@ __all__ = [
     "PlacementError",
     "SingularRateError", "TrialFailureError",
     "TrialReport", "make_gls_solver", "nnls_estimate", "poisson_mle", "run_trials",
-    "CrbMap", "crb_from_fisher",
+    "CrbMap", "bound", "crb_from_fisher",
     "fisher_information", "fisher_monte_carlo", "fisher_poisson",
     "SystemMatrix", "VectorizedObject", "adjoint", "build_system_matrix",
     "forward", "pad_psf", "vectorize",

@@ -233,15 +233,12 @@ def write_case(out_dir: Path, cfg: dict, model, H, psf_grid, obj) -> dict:
     obj, or None for a model whose Fisher matrix takes no object); write the
     case directory, crb.csv / crb.pgm / cross_section.csv (the map's central
     row) / psf.csv and, with an object, object.csv, and return its manifest
-    entry, with its SUMMARY_STATS and the seconds of its fisher, crb and
-    files stages."""
+    entry, with its SUMMARY_STATS and the seconds of its fisher and crb
+    stages (fisher.bound's) and of its files stage."""
+    cmap = fisher.bound(model, H, None if obj is None else obj.ravel(), cfg["epsilon_rel"])
     t0 = time.perf_counter()
-    J = fisher.fisher_information(model, H, None if obj is None else obj.ravel())
-    t1 = time.perf_counter()
-    cmap = fisher.crb_from_fisher(J, cfg["epsilon_rel"], object_shape=H.obj_shape)
     grid = cmap.grid()
     summary = {stat: float(f(grid)) for stat, f in SUMMARY_STATS.items()}
-    t2 = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     storage.write_grid_csv(out_dir / "crb.csv", grid)
     scale = storage.write_pgm16(out_dir / "crb.pgm", grid)
@@ -249,9 +246,8 @@ def write_case(out_dir: Path, cfg: dict, model, H, psf_grid, obj) -> dict:
     storage.write_grid_csv(out_dir / "psf.csv", psf_grid)
     if obj is not None:
         storage.write_grid_csv(out_dir / "object.csv", obj)
-    t3 = time.perf_counter()
     return {"pgm_scale": scale, "epsilon_used": cmap.epsilon_used, "summary": summary,
-            "timings": rounded({"fisher": t1 - t0, "crb": t2 - t1, "files": t3 - t2})}
+            "timings": rounded({**cmap.seconds, "files": time.perf_counter() - t0})}
 
 
 def rounded(timings: dict) -> dict:
@@ -463,19 +459,15 @@ def _verify_checks(cfg: dict, draws: dict):
         yield f"fd_hessian_{label}", "PASS" if err < FD_HESSIAN_LIMIT else "FAIL", \
             f"rel error {err:.3g} (limit {FD_HESSIAN_LIMIT:g})"
 
-    # each model's efficient decoder against the model's CRB; a decoder
-    # whose noise model verify does not build runs no check
-    for label in [name for name in VERIFY_DECODERS if name in models]:
-        model, decoder = models[label], VERIFY_DECODERS[label]
+    # each model's efficient decoder against the model's CRB
+    for label, decoder in VERIFY_DECODERS.items():
         if n_trials < EFF_MIN_TRIALS:
             yield f"{decoder}_efficiency", "SKIP", "skipped-insufficient-trials"
             continue
-        psf1 = make_psf_grid({**case, "psf_n": 1})
-        H1 = build_system_matrix(psf1, obj.shape)
-        cmap = fisher.crb_from_fisher(fisher.fisher_information(model, H1, v_small),
-                                      object_shape=H1.obj_shape)
-        report = run_trials(model, H1, v_small, decoder, n_trials,
-                            derive_seed(seed, "trials"), crb=cmap)
+        model = models[label]
+        H1 = build_system_matrix(make_psf_grid({**case, "psf_n": 1}), obj.shape)
+        report = run_trials(model, H1, v_small, decoder, n_trials, derive_seed(seed, "trials"),
+                            crb=fisher.bound(model, H1, v_small))
         med = float(np.median(report.efficiency))
         lo, hi = EFFICIENCY_BAND
         yield f"{decoder}_efficiency", "PASS" if lo <= med <= hi else "FAIL", \

@@ -1,8 +1,8 @@
 """Fisher information matrices and Cramér-Rao bound extraction.
 
-Every closed form is one weighted Gram, built by fisher_information(model,
-H, v): J = H^T diag(w) H with the noise model's per-measurement Fisher
-weights w at the mean measurement b = H v + background:
+Every closed form is one weighted Gram, J = H^T diag(w) H with the noise
+model's per-measurement Fisher weights w at the mean measurement
+b = H v + background, formed in one place (_fisher_gram):
 
 * Gaussian: w = 1 / sigma2 (object-independent, so v may be None).
 * Poisson:  w = 1 / b.
@@ -12,17 +12,22 @@ estimator built from sampled score outer products serves as an independent
 oracle for both closed forms. The CRB is the diagonal of the inverse Fisher
 matrix, computed through a Cholesky factorization J + eps*I = L L^T with
 eps = epsilon_rel * max(diag(J)), so Gaussian and Poisson scales both
-behave: diag((L L^T)^-1) holds the squared column norms of L^-1. A J of
-even size equal to its point reflection J[::-1, ::-1], as every Gaussian
-Fisher matrix is, splits into an even and an odd block of half its size,
-and the two blocks are factored and inverted in place of J, at a quarter
-of the flops.
+behave: diag((L L^T)^-1) holds the squared column norms of L^-1.
+
+bound(model, H, v) is the one call from a noise model, H and an object to
+a CRB map, and the weights pick its algorithm. Scalar weights make J a
+function of the lag between two pixels, equal to its point reflection
+J[::-1, ::-1] bit for bit; with an even d, that J splits into an even and
+an odd block of half its size, which are factored and inverted in its
+place at a quarter of the flops. Any other J is factored whole, in place.
+crb_from_fisher(J) bounds a caller-held J, factoring a copy of it whole.
 """
 
 import os
+import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -45,6 +50,8 @@ class CrbMap:
     values: np.ndarray            # 1-D, length d, >= 0
     epsilon_used: float
     object_shape: tuple[int, int]
+    # bound's seconds: "fisher" forming J, "crb" factoring and inverting it
+    seconds: dict = field(default_factory=dict)
 
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.object_shape)
@@ -54,8 +61,50 @@ def fisher_information(model, H: SystemMatrix, v=None) -> np.ndarray:
     """Closed-form Fisher matrix H^T diag(w) H of the noise model at object
     v, with w = model.fisher_weights of its mean measurement. v = None gives
     the model no mean, which only an object-independent model accepts."""
-    mean = None if v is None else mean_measurement(model, H, v)
-    return weighted_gram(H, model.fisher_weights(mean))
+    return _fisher_gram(model, H, v)[0]
+
+
+def _fisher_gram(model, H: SystemMatrix, v):
+    """(J, whether the Fisher weights are one scalar) of fisher_information:
+    the one place J is formed from the model's weights."""
+    w = model.fisher_weights(None if v is None else mean_measurement(model, H, v))
+    return weighted_gram(H, w), np.ndim(w) == 0
+
+
+def bound(model, H: SystemMatrix, v=None, epsilon_rel: float = EPSILON_REL) -> CrbMap:
+    """CRB map diag((J + eps*I)^-1) of J = fisher_information(model, H, v),
+    eps = diagonal_load(J, epsilon_rel), laid out on H's object grid, with
+    the eps used and the seconds of its two stages: "fisher", forming J,
+    and "crb", factoring and inverting it.
+
+    Scalar weights make J the weighted autocorrelation Gram, whose entry
+    depends only on the lag between its two pixels and not on the lag's
+    sign (forward_model averages the lag table with its reflection), so J
+    equals its point reflection J[::-1, ::-1] bit for bit. A J of even size
+    d then splits orthogonally into an even and an odd block of half its
+    size (Cantoni & Butler, Linear Algebra Appl. 13(3), 1976). With m = d // 2
+    and P the index reversal, E = J11 + J12 P and O = J11 - J12 P, J12 P read
+    from the lower-left block as J[d-1-i, j]. Both halves take the same eps,
+    which the orthogonal split leaves a multiple of I, so the map is exactly
+    the bound of J + eps*I: 0.5 * (diag E^-1 + diag O^-1) on the first m
+    pixels, mirrored onto the last m. Two (d/2)^3 factorizations replace one
+    d^3, and each half block is the one working array beside J. Any other J
+    (a weight vector, or odd d) is loaded, factored and inverted in place,
+    so J is the one d x d float array the call holds.
+    """
+    t0 = time.perf_counter()
+    J, scalar_weights = _fisher_gram(model, H, v)
+    t1 = time.perf_counter()
+    eps = diagonal_load(J, epsilon_rel)
+    if scalar_weights and H.d % 2 == 0:
+        m = H.d // 2
+        top, flipped = J[:m, :m], J[::-1][:m, :m]   # flipped[i, j] = J[d-1-i, j]
+        half = 0.5 * (_inverse_diagonal(top + flipped, eps)
+                      + _inverse_diagonal(top - flipped, eps))
+        values = np.concatenate([half, half[::-1]])
+    else:
+        values = _inverse_diagonal(J, eps)
+    return CrbMap(values, eps, H.obj_shape, {"fisher": t1 - t0, "crb": time.perf_counter() - t1})
 
 
 def fisher_gaussian(H: SystemMatrix, sigma2: float) -> np.ndarray:
@@ -200,69 +249,35 @@ def loaded_cholesky(A: np.ndarray, eps: float):
 def crb_from_fisher(J: np.ndarray, epsilon_rel: float = EPSILON_REL, *,
                     object_shape) -> CrbMap:
     """diag((J + eps*I)^-1), eps = diagonal_load(J, epsilon_rel), laid out on
-    the (height, width) object_shape; the eps used is recorded. J must be
-    symmetric, as every Fisher producer makes it bit for bit; its values
-    are read from its lower triangle alone, and J is left unchanged.
-    DimensionError unless J is square with one row per pixel of
-    object_shape.
+    the (height, width) object_shape, of a caller-held J; the eps used is
+    recorded. J must be symmetric; its values are read from its lower
+    triangle alone, and J is left unchanged. DimensionError unless J is
+    square with one row per pixel of object_shape.
 
-    A J of even size d that equals its point reflection J[::-1, ::-1]
-    (every Gaussian Fisher matrix: an entry depends only on the lag between
-    its two pixels, and not on the lag's sign) splits orthogonally into an
-    even and an odd block of half its size (Cantoni & Butler, Linear
-    Algebra Appl. 13(3), 1976). With m = d // 2 and P the index reversal,
-    E = J11 + J12 P and O = J11 - J12 P, J12 P read from the lower-left
-    block as J[d-1-i, j]. Both halves take the same eps, which the
-    orthogonal split leaves a multiple of I, so the map is exactly the
-    bound of J + eps*I: 0.5 * (diag E^-1 + diag O^-1) on the first m
-    pixels, mirrored onto the last m. Two (d/2)^3 factorizations replace
-    one d^3. Any other J, odd sizes included, is factored whole.
-
-    Each factored matrix is one working array, a column-major copy of its
-    lower triangle with zeros above the diagonal; _inverse_diagonal loads,
-    factors and inverts it in place.
+    The working array is one column-major copy of J's lower triangle, which
+    _inverse_diagonal factors whole and inverts in place; its zeros above
+    the diagonal keep cho_factor's finiteness check off J's upper triangle.
+    bound computes the map of a noise model, H and an object, and factors a
+    Gaussian J as two half blocks.
     """
     h, w = int(object_shape[0]), int(object_shape[1])
     J = np.asarray(J, dtype=float)
     if J.shape != (h * w, h * w):
         raise DimensionError(f"object shape {(h, w)} does not match J of shape {J.shape}")
     eps = diagonal_load(J, epsilon_rel)
-    if not _centrosymmetric(J):
-        return CrbMap(_inverse_diagonal(_lower(J), eps), eps, (h, w))
-    m = len(J) // 2
-    reflected = J[::-1]   # reflected[i, j] = J[d-1-i, j]
-    even = _inverse_diagonal(_lower(J[:m, :m] + reflected[:m, :m]), eps)
-    odd = _inverse_diagonal(_lower(J[:m, :m] - reflected[:m, :m]), eps)
-    half = 0.5 * (even + odd)
-    return CrbMap(np.concatenate([half, half[::-1]]), eps, (h, w))
-
-
-def _centrosymmetric(J: np.ndarray) -> bool:
-    """Whether J has an even size d and equals its point reflection
-    J[::-1, ::-1], bit for bit.
-
-    A corner pair J[0, 0] != J[-1, -1] rejects J at once. Otherwise, with
-    m = d // 2, the first m columns settle the question: the reflection
-    pairs column j with column d-1-j, so J[i, j] == J[d-1-i, d-1-j] for
-    every i and every j < m covers every entry.
-    """
-    m = len(J) // 2
-    return (len(J) % 2 == 0 and J[0, 0] == J[-1, -1]
-            and np.array_equal(J[:, :m], J[::-1, ::-1][:, :m]))
-
-
-def _lower(A: np.ndarray) -> np.ndarray:
-    """A column-major copy of A's lower triangle, zeros above the diagonal."""
-    return np.triu(A.T).T
+    return CrbMap(_inverse_diagonal(np.triu(J.T).T, eps), eps, (h, w))
 
 
 def _inverse_diagonal(A: np.ndarray, eps: float) -> np.ndarray:
-    """diag((A + eps*I)^-1) of the symmetric A held as a column-major lower
-    triangle with zeros above the diagonal: A is loaded and factored in
-    place (A + eps*I = L L^T), dtrtri inverts L in place, and the diagonal
-    holds the squared column norms of L^-1."""
+    """diag((A + eps*I)^-1) of the symmetric A, read from its lower
+    triangle: A is loaded and factored in place (A + eps*I = L L^T; a
+    column-major A is not copied), dtrtri inverts L in place, and the
+    diagonal holds the squared column norms of L^-1. Neither call writes
+    above the diagonal, where A's own entries stay, so that triangle is
+    zeroed in place, through a boolean mask, before the norms are taken."""
     L, _lower_flag = loaded_cholesky(A, eps)
     Linv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(eps, f"triangular inverse failed (info={info})")
+    Linv[np.tri(len(Linv), k=-1, dtype=bool).T] = 0.0
     return np.einsum("ij,ij->j", Linv, Linv)

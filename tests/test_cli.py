@@ -424,11 +424,19 @@ class TestVerifyCommand:
 
     def test_efficiency_checks_follow_the_noise_models(self, monkeypatch, capsys):
         # verify's decoder efficiency check belongs to a noise model by one
-        # VERIFY_DECODERS entry, so a model that is not there runs none
-        monkeypatch.setattr(cli, "NOISE_MODELS", {"poisson": cli.NOISE_MODELS["poisson"]})
-        assert run("verify", "--n-samples", 0, "--n-trials", cli.EFF_MIN_TRIALS) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines and not [line for line in lines if "efficiency" in line]
+        # VERIFY_DECODERS entry, so a model that is not there runs none;
+        # verify builds every NOISE_MODELS entry, so each entry has its model
+        assert set(cli.VERIFY_DECODERS) <= set(cli.NOISE_MODELS)
+
+        def efficiency_lines():
+            assert run("verify", "--n-samples", 0, "--n-trials", cli.EFF_MIN_TRIALS) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines
+            return [line.split(":")[0] for line in lines if "efficiency" in line]
+
+        assert efficiency_lines() == ["PASS gls_efficiency"]
+        monkeypatch.setattr(cli, "VERIFY_DECODERS", {})
+        assert efficiency_lines() == []
 
     def test_monte_carlo_checks_pass_at_the_smallest_budget_they_run(self, capsys):
         # seed 8 drew the largest Poisson error of seeds 6-35: 0.052 at 10 000
@@ -690,12 +698,12 @@ def _count_calls(monkeypatch, module, name, call_log):
 
 
 @pytest.mark.parametrize("study, expected", [
-    ("fig2", {"build_system_matrix": 7, "fisher_information": 7}),
-    ("fig3", {"build_system_matrix": 7, "generate_object": 2, "fisher_information": 14}),
+    ("fig2", {"build_system_matrix": 7, "bound": 7}),
+    ("fig3", {"build_system_matrix": 7, "generate_object": 2, "bound": 14}),
 ])
 def test_study_builds_each_h_once(tmp_path, monkeypatch, call_log, study, expected):
     for module, name in ((cli, "build_system_matrix"), (objects, "generate_object"),
-                         (fisher, "fisher_information")):
+                         (fisher, "bound")):
         _count_calls(monkeypatch, module, name, call_log)
     cfg = tmp_path / "small.cfg"
     cfg.write_text("psf_size = 16\nobject_size = 8\n")   # 15 rml spots need 16x16

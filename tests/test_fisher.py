@@ -13,6 +13,7 @@ from lensless_crb import (
     GaussianNoise,
     PoissonNoise,
     SingularRateError,
+    bound,
     build_system_matrix,
     crb_from_fisher,
     fisher_information,
@@ -509,8 +510,8 @@ class TestCrb:
     @pytest.mark.parametrize("model", [GaussianNoise(1.0), PoissonNoise(1e-3)],
                              ids=["gaussian-split", "poisson-whole"])
     def test_one_working_array(self, full_scale_lenslet_h, model):
-        # one copy of J, or of each half block in turn, is loaded, factored
-        # and inverted in place
+        # one copy of J is loaded, factored and inverted in place; a
+        # caller-held J is factored whole, whichever model formed it
         H = full_scale_lenslet_h
         J = fisher_information(model, H, np.linspace(1.0, 40.0, H.d))
         _, peak = traced_peak_bytes(lambda: crb_from_fisher(J, object_shape=H.obj_shape))
@@ -623,95 +624,125 @@ def factored_sizes(monkeypatch):
     return sizes
 
 
+def lenslet_h(object_shape):
+    """H of the 8x8 lenslets3 PSF on an object of the given shape (unpadded;
+    its Gaussian Fisher matrix has cond about 1e3)."""
+    return build_system_matrix(generate_psf(PsfSpec(Lenslets(3), (8, 8), 0)), object_shape)
+
+
 def lenslet_gaussian_fisher(object_shape):
-    """The Gaussian Fisher matrix of the 8x8 lenslets3 PSF on an object of
-    the given shape (unpadded, cond about 1e3)."""
-    psf = generate_psf(PsfSpec(Lenslets(3), (8, 8), 0))
-    return fisher_gaussian(build_system_matrix(psf, object_shape), 1.0)
+    """The unit-variance Gaussian Fisher matrix of lenslet_h(object_shape)."""
+    return fisher_gaussian(lenslet_h(object_shape), 1.0)
 
 
 def split_sizes(d):
-    """The sizes crb_from_fisher factors for a J of size d that equals its
-    point reflection: two halves for even d, J whole for odd d."""
+    """The sizes bound factors for scalar Fisher weights on d pixels: two
+    halves for even d, J whole for odd d."""
     return [d // 2, d // 2] if d % 2 == 0 else [d]
 
 
-class TestCentrosymmetricSplit:
-    """crb_from_fisher factors a J of even size that equals J[::-1, ::-1] as two
-    half blocks."""
+class NoInformation:
+    """A noise model whose scalar Fisher weight is 0, so its J is 0."""
 
-    @pytest.mark.parametrize("make, shape", [
-        (lenslet_gaussian_fisher, (8, 8)),
-        (lenslet_gaussian_fisher, (3, 5)),
-        (lambda shape: np.eye(9), (3, 3)),
+    background = 0.0
+
+    def fisher_weights(self, mean):
+        return 0.0
+
+
+class TestCentrosymmetricSplit:
+    """bound picks its algorithm from the Fisher weights: scalar weights on
+    an even number of pixels factor two half blocks of J, odd d or a weight
+    vector factors J whole."""
+
+    @pytest.mark.parametrize("make_h, shape", [
+        (lenslet_h, (8, 8)),
+        (lenslet_h, (3, 5)),
+        (lambda shape: build_system_matrix(np.ones((1, 1)), shape), (3, 3)),
     ], ids=["gaussian-8x8", "gaussian-3x5", "identity-9"])
     @pytest.mark.parametrize("epsilon_rel", [fisher.EPSILON_REL, 0.0])
-    def test_matches_dense_inverse(self, make, shape, epsilon_rel, factored_sizes):
-        J = make(shape)
-        d = len(J)
-        cmap = crb_from_fisher(J, epsilon_rel, object_shape=shape)
-        assert factored_sizes == split_sizes(d)
+    def test_matches_dense_inverse(self, make_h, shape, epsilon_rel, factored_sizes):
+        H = make_h(shape)
+        J = fisher_gaussian(H, 1.0)
+        cmap = bound(GaussianNoise(1.0), H, epsilon_rel=epsilon_rel)
+        assert factored_sizes == split_sizes(H.d)
         assert cmap.epsilon_used == epsilon_rel * np.max(np.diag(J))
-        loaded = J + cmap.epsilon_used * np.eye(d)
+        loaded = J + cmap.epsilon_used * np.eye(H.d)
         np.testing.assert_allclose(cmap.values, np.diag(np.linalg.inv(loaded)), rtol=1e-8)
 
     def test_path_follows_the_symmetry(self, small_lenslet_h, factored_sizes):
         H, v = small_lenslet_h, np.linspace(1.0, 40.0, small_lenslet_h.d)
-        crb_from_fisher(fisher_information(GaussianNoise(1.0), H), object_shape=(8, 8))
+        bound(GaussianNoise(1.0), H)
         assert factored_sizes == [32, 32]
         factored_sizes.clear()
-        crb_from_fisher(fisher_information(PoissonNoise(1e-3), H, v), object_shape=(8, 8))
+        bound(PoissonNoise(1e-3), H, v)
         assert factored_sizes == [64]
 
     @pytest.mark.parametrize("pad", [None, (34, 34)], ids=["unpadded", "pad-34"])
     @pytest.mark.parametrize("psf_name", list(cli.STUDY_PSFS))
     def test_every_study_psf_follows_the_symmetry(self, psf_name, pad, factored_sizes):
-        # fig2's CRB time rests on every study Gaussian J splitting; a Gram
-        # that broke the symmetry by one ulp would double it unnoticed
+        # bound splits every Gaussian J on the premise that it equals its
+        # point reflection bit for bit; a Gram that broke that by one ulp
+        # would give a wrong split bound
         cfg = {**cli.DEFAULTS, "seed": 3, **cli.STUDY_PSFS[psf_name]}
         H = build_system_matrix(cli.make_psf_grid(cfg), (32, 32), pad)
-        J = fisher_information(cli.NOISE_MODELS["gaussian"](cfg), H)
+        gaussian = cli.NOISE_MODELS["gaussian"](cfg)
+        J = fisher_information(gaussian, H)
         assert np.array_equal(J, J[::-1, ::-1])
-        crb_from_fisher(J, object_shape=(32, 32))
+        bound(gaussian, H)
         assert factored_sizes == [512, 512]
         factored_sizes.clear()
         v = cli.make_object_grid({**cfg, "object_kind": "cells"}).ravel()
-        crb_from_fisher(fisher_information(cli.NOISE_MODELS["poisson"](cfg), H, v),
-                        object_shape=(32, 32))
+        bound(cli.NOISE_MODELS["poisson"](cfg), H, v)
         assert factored_sizes == [1024]
 
-    # (63, 0) is left out: its point reflection is its own mirror entry
-    @pytest.mark.parametrize("i, j", [(5, 3), (40, 2), (62, 0), (50, 45)])
-    def test_one_ulp_off_takes_the_whole_path(self, i, j, factored_sizes):
-        J = lenslet_gaussian_fisher((8, 8))
-        split = crb_from_fisher(J, object_shape=(8, 8)).values
-        J[i, j] = J[j, i] = np.nextafter(J[i, j], np.inf)
-        factored_sizes.clear()
-        whole = crb_from_fisher(J, object_shape=(8, 8)).values
-        assert factored_sizes == [64]
-        np.testing.assert_allclose(whole, split, rtol=1e-12)
+    @pytest.mark.parametrize("psf_name", list(cli.STUDY_PSFS))
+    def test_matches_the_two_step_bound(self, psf_name):
+        # bound is crb_from_fisher(fisher_information(...)) in one call: the
+        # same bits where both factor J whole (Poisson), and the same map to
+        # the rounding of the two factorizations where bound splits it
+        cfg = {**cli.DEFAULTS, "seed": 3, **cli.STUDY_PSFS[psf_name]}
+        H = build_system_matrix(cli.make_psf_grid(cfg), (32, 32))
+        v = cli.make_object_grid({**cfg, "object_kind": "cells"}).ravel()
+        for label, rtol in (("poisson", 0.0), ("gaussian", 1e-10)):
+            model = cli.NOISE_MODELS[label](cfg)
+            one = bound(model, H, v)
+            two = crb_from_fisher(fisher_information(model, H, v), object_shape=(32, 32))
+            assert one.epsilon_used == two.epsilon_used
+            np.testing.assert_allclose(one.values, two.values, rtol=rtol, atol=0)
+
+    def test_poisson_path_holds_j_alone(self, full_scale_lenslet_h):
+        # bound factors and inverts the Gram it formed in place, so J is the
+        # one d x d float array it holds; forming J, then bounding a copy of
+        # it, holds two
+        H = full_scale_lenslet_h
+        v = np.linspace(1.0, 40.0, H.d)
+        _, peak = traced_peak_bytes(lambda: bound(PoissonNoise(1e-3), H, v))
+        assert peak < 2 * 8 * H.d * H.d
 
     @pytest.mark.parametrize("shape", [(8, 8), (3, 5)])
     def test_reads_only_the_lower_triangle(self, shape, factored_sizes):
-        # NaN above the diagonal breaks the symmetry, so that J is factored
-        # whole, from its lower triangle
+        # crb_from_fisher factors a caller-held J whole, from its lower
+        # triangle: NaN above the diagonal changes nothing
         J = lenslet_gaussian_fisher(shape)
         d = len(J)
         lower = np.tril(J)
         lower[np.triu_indices(d, 1)] = np.nan
         want = crb_from_fisher(J, object_shape=shape).values
         got = crb_from_fisher(lower, object_shape=shape).values
-        assert factored_sizes == split_sizes(d) + [d]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert factored_sizes == [d, d]
+        np.testing.assert_array_equal(got, want)
 
     def test_one_pixel(self, factored_sizes):
-        cmap = crb_from_fisher(np.array([[4.0]]), 0.0, object_shape=(1, 1))
+        H = build_system_matrix(np.ones((1, 1)), (1, 1))
+        cmap = bound(GaussianNoise(0.25), H, epsilon_rel=0.0)
         np.testing.assert_array_equal(cmap.values, [0.25])
         assert factored_sizes == [1]
 
     def test_no_information_raises_on_the_split_path(self, factored_sizes):
+        H = build_system_matrix(np.ones((1, 1)), (1, 2))
         with pytest.raises(FactorizationError):
-            crb_from_fisher(np.zeros((2, 2)), object_shape=(1, 2))
+            bound(NoInformation(), H)
         assert factored_sizes == [1]
 
 
@@ -759,9 +790,8 @@ class TestExactCrbOracle:
 
 
 class TestExactGaussianCrbOracle:
-    """The unloaded (eps = 0) bound of Gaussian Fisher matrices on 16x16
-    (d = 256, the half-block path) and 15x15 (d = 225, odd, factored whole)
-    objects. The worst per-pixel error against eigh measured 2.9e-12
+    """bound's unloaded (eps = 0) Gaussian map on 16x16 (d = 256, the
+    half-block path) and 15x15 (d = 225, odd, factored whole) objects. The worst per-pixel error against eigh measured 2.9e-12
     relative (rml, cond about 3.5e5)."""
 
     RTOL = TestExactCrbOracle.RTOL
@@ -772,9 +802,9 @@ class TestExactGaussianCrbOracle:
     def test_matches_eigh_at_every_pixel(self, kind, side, factored_sizes):
         H = build_system_matrix(generate_psf(PsfSpec(kind, (16, 16), 42)), (side, side),
                                 (18, 18))
-        J = fisher_information(GaussianNoise(1.0), H)
-        crb = crb_from_fisher(J, 0.0, object_shape=(side, side)).values
+        crb = bound(GaussianNoise(1.0), H, epsilon_rel=0.0).values
         assert factored_sizes == split_sizes(H.d)
+        J = fisher_information(GaussianNoise(1.0), H)
         np.testing.assert_allclose(crb, eigh_inverse_diagonal(J), rtol=self.RTOL)
 
 

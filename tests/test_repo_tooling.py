@@ -306,9 +306,17 @@ def test_cli_computes_bounds_only_in_the_case_path():
     # crb and study share write_case, so how a case's CRB is computed and
     # summarised is decided once; verify's GLS check bounds its own trials
     tree = ast.parse((ROOT / "src" / "lensless_crb" / "cli.py").read_text())
-    offenders = [f"cli.py:{line}" for func, line in _uses(tree, "crb_from_fisher")
+    offenders = [f"cli.py:{line}" for func, line in _uses(tree, "bound")
                  if func not in ("write_case", "_verify_checks")]
     assert offenders == []
+
+
+def test_cli_never_calls_crb_from_fisher():
+    # every bound the CLI computes goes through fisher.bound, which picks
+    # the algorithm from the Fisher weights; crb_from_fisher factors a
+    # caller-held J whole
+    tree = ast.parse((ROOT / "src" / "lensless_crb" / "cli.py").read_text())
+    assert _uses(tree, "crb_from_fisher") == []
 
 
 def test_cli_builds_grids_and_writes_cases_in_one_place_each():
@@ -457,11 +465,14 @@ def test_no_noise_model_method_sees_h(model):
 
 def test_fisher_information_builds_every_closed_form():
     # the Gaussian and Poisson closed forms are one weighted Gram of the
-    # model's Fisher weights, formed in one place
+    # model's Fisher weights, formed in one place, which fisher_information
+    # and bound share
     tree = ast.parse((ROOT / "src" / "lensless_crb" / "fisher.py").read_text())
-    callers = [func for func, _line in _uses(tree, "weighted_gram")
-               if func is not None]   # the import names it outside any function
-    assert callers == ["fisher_information"]
+    callers = {name: [func for func, _line in _uses(tree, name)
+                      if func is not None]   # the import names it outside any function
+               for name in ("weighted_gram", "fisher_weights", "_fisher_gram")}
+    assert callers == {"weighted_gram": ["_fisher_gram"], "fisher_weights": ["_fisher_gram"],
+                       "_fisher_gram": ["fisher_information", "bound"]}
 
 
 def test_code_line_counter_rules():
