@@ -21,11 +21,9 @@ memory included) or failed verification check, 4 I/O error.
 """
 
 import argparse
-import multiprocessing
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -372,12 +370,11 @@ def cmd_study(args, cfg: dict) -> int:
     # at blas_threads (null: not capped)
     workers = min(fisher.cpu_count(), len(STUDY_PSFS))
     cases, timings = {}, {}
-    # one job per PSF, so each H is built once. Processes, since SciPy's
-    # BLAS wrappers hold the GIL; forked, so they share the parent's imports;
-    # forked inside fisher.in_order, so every case runs at one BLAS thread
-    # and its bytes do not depend on the thread count; the first failing
-    # PSF's error is raised
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # one job per PSF, so each H is built once. The pool forks inside
+    # fisher.in_order, so every case runs at one BLAS thread and its bytes
+    # do not depend on the thread count; the first failing PSF's error is
+    # raised
+    pool = fisher.fork_pool(workers)
     jobs = [partial(_psf_cases, out_dir, cfg, model, psf_name, psf_grid, study_objects)
             for psf_name, psf_grid in psf_grids.items()]
     results = list(fisher.in_order(pool, jobs, len(jobs)))

@@ -20,15 +20,18 @@ product (H^T H) V and no image, forming its squared residual from its
 gradient only when asked. Every column starts from its own data, so a
 trial's iterates do not depend on the trials decoded with it.
 
-``run_trials`` repeats sample -> estimate with draws from one generator and
-accumulates per-pixel mean/variance with chunked Welford merges, so the
-statistics do not depend on the chunk size, up to the rounding of the
-batched products. That rounding moves a column's stopping step, by one
-stride, only when its objective change at a check step lands within
-rounding of tol.
+``run_trials`` repeats sample -> estimate with draws from one generator in
+the calling process and accumulates per-pixel mean/variance with chunked
+Welford merges in chunk order, so the statistics do not depend on the
+chunk size, up to the rounding of the batched products. That rounding
+moves a column's stopping step, by one stride, only when its objective
+change at a check step lands within rounding of tol. The iterative
+decoders' chunks run on one forked worker process per usable CPU, each at
+one BLAS thread, so a run's report does not depend on the worker count.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,10 +40,12 @@ from scipy.linalg import blas, eigvalsh
 from . import fisher
 from .errors import DimensionError, GramUnderflowError, TrialFailureError
 from .fisher import CrbMap, diagonal_load, loaded_cholesky
-from .forward_model import SystemMatrix, adjoint, forward, weighted_gram
+from .forward_model import SystemMatrix, adjoint, build_matrix, forward, weighted_gram
 from .noise import check_parameter, sample
 
-TRIAL_CHUNK = 1000    # trials sampled and decoded as one batch
+# trials sampled and decoded as one batch, the unit of parallel work; at
+# 8x8 an RL step cost least per column at about 50 columns
+TRIAL_CHUNK = 50
 STOP_STRIDE = 10      # iterations between tests of the stopping rule
 TINY = np.finfo(float).tiny   # smallest normal float64
 
@@ -272,16 +277,42 @@ def _merge_moments(n1, mean1, m2_1, n2, mean2, m2_2):
     return n, mean, m2
 
 
+# the estimate of a trial worker process, set by its pool's initializer
+_worker_estimate = None
+
+
+def _init_trial_worker(estimate):
+    global _worker_estimate
+    _worker_estimate = estimate
+
+
+def _estimate_in_worker(Y):
+    return _worker_estimate(Y)
+
+
 def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
                seed: int, crb: CrbMap | None = None,
                estimator_options: dict | None = None) -> TrialReport:
     """Sample -> estimate n_trials times; report per-pixel moments and efficiency.
 
-    A run draws every trial from one generator, default_rng(seed), in
-    batches of TRIAL_CHUNK trials that are decoded together. The generator
-    draws in sequence, so the chunk size does not change a run's draws, and
-    runs at different seeds share none. DimensionError unless crb, if
-    given, is a map of H's object.
+    A run draws every trial from one generator, default_rng(seed), in the
+    calling process, in chunks of TRIAL_CHUNK trials that are decoded
+    together, with one noise.sample call per chunk. The generator draws in
+    sequence, so the chunk size does not change a run's draws, and runs at
+    different seeds share none. DimensionError unless crb, if given, is a
+    map of H's object.
+
+    GLS decodes each chunk in the calling process at the process's BLAS
+    thread count. An iterative decoder's chunks run through fisher.in_order
+    at one BLAS thread: on min(cpu_count, chunks) fork_pool workers, which
+    inherit the model, H (its dense matrix built here first) and the
+    options, so a job pickles only its chunk's counts, at most 2 * workers
+    chunks drawn ahead; or, for one chunk or one usable CPU, in the calling
+    thread. A chunk's estimates do not depend on where it ran, and the
+    moments are merged in chunk order, so the report depends on TRIAL_CHUNK
+    but not on the worker count. The first failing chunk's error is raised,
+    and every worker is joined before the run returns or raises.
+
     Estimates containing non-finite values count as failures; more than 1%
     failures raises TrialFailureError. n_converged counts the trials whose
     decoder met its stopping rule and iterations gives the (min, median,
@@ -312,21 +343,33 @@ def run_trials(model, H: SystemMatrix, v_true, estimator: str, n_trials: int,
     else:
         raise ValueError(f"unknown estimator: {estimator!r}")
     b = forward(H, v_true)
+    # every decoder's adjoint reads H's dense matrix: build it here, so the
+    # forked workers share this one copy
+    build_matrix(H)
     rng = np.random.default_rng(seed)
+    # the decoders run faster on a row-major (k, m) batch than on the
+    # transposed draws
+    batches = (np.ascontiguousarray(sample(
+        model, np.broadcast_to(b, (min(TRIAL_CHUNK, n_trials - start), H.k)), rng).T)
+        for start in range(0, n_trials, TRIAL_CHUNK))
+    if estimator == "gls":
+        results = map(estimate, batches)
+    else:
+        workers = min(fisher.cpu_count(), -(-n_trials // TRIAL_CHUNK))
+        pool, decode = None, estimate
+        if workers > 1:
+            pool = fisher.fork_pool(workers, _init_trial_worker, (estimate,))
+            decode = _estimate_in_worker
+        results = fisher.in_order(pool, (partial(decode, Y) for Y in batches), 2 * workers)
 
     n_acc, mean_acc, m2_acc = 0, np.zeros(H.d), np.zeros(H.d)
     n_failed, n_converged, stop_steps = 0, None if estimator == "gls" else 0, []
-    for start in range(0, n_trials, TRIAL_CHUNK):
-        m = min(TRIAL_CHUNK, n_trials - start)
-        # the decoders run faster on a row-major (k, m) batch than on the
-        # transposed draws
-        V, res = estimate(
-            np.ascontiguousarray(sample(model, np.broadcast_to(b, (m, H.k)), rng).T))
+    for V, res in results:
         if res is not None:
             n_converged += int(np.count_nonzero(res.column_converged))
             stop_steps.append(res.column_iters)
         ok = np.all(np.isfinite(V), axis=0)
-        n_failed += int(m - ok.sum())
+        n_failed += int(ok.size - ok.sum())
         V = V[:, ok]
         if V.shape[1] == 0:
             continue

@@ -23,10 +23,11 @@ place at a quarter of the flops. Any other J is factored whole, in place.
 crb_from_fisher(J) bounds a caller-held J, factoring a copy of it whole.
 """
 
+import multiprocessing
 import os
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -179,10 +180,15 @@ def in_order(pool, jobs, window: int):
     At most window jobs are submitted but not yet taken. The pool is shut
     down, its queued jobs cancelled and its workers joined, when the jobs
     are done, at the first failing job (whose error is raised) and when the
-    caller stops early. A fork ProcessPoolExecutor starts its workers at the
-    first submit, so they fork at one BLAS thread too.
+    caller stops early. A fork_pool starts its workers at the first submit,
+    so they fork at one BLAS thread too. A pool of None runs each job in
+    the calling thread as its result is taken.
     """
     with one_blas_thread():
+        if pool is None:
+            for job in jobs:
+                yield job()
+            return
         try:
             pending = deque()
             for job in jobs:
@@ -193,6 +199,16 @@ def in_order(pool, jobs, window: int):
                 yield pending.popleft().result()
         finally:
             pool.shutdown(cancel_futures=True)
+
+
+def fork_pool(workers: int, initializer=None, initargs=()) -> ProcessPoolExecutor:
+    """The package's one pool of worker processes, for in_order: workers
+    processes forked from this one, since SciPy's BLAS wrappers hold the
+    GIL. Forked, they share the parent's imports and arrays, and
+    initializer(*initargs) runs in each worker on objects it inherits, not
+    on pickled copies, so a job carries only its own arguments."""
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=initializer, initargs=initargs)
 
 
 def cpu_count() -> int:

@@ -1,4 +1,8 @@
 import itertools
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from lensless_crb.fisher import fisher_gaussian
 from lensless_crb.forward_model import weighted_gram
 from lensless_crb.objects import DenseCells
 from lensless_crb.psf import Lenslets, PsfSpec
-from conftest import one_working_array_bound, traced_peak_bytes
+from conftest import CallLog, one_working_array_bound, traced_peak_bytes
 
 
 def lenslet1_8x8():
@@ -519,25 +523,32 @@ class TestBatchedDecoding:
         assert np.max(np.abs(batch.values - values)) <= atol * np.max(values)
 
 
+def small_decoder_case(estimator):
+    """(model, H, object, options) of a trial run in which some trials meet
+    tol and some do not."""
+    if estimator == "nnls":
+        H, v = dense_cells_8x8(50.0)
+        return GaussianNoise(1.0), H, v, {"max_iters": 1000, "tol": 1e-5}
+    H, v = beads_8x8()
+    return PoissonNoise(1e-7), H, v, {"max_iters": 500, "tol": 1e-9}
+
+
 class TestRunTrials:
     @pytest.mark.parametrize("estimator", ["nnls", "mle"])
     def test_converged_count_matches_single_column_calls(self, estimator, monkeypatch):
-        # options under which some trials meet tol and some do not
-        if estimator == "nnls":
-            (H, v), decoder, model = dense_cells_8x8(50.0), nnls_estimate, GaussianNoise(1.0)
-            kwargs, options = {}, {"max_iters": 1000, "tol": 1e-5}
-        else:
-            (H, v), decoder, model = beads_8x8(), poisson_mle, PoissonNoise(1e-7)
-            kwargs, options = {"background": 1e-7}, {"max_iters": 500, "tol": 1e-9}
-        batches = []
+        model, H, v, options = small_decoder_case(estimator)
+        decoder, kwargs = ((nnls_estimate, {}) if estimator == "nnls"
+                           else (poisson_mle, {"background": model.background}))
+        # the draws are made in the calling process, wherever a chunk decodes
+        draws = []
 
-        def recording(H, Y, **opts):
-            batches.append(Y.copy())
-            return decoder(H, Y, **opts)
+        def recording(*args):
+            draws.append(sample(*args))
+            return draws[-1]
 
-        monkeypatch.setattr(estimators, decoder.__name__, recording)
+        monkeypatch.setattr(estimators, "sample", recording)
         rep = run_trials(model, H, v, estimator, 20, seed=3, estimator_options=options)
-        (Y,) = batches
+        Y = np.ascontiguousarray(np.concatenate(draws).T)
         columns = [decoder(H, Y[:, [j]], **kwargs, **options) for j in range(20)]
         assert 0 < rep.n_converged < 20
         assert rep.n_converged == sum(c.converged for c in columns)
@@ -676,6 +687,66 @@ class TestRunTrials:
         H = build_system_matrix(np.ones((1, 1)), (1, 1))
         with pytest.raises(ValueError):
             run_trials(GaussianNoise(1.0), H, [1.0], "ridge", 5, seed=0)
+
+
+class TestTrialWorkers:
+    """An iterative decoder's chunks run on one forked worker per usable CPU
+    (in the calling thread for one), each at one BLAS thread, and are merged
+    in chunk order."""
+
+    @pytest.mark.parametrize("estimator", ["mle", "nnls"])
+    def test_reports_bitwise_equal_at_any_worker_count(self, estimator, monkeypatch,
+                                                       blas_threads_at_two):
+        model, H, v, options = small_decoder_case(estimator)
+        monkeypatch.setattr(estimators, "TRIAL_CHUNK", 10)
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(fisher, "cpu_count", lambda: cpus)
+            reports.append(run_trials(model, H, v, estimator, 30, seed=5,
+                                      estimator_options=options))
+        first = reports[0]
+        assert 0 < first.n_converged < 30
+        for rep in reports[1:]:
+            np.testing.assert_array_equal(rep.per_pixel_mean, first.per_pixel_mean)
+            np.testing.assert_array_equal(rep.per_pixel_variance, first.per_pixel_variance)
+            assert (rep.n_converged, rep.iterations, rep.n_failed) == \
+                (first.n_converged, first.iterations, first.n_failed)
+        if blas_threads_at_two is not None:
+            assert blas_threads_at_two() == 2
+
+    def test_chunks_decode_in_worker_processes_on_one_dense_h(self, monkeypatch, tmp_path,
+                                                           dense_builds):
+        # each decode sleeps, so a worker holding one chunk leaves the
+        # others to the other workers
+        decode, decodes = estimators.poisson_mle, CallLog(tmp_path / "decodes.log")
+
+        def logged(*args, **kwargs):
+            decodes.record(str(os.getpid()))
+            time.sleep(0.2)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "poisson_mle", logged)
+        monkeypatch.setattr(estimators, "TRIAL_CHUNK", 10)
+        monkeypatch.setattr(fisher, "cpu_count", lambda: 3)
+        model, H, v, options = small_decoder_case("mle")
+        run_trials(model, H, v, "mle", 30, seed=5, estimator_options=options)
+        pids = decodes.lines()
+        assert len(pids) == 3 and len(set(pids)) >= 2
+        assert str(os.getpid()) not in pids
+        assert dense_builds() == [(os.getpid(), threading.get_ident())]
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_worker_keeps_its_type(self, monkeypatch):
+        # the first failing chunk's error crosses the process boundary intact,
+        # and every worker is joined
+        monkeypatch.setattr(estimators, "TRIAL_CHUNK", 5)
+        monkeypatch.setattr(fisher, "cpu_count", lambda: 2)
+        H = build_system_matrix(np.full((1, 1), 1e-200), (1, 2))
+        with pytest.raises(GramUnderflowError, match="1e-200") as info:
+            run_trials(GaussianNoise(1.0), H, [1.0, 2.0], "nnls", 10, seed=0,
+                       estimator_options={"max_iters": 2})
+        assert info.value.psf_peak == 1e-200
+        assert multiprocessing.active_children() == []
 
 
 class TestMleApproachesPoissonCrb:

@@ -412,17 +412,18 @@ def test_one_ordered_pool_runs_every_worker_job():
     assert offenders == []
 
 
-def test_only_the_study_starts_processes():
-    # cmd_study's fork pool is the package's one use of worker processes: it
-    # forks inside one_blas_thread and joins every child, also on a failing
-    # case; a pool or fork anywhere else would need those guarantees again
+def test_only_fork_pool_starts_processes():
+    # fisher.fork_pool builds the package's one kind of worker-process pool,
+    # which the study and the trial runner hand to in_order: it forks inside
+    # one_blas_thread and joins every child, also on a failing job; a pool
+    # or fork anywhere else would need those guarantees again
     names = ("ProcessPoolExecutor", "multiprocessing", "fork", "forkpty")
     offenders = []
     for path in sorted((ROOT / "src" / "lensless_crb").glob("*.py")):
         tree = ast.parse(path.read_text())
         offenders += [f"{path.name}:{line} {name}" for name in names
                       for func, line in _uses(tree, name)
-                      if (path.name, func) != ("cli.py", "cmd_study")]
+                      if (path.name, func) != ("fisher.py", "fork_pool")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported = [alias.name for alias in node.names]
@@ -431,7 +432,7 @@ def test_only_the_study_starts_processes():
             else:
                 continue
             offenders += [f"{path.name}:{node.lineno} import {name}" for name in imported
-                          if path.name != "cli.py"
+                          if path.name != "fisher.py"
                           and (name.split(".")[0] == "multiprocessing"
                                or name.split(".")[-1] in names
                                or name.startswith("concurrent.futures.process"))]
