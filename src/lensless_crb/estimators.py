@@ -35,12 +35,13 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas, eigvalsh
+from numpy.linalg import LinAlgError
 
 from . import fisher
 from .errors import DimensionError, GramUnderflowError, TrialFailureError
 from .fisher import CrbMap, diagonal_load, loaded_cholesky
-from .forward_model import SystemMatrix, adjoint, build_matrix, forward, weighted_gram
+from .forward_model import (SystemMatrix, adjoint, blas, build_matrix, forward, lapack,
+                            weighted_gram)
 from .noise import check_parameter, sample
 
 # trials sampled and decoded as one batch, the unit of parallel work; at
@@ -143,6 +144,22 @@ def _iterate(H: SystemMatrix, y, setup, max_iters: int, tol: float) -> DecoderRe
     return DecoderResult(V, iters, done)
 
 
+def largest_eigenvalue(A: np.ndarray) -> float:
+    """The largest eigenvalue of the symmetric A, read from its lower
+    triangle: scipy.linalg.eigvalsh(A, subset_by_index=[d - 1, d - 1])[0]
+    bit for bit. It is LAPACK's dsyevr on the one index d, with the work
+    sizes dsyevr_lwork gives, as eigvalsh takes them; another lwork can
+    change the last bits. A is checked finite first (ValueError)."""
+    d = len(A)
+    lwork, liwork, _info = lapack.dsyevr_lwork(d, lower=1)
+    w, _z, _m, _isuppz, info = lapack.dsyevr(np.asarray_chkfinite(A), compute_v=0, range="I",
+                                             lower=1, il=d, iu=d, lwork=int(lwork),
+                                             liwork=int(liwork))
+    if info != 0:
+        raise LinAlgError(f"dsyevr failed (info={info})")
+    return w[0]
+
+
 def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
                   tol: float = 1e-9) -> DecoderResult:
     """Projected gradient descent on ||y - Hv||^2 with v >= 0, from v = 0.
@@ -164,7 +181,7 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
     """
     def setup(Y):
         A = weighted_gram(H)
-        L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
+        L = largest_eigenvalue(A)
         if not L > 0:
             raise GramUnderflowError(float(np.max(H.psf)))
         HtY = adjoint(H, Y)

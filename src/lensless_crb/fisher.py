@@ -21,6 +21,11 @@ J[::-1, ::-1] bit for bit; with an even d, that J splits into an even and
 an odd block of half its size, which are factored and inverted in its
 place at a quarter of the flops. Any other J is factored whole, in place.
 crb_from_fisher(J) bounds a caller-held J, factoring a copy of it whole.
+
+Every factorization, solve and triangular inverse is LAPACK through
+forward_model.lapack, SciPy's compiled wrappers: cho_factor and cho_solve
+give scipy.linalg.cho_factor's and cho_solve's bits and errors without
+loading the scipy.linalg package.
 """
 
 import multiprocessing
@@ -32,12 +37,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-# cho_solve pairs with loaded_cholesky; the GLS solver calls it as fisher.cho_solve
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack  # noqa: F401
+from numpy.linalg import LinAlgError
 
 from .errors import DimensionError, FactorizationError
 from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, build_matrix,
-                            gram, one_blas_thread, weighted_gram)
+                            gram, lapack, one_blas_thread, weighted_gram)
 from .noise import GaussianNoise, PoissonNoise, check_parameter, mean_measurement
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
@@ -245,6 +249,30 @@ def diagonal_load(A: np.ndarray, epsilon_rel: float = EPSILON_REL) -> float:
     if epsilon_rel >= 1:
         raise ValueError(f"epsilon_rel must be below 1, got {epsilon_rel!r}")
     return epsilon_rel * float(np.max(np.diag(A)))
+
+
+def cho_factor(a, lower=True, overwrite_a=False):
+    """(c, lower) of scipy.linalg.cho_factor(a, lower, overwrite_a), bit for
+    bit, on LAPACK's dpotrf in float64: c holds the Cholesky factor in its
+    lower (or upper) triangle and a's entries in the other. The whole of a
+    is checked finite first (ValueError), and LinAlgError, NumPy's class
+    that SciPy raises too, says a is not positive definite."""
+    c, info = lapack.dpotrf(np.asarray_chkfinite(a), lower=lower, clean=0,
+                            overwrite_a=overwrite_a)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c, lower
+
+
+def cho_solve(c_and_lower, b):
+    """x solving A x = b for the (c, lower) cho_factor gives of A, bit for
+    bit scipy.linalg.cho_solve's, on LAPACK's dpotrs; b is (d,) or (d, n).
+    Both arrays are checked finite first (ValueError)."""
+    c, lower = c_and_lower
+    x, info = lapack.dpotrs(np.asarray_chkfinite(c), np.asarray_chkfinite(b), lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def loaded_cholesky(A: np.ndarray, eps: float):

@@ -22,11 +22,21 @@ factors and inverts the Fisher matrix, and ``gram`` makes the package's one
 ``dsyrk`` call. NumPy bundles an OpenBLAS of its own, with its own thread
 pool, whose idle threads would spin beside SciPy's; the package calls only
 SciPy's, so ``one_blas_thread`` has one library to set.
+
+``blas`` and ``lapack`` are SciPy's two compiled wrapper modules,
+``scipy.linalg._fblas`` and ``scipy.linalg._flapack``: the very functions
+``scipy.linalg.blas`` and ``scipy.linalg.lapack`` export, loaded from their
+files in SciPy's ``linalg`` folder without running the ``scipy.linalg``
+package init, which costs about 0.2 s of start-up (the two modules load in
+about 9 ms). Every BLAS and LAPACK call of the package goes through them.
 """
 
 import ctypes
 import glob
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -34,7 +44,6 @@ from functools import cache, cached_property
 import numpy as np
 import scipy
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import blas
 
 from .errors import DimensionError
 
@@ -344,6 +353,30 @@ def _autocorrelation_gram(H: SystemMatrix, w) -> np.ndarray:
     # window [oh-1-r1, ow-1-c1] of R, entry [r2, c2], is R[lag + (oh-1, ow-1)];
     # copying the windows makes the gather contiguous and its reshape writable
     return sliding_window_view(R, (oh, ow))[::-1, ::-1].copy().reshape(oh * ow, oh * ow).T
+
+
+def _scipy_linalg_module(name: str):
+    """SciPy's compiled module scipy.linalg.<name>.
+
+    It is loaded from its file in SciPy's linalg folder, without running
+    the scipy.linalg package init, and registered in sys.modules under its
+    own name, so a later ``import scipy.linalg`` reuses this module object.
+    Where the file is not found, the import takes the usual route, through
+    the package init, to the same module.
+    """
+    full = f"scipy.linalg.{name}"
+    if full not in sys.modules:
+        folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(full, [folder])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[full] = module
+    return importlib.import_module(full)
+
+
+blas = _scipy_linalg_module("_fblas")
+lapack = _scipy_linalg_module("_flapack")
 
 
 @cache

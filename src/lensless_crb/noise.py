@@ -121,7 +121,9 @@ class PoissonNoise:
         return {"path": "tables" if nbytes else "rng.poisson", "table_bytes": nbytes}
 
     def log_pdf(self, y, mean) -> float:
-        # imported here: only a Poisson log-likelihood needs scipy.special
+        # imported here: only a Poisson log-likelihood without a reference
+        # needs scipy.special, which loads SciPy's array-API layer (about
+        # 0.15 s) on its first call; no command evaluates one
         from scipy.special import gammaln
 
         if np.any((mean == 0) & (y > 0)):

@@ -32,6 +32,12 @@ def fft_convolve_full(a, b):
     return np.real(np.fft.ifft2(np.fft.fft2(a, sh) * np.fft.fft2(b, sh)))
 
 
+def assert_same_bits(a, b):
+    """a and b are float64 arrays of one shape with the same bits."""
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def traced_peak_bytes(call):
     """call()'s result, and the peak bytes tracemalloc saw allocated while
     it ran."""

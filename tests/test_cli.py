@@ -856,3 +856,26 @@ def test_study_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         sums.append(checksum_tree(out / "fig3"))
     assert len(sums[0]) == 14 * 5 + 1
     assert sums[0] == sums[1]
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0], [7.5], [0.1, 0.30000000000000004, 0.7, 1e300],
+    [0.0, 5e-324, 5e-324, 1.0], [2.0, np.inf, 1.0], [np.inf, 1.0, np.inf, 2.0],
+    [np.inf, np.inf], [1.0, np.nan, 2.0], [np.nan, 0.5, 3.0, 2.0], [np.inf, np.nan]],
+    ids=["odd", "even", "one", "even-rounding", "even-subnormal", "inf-odd", "inf-even",
+         "all-inf", "nan-odd", "nan-even", "inf-nan"])
+def test_median_is_numpys_bit_for_bit(values):
+    # cli.median replaces np.median, whose first call on float data imports
+    # numpy.ma; a 2-D grid is the median of all its entries
+    for a in (np.array(values), np.array(values * 2).reshape(2, -1)):
+        got, want = cli.median(a), np.median(a)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_median_is_numpys_on_random_non_negative_data():
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        a = rng.exponential(size=rng.integers(1, 40))
+        a[rng.random(a.size) < 0.05] = np.inf
+        a[rng.random(a.size) < 0.02] = np.nan
+        assert np.float64(cli.median(a)).tobytes() == np.float64(np.median(a)).tobytes()

@@ -37,7 +37,7 @@ from lensless_crb.fisher import fisher_gaussian
 from lensless_crb.forward_model import weighted_gram
 from lensless_crb.objects import DenseCells
 from lensless_crb.psf import Lenslets, PsfSpec
-from conftest import CallLog, one_working_array_bound, traced_peak_bytes
+from conftest import CallLog, assert_same_bits, one_working_array_bound, traced_peak_bytes
 
 
 def lenslet1_8x8():
@@ -167,11 +167,6 @@ def textbook_objective(Y, B):
     return np.sum(t - B, axis=0)
 
 
-def assert_same_bits(a, b):
-    assert a.shape == b.shape
-    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestGls:
     def test_identity_recovers_measurement(self):
         H = build_system_matrix(np.ones((1, 1)), (1, 2))
@@ -227,6 +222,16 @@ class TestNnls:
         H = build_system_matrix(np.ones((1, 1)), (1, 3))
         res = nnls_estimate(H, np.array([[-1.0], [-2.0], [-0.5]]))
         np.testing.assert_array_equal(res.values, 0.0)
+
+    @pytest.mark.parametrize("h", ["small_lenslet_h", "full_scale_lenslet_h"])
+    def test_step_size_matches_eigvalsh_bitwise(self, h, request):
+        # every NNLS iterate divides by L, so L keeps eigvalsh's last bits
+        # (8x8, d = 64, and 32^2, d = 1024)
+        H = request.getfixturevalue(h)
+        A = weighted_gram(H)
+        L = estimators.largest_eigenvalue(A)
+        want = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
+        assert np.float64(L).tobytes() == want.tobytes()
 
     def test_matches_active_set_reference(self):
         # compare the projected-gradient objective to scipy's active-set NNLS

@@ -28,10 +28,10 @@ from lensless_crb import (
 )
 from lensless_crb import cli, fisher, noise
 from lensless_crb.fisher import MC_CHUNK, fisher_gaussian
-from lensless_crb.forward_model import GRAM_BLOCK_BYTES
+from lensless_crb.forward_model import GRAM_BLOCK_BYTES, weighted_gram
 from lensless_crb.oracles import relative_error
 from lensless_crb.psf import Diffuser, Lenslets, PsfSpec, Rml
-from conftest import one_working_array_bound, traced_peak_bytes
+from conftest import assert_same_bits, one_working_array_bound, traced_peak_bytes
 
 
 def triple_loop_weighted_gram(M, w):
@@ -824,3 +824,65 @@ class TestCrbSummary:
                                    object_shape=obj.shape)
             means.append(cmap.values.mean())
         assert means[0] <= means[1] <= means[2]
+
+
+def loaded_fisher(name, full_scale_lenslet_h, small_lenslet_h):
+    """A loaded SPD matrix the package factors: the d = 1024 Poisson J of
+    bound's whole path, or the 8x8 GLS Gram; each column-major."""
+    if name == "poisson-J":
+        H = full_scale_lenslet_h
+        A = fisher_information(PoissonNoise(1e-3), H, np.linspace(1.0, 40.0, H.d))
+    else:
+        A = weighted_gram(small_lenslet_h)
+    A[np.diag_indices_from(A)] += fisher.diagonal_load(A)
+    return A
+
+
+class TestLapackWrappers:
+    """fisher.cho_factor and fisher.cho_solve call SciPy's dpotrf and dpotrs
+    without scipy.linalg's Python wrappers, which give the same bits."""
+
+    @pytest.mark.parametrize("name", ["poisson-J", "gls-gram"])
+    def test_factor_and_solve_match_scipy_bitwise(self, name, full_scale_lenslet_h,
+                                                  small_lenslet_h):
+        import scipy.linalg
+
+        A = loaded_fisher(name, full_scale_lenslet_h, small_lenslet_h)
+        c, lower = fisher.cho_factor(A.copy(order="F"), lower=True, overwrite_a=True)
+        want_c, want_lower = scipy.linalg.cho_factor(A.copy(order="F"), lower=True,
+                                                     overwrite_a=True)
+        assert lower is want_lower is True
+        assert_same_bits(c, want_c)
+        for b in (np.linspace(-1.0, 2.0, len(A)),
+                  np.random.default_rng(0).uniform(size=(len(A), 3))):
+            assert_same_bits(fisher.cho_solve((c, lower), b),
+                             scipy.linalg.cho_solve((want_c, want_lower), b))
+
+    def test_not_positive_definite_raises_scipys_error(self):
+        import scipy.linalg
+
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(scipy.linalg.LinAlgError) as want:
+            scipy.linalg.cho_factor(A, lower=True)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            fisher.cho_factor(A)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_raises_scipys_error(self, bad):
+        import scipy.linalg
+
+        A = np.eye(3)
+        A[2, 0] = bad
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.cho_factor(A, lower=True)
+        with pytest.raises(ValueError) as got:
+            fisher.cho_factor(A)
+        assert str(got.value) == str(want.value)
+        c = fisher.cho_factor(np.eye(3))
+        b = np.array([1.0, bad, 0.0])
+        with pytest.raises(ValueError) as want:
+            scipy.linalg.cho_solve(c, b)
+        with pytest.raises(ValueError) as got:
+            fisher.cho_solve(c, b)
+        assert str(got.value) == str(want.value)

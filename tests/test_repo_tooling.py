@@ -181,16 +181,51 @@ def _fresh_python(code):
     return out.stdout.strip()
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
+def test_import_loads_no_heavy_subpackage():
     # signal, sparse, optimize and stats each add hundreds of milliseconds
     # to every command's start-up, ndimage and special tens; the Poisson
-    # tables need none of them. The CLI entry point imports lensless_crb.cli
-    # as well as the package.
-    heavy = ["scipy.signal", "scipy.sparse", "scipy.optimize",
-             "scipy.ndimage", "scipy.special", "scipy.stats"]
+    # tables need none of them. The scipy.linalg package init brings in
+    # SciPy's array-API layer, and with it numpy.f2py, numpy.testing and
+    # numpy.ma, about 0.2 s; forward_model loads the two compiled modules
+    # the package calls without it. The CLI entry point imports
+    # lensless_crb.cli as well as the package.
+    heavy = ["scipy.signal", "scipy.sparse", "scipy.optimize", "scipy.ndimage",
+             "scipy.special", "scipy.stats", "scipy.linalg", "numpy.f2py",
+             "numpy.testing", "numpy.ma"]
     code = ("import sys, lensless_crb, lensless_crb.cli\n"
             f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
     assert _fresh_python(code) == ""
+
+
+def test_later_scipy_linalg_import_reuses_the_loaded_modules():
+    # forward_model registers SciPy's _fblas and _flapack under their own
+    # names, so scipy.linalg exports the very functions the package calls;
+    # were the files not found, the package would load them through
+    # scipy.linalg, and the import test above would fail
+    code = """
+import sys
+from lensless_crb import cli, forward_model
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+print(scipy.linalg.blas.dgemm is forward_model.blas.dgemm,
+      scipy.linalg.lapack.dtrtri is forward_model.lapack.dtrtri)
+"""
+    assert _fresh_python(code) == "True True"
+
+
+def test_case_summary_and_verify_median_load_no_numpy_ma(tmp_path):
+    # np.median's first call on float data imports numpy.ma, which every
+    # forked study worker would then import inside its case; cli.median
+    # serves SUMMARY_STATS and verify's GLS efficiency check instead
+    code = f"""
+import contextlib, io, sys
+from lensless_crb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = (cli.main(["crb", "--psf-size", "8", "--object-size", "8", "--out", {str(tmp_path)!r}]),
+          cli.main(["verify", "--n-samples", "0", "--n-trials", "1000"]))
+print(rc, "numpy.ma" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+    assert _fresh_python(code) == "(0, 0) False False"
 
 
 def test_poisson_log_likelihood_loads_gammaln_where_it_runs():
