@@ -4,7 +4,8 @@ Three estimators probe the bounds empirically:
 
 * Unconstrained least squares (closed form): unbiased and efficient under
   Gaussian noise, so its variance should sit on the CRB.
-* Non-negative least squares via projected gradient descent.
+* Non-negative least squares via accelerated projected gradient (FISTA)
+  with adaptive restart, which never raises the residual.
 * Poisson maximum likelihood via Richardson-Lucy multiplicative updates,
   which preserve positivity and never decrease the likelihood.
 
@@ -12,12 +13,13 @@ The two iterative decoders give their start, its objective, their
 per-column state arrays and a step to one per-column stopping loop,
 ``_iterate``, which alone owns and compacts every per-column array, and
 return its ``DecoderResult``. The loop tests its stopping rule only on check
-steps, every STOP_STRIDE iterations and at max_iters, and asks a step for
-its objective only on a check step and the step before it. Each step forms
+steps, every STOP_STRIDE iterations and at max_iters, and needs a step's
+objective only on a check step and the step before it. Each step forms
 only the products it needs: RL one image Hv + background per iteration,
 which serves its next ratio, and its likelihood only when asked; NNLS one
-product (H^T H) V and no image, forming its squared residual from its
-gradient only when asked. Every column starts from its own data, so a
+product (H^T H) V and no image (a second for the columns that restart),
+moving its squared residual by each step's exact change, which its
+restart test forms anyway. Every column starts from its own data, so a
 trial's iterates do not depend on the trials decoded with it.
 
 ``run_trials`` repeats sample -> estimate with draws from one generator in
@@ -103,11 +105,11 @@ def _iterate(H: SystemMatrix, y, setup, max_iters: int, tol: float) -> DecoderRe
     per-column state arrays (each with n columns) and step(V, f, state,
     form), which maps the running columns to their next iterate, an
     objective and its state. The objective is the new iterate's when form
-    is true and f, untouched, otherwise; the loop sets form only on check
-    steps (multiples of STOP_STRIDE, and max_iters) and the step before
-    each, so f always holds the objective of the step before a check. The
-    step holds no column state of its own: this loop alone owns every
-    per-column array. A column stops at the first check step whose one-step
+    is true; otherwise it may be f, untouched. The loop sets form only on
+    check steps (multiples of STOP_STRIDE, and max_iters) and the step
+    before each, so f always holds the objective of the step before a
+    check. The step holds no column state of its own: this loop alone owns
+    every per-column array. A column stops at the first check step whose one-step
     objective change is below tol relative; it is then written back and
     dropped from V, f and every state array, so the running columns stay
     contiguous.
@@ -162,19 +164,24 @@ def largest_eigenvalue(A: np.ndarray) -> float:
 
 def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
                   tol: float = 1e-9) -> DecoderResult:
-    """Projected gradient descent on ||y - Hv||^2 with v >= 0, from v = 0.
+    """Accelerated projected gradient (FISTA; Beck & Teboulle, SIAM J.
+    Imaging Sci. 2(1), 2009) on ||y - Hv||^2 with v >= 0, from v = 0, with
+    adaptive restart (O'Donoghue & Candes, Found. Comput. Math. 15(3), 2015).
 
-    Step 1/L with L the largest eigenvalue of H^T H (LAPACK), so the objective
-    never rises. Each step forms one product (H^T H) V for its half-gradient
-    g = H^T H v - H^T y and no image Hv. The objective starts from ||y||^2 at
-    v = 0, and when the loop asks for it, it moves from the iterate where it
-    was last formed (the anchor) by <v' - v_a, g' + g_a>, the exact change
-    of a quadratic over the whole span. So the step before a check adds the
-    change since the last check and the check step the one-step change.
-    Its level keeps the rounding of ||y||^2 (a few eps ||y||^2), but its
+    Step 1/L with L the largest eigenvalue of H^T H (LAPACK). Each step moves
+    to the projected gradient step u of the extrapolated point z = v + b (v -
+    v_prev), with b = (t - 1) / t' and t' = (1 + sqrt(1 + 4 t^2)) / 2. It
+    keeps the half-gradient g = H^T H v - H^T y of each accepted iterate, so
+    z's is g + b (g - g_prev) by linearity, and forms one product (H^T H) U
+    per step, on the new iterate, and no image Hv. The change of the squared
+    residual from v to u is <u - v, g_u + g_v>, exact for a quadratic. Where
+    it is positive the column restarts: its momentum resets (t = 1) and it
+    takes a plain projected gradient step from v instead, one more product
+    for those columns only, so the residual never rises and a restart does
+    not stall a column. The residual starts from ||y||^2 at v = 0 and moves
+    by each step's change: its level keeps the rounding of ||y||^2, but its
     changes, which the stopping rule reads, are those of the residual. The
-    step carries each column's H^T y, g and its anchor v_a and g_a as its
-    state.
+    step carries each column's H^T y, g, v_prev, g_prev and t as its state.
     Non-convergence returns the last iterate with converged=False.
     GramUnderflowError if H^T H underflows to L = 0 (every squared PSF entry
     below the smallest subnormal: a peak below about 2e-162).
@@ -186,25 +193,37 @@ def nnls_estimate(H: SystemMatrix, y, max_iters: int = 5000,
             raise GramUnderflowError(float(np.max(H.psf)))
         HtY = adjoint(H, Y)
 
+        def descend(V, G, Z, G_z, HtY):
+            """The projected gradient step U from Z, whose half-gradient is
+            G_z; U's half-gradient; and the exact change of the squared
+            residual from V, whose half-gradient is G, to U."""
+            U = np.maximum(Z - G_z / L, 0.0)
+            # A is column-major and exactly symmetric, so A U = (U^T A)^T; U
+            # is row-major, so dgemm reads U.T and A without a copy, and the
+            # half-gradient comes out row-major like U
+            G_u = blas.dgemm(1.0, U.T, A).T
+            G_u -= HtY
+            return U, G_u, np.sum((U - V) * (G_u + G), axis=0)
+
         def step(V, f, state, form):
-            HtY, g, V_a, g_a = state
-            V_next = np.maximum(V - g / L, 0.0)
-            # A is column-major and exactly symmetric, so A V = (V^T A)^T; V is
-            # row-major, so dgemm reads V.T and A without a copy, and the
-            # half-gradient comes out row-major like V
-            g_next = blas.dgemm(1.0, V_next.T, A).T
-            g_next -= HtY
-            if not form:
-                return V_next, f, (HtY, g_next, V_a, g_a)
+            HtY, G, V_prev, G_prev, t = state
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            b = (t - 1.0) / t_next
+            U, G_u, change = descend(V, G, V + b * (V - V_prev), G + b * (G - G_prev), HtY)
+            r = np.flatnonzero(change > 0.0)
+            if r.size:
+                V_r, G_r = V[:, r], G[:, r]
+                U[:, r], G_u[:, r], change[r] = descend(V_r, G_r, V_r, G_r, HtY[:, r])
+                t_next[:, r] = (1.0 + np.sqrt(5.0)) / 2.0    # t' at t = 1
             # the expanded ||y||^2 - 2<v, H^T y> + <v, Av> rounds ||y||^2
             # afresh at every step, which at bright objects moves it by more
             # than tol; this sum keeps one rounding throughout
-            f = f + np.sum((V_next - V_a) * (g_next + g_a), axis=0)
-            return V_next, f, (HtY, g_next, V_next, g_next)
+            return U, f + change, (HtY, G_u, V, G, t_next)
 
-        # at v = 0 the objective is ||y||^2 and the half-gradient -H^T y
-        V, g = np.zeros((H.d, Y.shape[1])), -HtY
-        return V, np.sum(Y * Y, axis=0), (HtY, g, V, g), step
+        # at v = 0 the objective is ||y||^2 and the half-gradient -H^T y; t
+        # is a (1, n) row, so the loop compacts it with the other state
+        V, G = np.zeros((H.d, Y.shape[1])), -HtY
+        return V, np.sum(Y * Y, axis=0), (HtY, G, V, G, np.ones((1, Y.shape[1]))), step
 
     return _iterate(H, y, setup, max_iters, tol)
 

@@ -80,17 +80,31 @@ def dense_cells_8x8(peak):
 
 
 def textbook_nnls_iterates(H, Y, n_iters):
-    """Projected gradient with the gradient formed afresh from each iterate
-    and no objective, on nnls_estimate's Gram, step 1/L and product,
-    yielding the start and each of n_iters iterates."""
+    """Restarted FISTA with every gradient formed afresh at its point and
+    each restart decided from the direct residual ||y - Hv||^2, on
+    nnls_estimate's Gram and step 1/L, yielding the start and each of
+    n_iters iterates. A step whose residual would rise is replaced by the
+    projected gradient step from the iterate, and the momentum restarts."""
     A = weighted_gram(H)
     L = eigvalsh(A, subset_by_index=[H.d - 1, H.d - 1])[0]
     HtY = adjoint(H, Y)
-    V = np.zeros((H.d, Y.shape[1]))
+
+    def residual(V):
+        return np.sum((Y - forward(H, V)) ** 2, axis=0)
+
+    def projected_step(Z, HtY):
+        return np.maximum(Z - (blas.dgemm(1.0, Z.T, A).T - HtY) / L, 0.0)
+
+    V = V_prev = np.zeros((H.d, Y.shape[1]))
+    t = np.ones(Y.shape[1])
     yield V
     for _ in range(n_iters):
-        grad = blas.dgemm(1.0, V.T, A).T - HtY
-        V = np.maximum(V - grad / L, 0.0)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        U = projected_step(V + (t - 1.0) / t_next * (V - V_prev), HtY)
+        rises = residual(U) > residual(V)
+        U[:, rises] = projected_step(V[:, rises], HtY[:, rises])
+        t_next[rises] = (1.0 + np.sqrt(5.0)) / 2.0
+        V, V_prev, t = U, V, t_next
         yield V
 
 
@@ -98,6 +112,18 @@ def textbook_nnls(H, Y, n_iters):
     """nnls_estimate's oracle at tol = 0: the last textbook iterate."""
     *_, V = textbook_nnls_iterates(H, Y, n_iters)
     return V
+
+
+def assert_near_textbook_nnls(V, ref):
+    """nnls_estimate carries each half-gradient and decides restarts from
+    the exact change of the quadratic, where the textbook forms both
+    afresh, so their iterates differ by rounding: at most 2.4e-14 of the
+    largest pixel over 400 steps (measured on 11 seeds of the textbook-bits
+    batch and 10 of the stopping-rule case). Their zeros, set by the
+    projection, are the same."""
+    assert V.shape == ref.shape
+    np.testing.assert_array_equal(V == 0.0, ref == 0.0)
+    assert np.max(np.abs(V - ref)) <= 1e-12 * np.max(ref)
 
 
 def record_nnls_steps(monkeypatch):
@@ -247,14 +273,32 @@ class TestNnls:
         rnorm = np.linalg.norm(y - forward(H, v))
         assert rnorm ** 2 <= ref_rnorm ** 2 + 1e-6
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_defaults_meet_tol_near_lawson_hanson(self, seed):
+        # the decoder benchmark's NNLS instance: 40 unit-Gaussian trials of
+        # dense cells at peak 50, decoded at the defaults. Every trial meets
+        # tol, and each estimate lies within 5e-3 of its largest pixel of
+        # scipy's active-set solution (measured on seeds 0-11: at most
+        # 3.2e-3, median 6e-4; stops at steps 320-640)
+        H, v = dense_cells_8x8(50.0)
+        Y = np.ascontiguousarray(sample(GaussianNoise(1.0), np.broadcast_to(
+            forward(H, v.values), (40, H.k)), np.random.default_rng(seed)).T)
+        res = nnls_estimate(H, Y)
+        assert np.count_nonzero(res.column_converged) == 40
+        for j in range(40):
+            ref, _ = scipy_nnls(H.matrix, Y[:, j])
+            assert np.max(np.abs(res.values[:, j] - ref)) <= 5e-3 * np.max(ref)
+
     def test_textbook_bits(self):
-        # carrying the gradient from one step to the next, and tracking the
-        # objective from it, leaves every iterate's bits as the textbook loop's
+        # the extrapolated point's gradient by linearity and the restarts
+        # decided from the tracked change of the objective follow the
+        # textbook loop, which forms both afresh, to rounding; the batch
+        # restarts 14 times in its 400 steps
         H, _ = beads_8x8()
         rng = np.random.default_rng(9)
         Y = forward(H, rng.uniform(0.0, 50.0, size=(H.d, 6))) + rng.normal(size=(H.k, 6))
         V = nnls_estimate(H, Y, max_iters=400, tol=0.0).values
-        assert_same_bits(V, textbook_nnls(H, Y, 400))
+        assert_near_textbook_nnls(V, textbook_nnls(H, Y, 400))
         assert np.any(V == 0.0) and np.any(V > 0.0)
 
     @pytest.mark.parametrize("peak", [50.0, 1e6], ids=["peak-50", "peak-1e6"])
@@ -436,8 +480,9 @@ class TestStoppingRule:
     """A column stops at the first check step (a multiple of STOP_STRIDE, or
     max_iters) whose one-step objective change is below tol relative, read
     off the textbook iterates: RL's log-likelihood and NNLS's direct squared
-    residual. Each column is decoded alone, so its products are the
-    textbook's bit for bit."""
+    residual. Each column is decoded alone, so RL's products are the
+    textbook's bit for bit and NNLS's iterates are the textbook's to
+    rounding."""
 
     @pytest.mark.parametrize("max_iters", [400, 57])
     @pytest.mark.parametrize("name", ["mle", "nnls"])
@@ -455,6 +500,7 @@ class TestStoppingRule:
             def decode(y, tol):
                 return poisson_mle(H, y, background=1.0, max_iters=max_iters, tol=tol)
             tols = (1e-4, 1e-6, 1e-9)
+            same = assert_same_bits
         else:
             H, v = dense_cells_8x8(50.0)
             Y = forward(H, v.values)[:, None] + np.random.default_rng(14).normal(
@@ -468,21 +514,30 @@ class TestStoppingRule:
             def decode(y, tol):
                 return nnls_estimate(H, y, max_iters=max_iters, tol=tol)
             tols = (1e-3, 1e-4, 1e-6)
-        last_check = check_steps(max_iters)[-2]
+            same = assert_near_textbook_nnls
+        earlier_checks = check_steps(max_iters)[:-1]
+        stopped_at_max = 0
         for j in range(Y.shape[1]):
             y = Y[:, [j]]
             iterates, f = iterates_and_objectives(y)
             change = np.abs(np.diff(f)) / np.abs(f[:-1])
-            # a tol that the check step before max_iters misses and
-            # max_iters meets
-            at_max = np.sqrt(change[last_check - 1] * change[max_iters - 1])
-            assert first_settled_check(f, at_max) == max_iters
-            for tol in (*tols, at_max):
+            # a tol that every earlier check step misses and max_iters
+            # meets, where the changes allow one: RL's fall at every step,
+            # while FISTA's momentum can leave an earlier check's below
+            # the last
+            smallest_earlier = change[earlier_checks - 1].min()
+            at_max = []
+            if change[max_iters - 1] < smallest_earlier:
+                at_max = [np.sqrt(smallest_earlier * change[max_iters - 1])]
+                assert first_settled_check(f, at_max[0]) == max_iters
+                stopped_at_max += 1
+            for tol in (*tols, *at_max):
                 stop = first_settled_check(f, tol)
                 res = decode(y, tol)
                 assert (int(res.column_iters[0]), res.converged) == \
                     (stop or max_iters, stop is not None)
-                assert_same_bits(res.values, iterates[stop or max_iters])
+                same(res.values, iterates[stop or max_iters])
+        assert stopped_at_max > 0
 
 
 @pytest.mark.parametrize("decoder", [nnls_estimate, poisson_mle],
@@ -533,7 +588,8 @@ def small_decoder_case(estimator):
     tol and some do not."""
     if estimator == "nnls":
         H, v = dense_cells_8x8(50.0)
-        return GaussianNoise(1.0), H, v, {"max_iters": 1000, "tol": 1e-5}
+        # NNLS's default tol; its trials stop between steps 380 and 560
+        return GaussianNoise(1.0), H, v, {"max_iters": 400, "tol": 1e-9}
     H, v = beads_8x8()
     return PoissonNoise(1e-7), H, v, {"max_iters": 500, "tol": 1e-9}
 
