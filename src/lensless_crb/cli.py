@@ -40,8 +40,7 @@ from .errors import (
     TrialFailureError,
 )
 from .estimators import run_trials
-from .forward_model import (GRAM_BLOCK_BYTES, blas_thread_cap, blas_threads,
-                            build_system_matrix, forward)
+from .forward_model import blas_thread_cap, blas_threads, build_system_matrix, forward
 from .oracles import fd_gradient, fd_jacobian, relative_error
 from .seeds import substream
 
@@ -408,12 +407,14 @@ def cmd_study(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: dict, draws: dict):
+def _verify_checks(cfg: dict, monte_carlo: dict):
     """Yield (check name, status, detail); status in PASS/FAIL/SKIP.
 
     Every parameter is checked before the first check runs, so a bad one
-    fails the command before any result is printed. Each Monte Carlo check
-    that runs records how its model drew (model.draw_path) in draws.
+    fails the command before any result is printed. monte_carlo records the
+    Monte Carlo's rows per block at H's k under block_rows, and each Monte
+    Carlo check that runs records how its model drew (model.draw_path)
+    under draws.
     """
     seed = cfg["seed"]
     n_samples = cfg["n_samples"]
@@ -426,6 +427,7 @@ def _verify_checks(cfg: dict, draws: dict):
     obj = make_object_grid(case)
     H = build_system_matrix(psf_grid, obj.shape)
     v = obj.ravel()
+    monte_carlo["block_rows"] = fisher.monte_carlo_block_rows(H.k)
 
     # structural invariants of H
     colsums = H.matrix.sum(axis=0)
@@ -447,7 +449,7 @@ def _verify_checks(cfg: dict, draws: dict):
             continue
         mc = fisher.fisher_monte_carlo(model, H, v, n_samples,
                                        derive_seed(seed, f"mc-{label}"))
-        draws[label] = model.draw_path(noise.mean_measurement(model, H, v))
+        monte_carlo["draws"][label] = model.draw_path(noise.mean_measurement(model, H, v))
         err = relative_error(mc, closed_forms[label])
         yield f"mc_fisher_{label}", "PASS" if err < MC_FISHER_LIMIT else "FAIL", \
             f"rel Frobenius error {err:.4f} (limit {MC_FISHER_LIMIT:g}, n={n_samples})"
@@ -488,9 +490,9 @@ def _verify_checks(cfg: dict, draws: dict):
 def cmd_verify(args, cfg: dict) -> int:
     """Run the oracle suite at reduced size."""
     results, check_s = [], {}
-    draws = {}   # each Monte Carlo check's draw path, if it ran
+    recorded = {"block_rows": None, "draws": {}}   # filled by the checks
     t0 = t_check = time.perf_counter()
-    for name, status, detail in _verify_checks(cfg, draws):
+    for name, status, detail in _verify_checks(cfg, recorded):
         # a check's time runs from the end of the previous one, so the first
         # check carries the set-up of H and the object
         check_s[name] = time.perf_counter() - t_check
@@ -502,13 +504,13 @@ def cmd_verify(args, cfg: dict) -> int:
     if args.out:
         # workers ran, each at blas_threads (null: not capped), only if a
         # Monte Carlo check did, and so recorded its draws
-        ran_mc = bool(draws)
+        ran_mc = bool(recorded["draws"])
         monte_carlo = {
             "workers": fisher.monte_carlo_workers(cfg["n_samples"]) if ran_mc else 0,
             "blas_threads": blas_thread_cap() if ran_mc else None,
             "chunk_samples": fisher.MC_CHUNK,
-            "block_bytes": GRAM_BLOCK_BYTES,
-            "draws": draws,
+            "block_bytes": fisher.MC_BLOCK_BYTES,
+            **recorded,
         }
         write_run_manifest(Path(args.out), cfg, "verify", {"verify": elapsed, **check_s},
                            checks=results, monte_carlo=monte_carlo)

@@ -40,11 +40,12 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import DimensionError, FactorizationError
-from .forward_model import (GRAM_BLOCK_BYTES, SystemMatrix, adjoint, build_matrix,
-                            gram, lapack, one_blas_thread, weighted_gram)
+from .forward_model import (SystemMatrix, adjoint, build_matrix, gram, lapack,
+                            one_blas_thread, weighted_gram)
 from .noise import GaussianNoise, PoissonNoise, check_parameter, mean_measurement
 
 MC_CHUNK = 20_000           # Monte Carlo samples per seed chunk
+MC_BLOCK_BYTES = 1 << 20    # bytes of one Monte Carlo row block of draws: L2-sized
 EPSILON_REL = 1e-9    # default diagonal loading, relative to max(diag(J))
 
 
@@ -143,13 +144,16 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
     unless the tables would exceed GRAM_BLOCK_BYTES; then rng.poisson draws.
 
     Memory is bounded whatever n_samples is: a worker draws and projects its
-    chunk in row blocks of at most GRAM_BLOCK_BYTES of measurements (one
-    row if a row is larger), and holds at most four block-sized arrays at
-    once: the draws, their score weights and two ufunc temporaries (with
-    Poisson tables two: the uniforms, which become the counts in place,
-    beside first their guide bins and then the score weights). Beyond its
-    d x d partials the call allocates less than workers * 4 *
-    GRAM_BLOCK_BYTES, the Poisson tables (at most GRAM_BLOCK_BYTES) included.
+    chunk in row blocks of monte_carlo_block_rows(k) rows, at most
+    MC_BLOCK_BYTES of measurements (one row if a row is larger), so a
+    block's draws stay in cache. It allocates two block arrays once per
+    chunk and fills them in place for every block: the draws, which their
+    score weights overwrite, and their projection S = W H, no larger since
+    d <= k. Drawing adds one block-sized temporary at most (the Poisson
+    tables' guide bins, or rng.poisson's integer counts) and the compacted
+    draws whose guide bin is ambiguous. Beyond its d x d partials the call
+    allocates less than workers * 4 * MC_BLOCK_BYTES plus the Poisson
+    tables (at most GRAM_BLOCK_BYTES).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -170,6 +174,12 @@ def fisher_monte_carlo(model, H: SystemMatrix, v, n_samples: int,
         J += part
     J /= n_samples
     return J
+
+
+def monte_carlo_block_rows(k: int) -> int:
+    """Samples per row block of fisher_monte_carlo at k measurements: as
+    many rows as fit in MC_BLOCK_BYTES, and at least one."""
+    return max(1, MC_BLOCK_BYTES // (8 * k))
 
 
 def monte_carlo_workers(n_samples: int) -> int:
@@ -224,18 +234,25 @@ def cpu_count() -> int:
 
 
 def _chunk_gram(model, H: SystemMatrix, mean, draw, seed_seq, m: int) -> np.ndarray:
-    """S^T S over m samples from one seed chunk, drawn by draw(rng, shape)
-    in row blocks of at most GRAM_BLOCK_BYTES of measurements; a
-    generator's draws split into blocks are the draws of one call."""
+    """S^T S over m samples from one seed chunk, drawn by draw(rng, out=) in
+    row blocks of monte_carlo_block_rows(H.k); a generator's draws split
+    into blocks are the draws of one call. The draws and their projection
+    live in two arrays allocated once here, whose leading parts each block
+    fills in place: gram takes a block before the next one is drawn."""
     rng = np.random.default_rng(seed_seq)
-    rows = max(1, GRAM_BLOCK_BYTES // (8 * H.k))
+    rows = min(m, monte_carlo_block_rows(H.k))
+    draws, projected = np.empty(rows * H.k), np.empty(rows * H.d)
 
     def block(n):
-        # adjoint returns the row-major H^T W^T, so S = W H is column-major
-        # and dsyrk reads it without a copy
-        return adjoint(H, model.score_weights(draw(rng, (n, H.k)), mean).T).T
+        Y = draws[:n * H.k].reshape(n, H.k)
+        W = model.score_weights(draw(rng, out=Y), mean, out=Y)
+        # adjoint writes the row-major H^T W^T into S.T, so S = W H is
+        # column-major and dsyrk reads it without a copy
+        S = projected[:n * H.d].reshape((n, H.d), order="F")
+        adjoint(H, W.T, out=S.T)
+        return 0, S
 
-    return gram(((0, block(min(rows, m - start))) for start in range(0, m, rows)), H.d)
+    return gram((block(min(rows, m - start)) for start in range(0, m, rows)), H.d)
 
 
 def diagonal_load(A: np.ndarray, epsilon_rel: float = EPSILON_REL) -> float:

@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
-GRAM_BLOCK_BYTES = 8 << 20   # bytes of one row block of S, or of the draws it is formed from
+GRAM_BLOCK_BYTES = 8 << 20   # bytes of one band block of S, and at most of noise.PoissonTables
 STRIP = 64   # columns per strip when adding a block's product into a Gram or mirroring it
 
 
@@ -212,27 +212,34 @@ def _convolve(H: SystemMatrix, values: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def adjoint(H: SystemMatrix, r) -> np.ndarray:
+def adjoint(H: SystemMatrix, r, out=None) -> np.ndarray:
     """Back-projection H^T r of one measurement-plane vector (k,) or of a
-    batch in the columns of a (k, n) array."""
+    batch in the columns of a (k, n) array. A batch's (d, n) product is
+    written into out, a row-major float array, when one is given."""
     r = np.asarray(r, dtype=float)
     if r.ndim > 2 or r.shape[:1] != (H.k,):
         raise DimensionError(f"measurement shape {r.shape} is not ({H.k},) or ({H.k}, n)")
-    return _product(H.matrix, r, trans=1)
+    return _product(H.matrix, r, trans=1, out=out)
 
 
-def _product(M: np.ndarray, x: np.ndarray, trans: int) -> np.ndarray:
+def _product(M: np.ndarray, x: np.ndarray, trans: int, out=None) -> np.ndarray:
     """M x (trans=0) or M^T x (trans=1) of a vector, or of the columns of a
     matrix x, on SciPy's BLAS; H's column-major matrix is read in place.
 
     A batch is formed as the transpose of x^T op(M)^T, with x^T taken as the
     column-major x.T when x is row-major, so dgemm copies neither operand
     of a contiguous x; this operand order also ran faster than op(M) x.
+    dgemm writes it into the column-major out.T, if out is given.
     """
     if x.ndim == 1:
         return blas.dgemv(1.0, M, x, trans=trans)
     xt, trans_x = (x.T, 0) if x.flags.c_contiguous else (x, 1)
-    return blas.dgemm(1.0, xt, M, trans_a=trans_x, trans_b=1 - trans).T
+    y = blas.dgemm(1.0, xt, M, trans_a=trans_x, trans_b=1 - trans,
+                   c=None if out is None else out.T, overwrite_c=1).T
+    # SciPy's wrapper would write a copy of an out of another layout or dtype
+    if out is not None and not np.shares_memory(y, out):
+        raise ValueError(f"out must be a row-major float64 array of shape {y.shape}")
+    return y
 
 
 def weighted_gram(H: SystemMatrix, w=1.0) -> np.ndarray:

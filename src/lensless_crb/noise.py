@@ -16,7 +16,9 @@ apply that math through H, whatever the model, at the one mean measurement
 mean_measurement(model, H, v). A model validates its parameter once, when it
 is built. A model's sampler(mean) draws many measurements around one fixed
 mean row, as the Monte Carlo Fisher does: Poisson counts then come from
-PoissonTables, one uniform per count.
+PoissonTables, one uniform per count. Draws and score weights take out=, so
+the Monte Carlo fills one row block in place with the draws and then their
+weights, with the bits the allocating calls give.
 
 The Poisson background floor keeps likelihood, score, and Fisher information
 well defined where a sparse object's PSF copies never deposit photons;
@@ -60,12 +62,19 @@ class GaussianNoise:
     def __post_init__(self):
         check_parameter("sigma2", self.sigma2)
 
-    def draw(self, rng, mean, shape) -> np.ndarray:
-        return mean + rng.normal(0.0, np.sqrt(self.sigma2), size=shape)
+    def draw(self, rng, mean, shape=None, out=None) -> np.ndarray:
+        """Measurements of the given shape, or filling out in place:
+        standard normals scaled and shifted in place, the bits of mean +
+        rng.normal(0, sqrt(sigma2), shape)."""
+        y = rng.standard_normal(shape, out=out)
+        y *= np.sqrt(self.sigma2)
+        y += mean
+        return y
 
     def sampler(self, mean):
-        """draw(rng, shape) around the fixed mean row: the model's own draws."""
-        return lambda rng, shape: self.draw(rng, mean, shape)
+        """draw(rng, shape=None, out=None) around the fixed mean row, as
+        model.draw: the model's own draws."""
+        return lambda rng, shape=None, out=None: self.draw(rng, mean, shape, out)
 
     def draw_path(self, mean) -> dict:
         """How sampler(mean) draws, as a manifest records it."""
@@ -81,8 +90,11 @@ class GaussianNoise:
         measurement: sum(change (2 (y - mean) - change)) / (2 sigma2)."""
         return float(np.sum(change * (2.0 * (y - mean) - change)) / (2.0 * self.sigma2))
 
-    def score_weights(self, y, mean):
-        return (y - mean) / self.sigma2
+    def score_weights(self, y, mean, out=None):
+        """(y - mean) / sigma2, written into out (which may be y) if given."""
+        r = np.subtract(y, mean, out=out)
+        r /= self.sigma2
+        return r
 
     def score_weights_change(self, y, mean, change):
         """score_weights(y, mean + change) - score_weights(y, mean): -change / sigma2."""
@@ -104,16 +116,20 @@ class PoissonNoise:
     def __post_init__(self):
         check_parameter("background", self.background, allow_zero=True)
 
-    def draw(self, rng, mean, shape) -> np.ndarray:
-        return rng.poisson(mean, size=shape).astype(float)
+    def draw(self, rng, mean, shape=None, out=None) -> np.ndarray:
+        """rng.poisson counts of the given shape as floats, or copied into out."""
+        y = np.empty(shape) if out is None else out
+        y[...] = rng.poisson(mean, size=y.shape)
+        return y
 
     def sampler(self, mean):
-        """draw(rng, shape) around the fixed mean row: PoissonTables inversion,
-        one rng.random double per count, unless its tables would exceed
-        GRAM_BLOCK_BYTES (table_bytes gives 0); then rng.poisson, as draw."""
+        """draw(rng, shape=None, out=None) around the fixed mean row:
+        PoissonTables inversion, one rng.random double per count, unless its
+        tables would exceed GRAM_BLOCK_BYTES (table_bytes gives 0); then
+        rng.poisson, as model.draw."""
         if table_bytes(mean):
             return PoissonTables(mean).draw
-        return lambda rng, shape: self.draw(rng, mean, shape)
+        return lambda rng, shape=None, out=None: self.draw(rng, mean, shape, out)
 
     def draw_path(self, mean) -> dict:
         """How sampler(mean) draws, as a manifest records it."""
@@ -140,13 +156,14 @@ class PoissonNoise:
             ylog = np.where(y > 0, y * np.log1p(change / mean), 0.0)
         return float(np.sum(ylog) - np.sum(change))
 
-    def score_weights(self, y, mean):
+    def score_weights(self, y, mean, out=None):
+        """y / mean - 1, written into out (which may be y) if given."""
         if np.all(mean > 0):
             # a zero count gives 0 / mean = 0, as _poisson_ratio does
-            r = np.divide(y, mean)
+            r = np.divide(y, mean, out=out)
             r -= 1.0
             return r
-        return _poisson_ratio(mean, y) - 1.0
+        return np.subtract(_poisson_ratio(mean, y), 1.0, out=out)
 
     def score_weights_change(self, y, mean, change):
         """score_weights(y, mean + change) - score_weights(y, mean), formed
@@ -232,12 +249,13 @@ class PoissonTables:
         self.cdf = cdf.ravel()
         self.row_bins = np.arange(0, k * G, G)   # first bin of each pixel
 
-    def draw(self, rng, shape) -> np.ndarray:
-        """Counts of the given (rows, k) shape, as floats, from one
-        rng.random call: one double per count, in row-major order, so draws
-        split into row blocks are the draws of one call."""
-        u = rng.random(shape)
-        q = np.multiply(u, self.bins, out=np.empty(shape, np.intp), casting="unsafe")
+    def draw(self, rng, shape=None, out=None) -> np.ndarray:
+        """Counts of the given (rows, k) shape, as floats, or filling the
+        row-major out in place, from one rng.random call: one double per
+        count, in row-major order, so draws split into row blocks are the
+        draws of one call."""
+        u = rng.random(shape, out=out)
+        q = np.multiply(u, self.bins, out=np.empty(u.shape, np.intp), casting="unsafe")
         q += self.row_bins
         pos = np.flatnonzero(np.take(self.ambiguous, q, mode="clip"))
         flat = u.reshape(-1)

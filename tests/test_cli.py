@@ -373,11 +373,13 @@ class TestVerifyCommand:
         assert sum(timings[c] for c in checks) <= timings["verify"] + 1e-5
         # two chunks cap the three CPUs at two workers, each at one BLAS thread;
         # the Poisson counts came from tables of verify's 225 measurement
-        # pixels, the 15x15 full convolution of its 8x8 PSF and object
+        # pixels, the 15x15 full convolution of its 8x8 PSF and object, which
+        # a row block holds as many of as fit in the Monte Carlo's block bytes
         table_bytes = manifest["monte_carlo"]["draws"]["poisson"]["table_bytes"]
         assert manifest["monte_carlo"] == {
             "workers": 2, "blas_threads": forward_model.blas_thread_cap(),
-            "chunk_samples": fisher.MC_CHUNK, "block_bytes": forward_model.GRAM_BLOCK_BYTES,
+            "chunk_samples": fisher.MC_CHUNK, "block_bytes": fisher.MC_BLOCK_BYTES,
+            "block_rows": fisher.MC_BLOCK_BYTES // (8 * 225),
             "draws": {"gaussian": {"path": "rng.normal", "table_bytes": 0},
                       "poisson": {"path": "tables", "table_bytes": table_bytes}}}
         assert table_bytes % (225 * noise.TABLE_ENTRY_BYTES) == 0

@@ -28,7 +28,7 @@ from lensless_crb import (
 )
 from lensless_crb import cli, fisher, noise
 from lensless_crb.fisher import MC_CHUNK, fisher_gaussian
-from lensless_crb.forward_model import GRAM_BLOCK_BYTES, weighted_gram
+from lensless_crb.forward_model import weighted_gram
 from lensless_crb.oracles import relative_error
 from lensless_crb.psf import Diffuser, Lenslets, PsfSpec, Rml
 from conftest import assert_same_bits, one_working_array_bound, traced_peak_bytes
@@ -216,14 +216,18 @@ class FailingModel:
     background = 0.0
 
     def sampler(self, mean):
-        # the last entry of a spawned child's key is its chunk index
-        return lambda rng, shape: np.full(shape,
-                                          float(rng.bit_generator.seed_seq.spawn_key[-1]))
+        def draw(rng, shape=None, out=None):
+            y = np.empty(shape) if out is None else out
+            # the last entry of a spawned child's key is its chunk index
+            y.fill(float(rng.bit_generator.seed_seq.spawn_key[-1]))
+            return y
 
-    def score_weights(self, y, mean):
+        return draw
+
+    def score_weights(self, y, mean, out=None):
         if y[0, 0] == 1.0:
             raise _ChunkError("chunk 2")
-        return y - mean
+        return np.subtract(y, mean, out=out)
 
 
 class FakePool:
@@ -368,7 +372,7 @@ class TestMonteCarloChunks:
     def test_matches_serial_whole_chunk_reference(self, model, small_lenslet_h):
         # k = 289 splits each chunk into row blocks, so the draws of one
         # chunk come from several generator calls
-        assert GRAM_BLOCK_BYTES // (8 * small_lenslet_h.k) < MC_CHUNK
+        assert fisher.monte_carlo_block_rows(small_lenslet_h.k) < MC_CHUNK
         v = np.linspace(1.0, 40.0, small_lenslet_h.d)
         J = fisher_monte_carlo(model, small_lenslet_h, v, self.N, seed=10)
         reference = serial_monte_carlo(model, small_lenslet_h, v, self.N, seed=10)
@@ -394,9 +398,9 @@ class TestMonteCarloChunks:
         seen = []
 
         class Recording(GaussianNoise):
-            def draw(self, rng, mean, shape):
+            def draw(self, rng, mean, shape=None, out=None):
                 seen.append(blas_threads_at_two())
-                return super().draw(rng, mean, shape)
+                return super().draw(rng, mean, shape, out)
 
         fisher_monte_carlo(Recording(1.0), small_lenslet_h,
                            np.ones(small_lenslet_h.d), 2 * MC_CHUNK, seed=0)
@@ -417,11 +421,17 @@ class TestMonteCarloChunks:
         monkeypatch.setattr(fisher, "cpu_count", lambda: 1)
         peak_bytes(1)
         assert peak_bytes(4 * MC_CHUNK) <= peak_bytes(2 * MC_CHUNK) + (64 << 10)
+        # a chunk's block arrays are allocated once, so one block of rows
+        # peaks as high as the many blocks of a whole chunk
+        rows = fisher.monte_carlo_block_rows(H.k)
+        assert 10 * rows < MC_CHUNK
+        assert peak_bytes(MC_CHUNK) <= peak_bytes(rows) + (64 << 10)
         # the docstring's bound, with every worker busy
         workers = 3
         monkeypatch.setattr(fisher, "cpu_count", lambda: workers)
         assert fisher.monte_carlo_workers(4 * MC_CHUNK) == workers
-        assert peak_bytes(4 * MC_CHUNK) < workers * 4 * GRAM_BLOCK_BYTES
+        tables = noise.table_bytes(forward(H, v) + model.background)
+        assert peak_bytes(4 * MC_CHUNK) < workers * 4 * fisher.MC_BLOCK_BYTES + tables
 
 
 def test_monte_carlo_bitwise_independent_of_blas_threads():

@@ -344,6 +344,22 @@ class TestBlasKernels:
         R = BATCH_LAYOUTS[layout](np.random.default_rng(18).uniform(0, 3, size=(H.k, 4)))
         assert_matches_product(adjoint(H, R), H.matrix.T @ R.astype(float))
 
+    @pytest.mark.parametrize("layout", BATCH_LAYOUTS)
+    def test_adjoint_batch_into_out_is_the_allocating_product(self, H, layout):
+        R = BATCH_LAYOUTS[layout](np.random.default_rng(18).uniform(0, 3, size=(H.k, 4)))
+        out = np.full((H.d, 4), np.nan)
+        got = adjoint(H, R, out=out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(out, adjoint(H, R))
+
+    @pytest.mark.parametrize("out", [np.empty((30, 4), order="F"), np.empty((30, 4), np.float32),
+                                     np.empty((30, 8))[:, ::2]],
+                             ids=["column-major", "float32", "strided"])
+    def test_adjoint_rejects_an_out_it_would_copy(self, H, out):
+        assert H.d == 30
+        with pytest.raises(ValueError, match="row-major float64"):
+            adjoint(H, np.ones((H.k, 4)), out=out)
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_weight_vector_gram_matches_scaled_product(self, H, layout):
         w = LAYOUTS[layout](np.random.default_rng(13).uniform(0, 2, size=H.k))

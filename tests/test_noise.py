@@ -305,6 +305,48 @@ class TestPoissonTables:
         np.testing.assert_array_equal(got, want)
 
 
+class TestInPlaceSampling:
+    """A sampler fills a caller's row blocks in place, and score weights
+    overwrite them, as the Monte Carlo Fisher draws; the bits are those of
+    one allocating call."""
+
+    MEAN = np.random.default_rng(8).uniform(0.0, 50.0, size=37)
+
+    @pytest.mark.parametrize("model, mean", [
+        (GaussianNoise(1e-4), MEAN), (GaussianNoise(1.0), MEAN), (GaussianNoise(37.5), MEAN),
+        (PoissonNoise(0.0), TestPoissonTables.RATES),   # tables, and a zero rate
+        (PoissonNoise(0.0), np.full(300, 1e4)),         # rng.poisson
+    ], ids=["gaussian-1e-4", "gaussian-1", "gaussian-37.5", "poisson-tables",
+            "poisson-rng.poisson"])
+    def test_blocks_filled_in_place_equal_one_allocating_call(self, model, mean):
+        draw = model.sampler(mean)
+        if isinstance(model, PoissonNoise):
+            assert (noise.table_bytes(mean) > 0) == (mean.size < 300)
+        want = draw(np.random.default_rng(7), (50, mean.size))
+        want_weights = model.score_weights(want, mean)
+        rng, buffer = np.random.default_rng(7), np.empty(17 * mean.size)
+        got, got_weights = [], []
+        for rows in (1, 16, 17, 16):
+            Y = buffer[:rows * mean.size].reshape(rows, mean.size)
+            assert draw(rng, out=Y) is Y
+            got.append(Y.copy())
+            assert model.score_weights(Y, mean, out=Y) is Y
+            got_weights.append(Y.copy())
+        np.testing.assert_array_equal(np.concatenate(got), want)
+        np.testing.assert_array_equal(np.concatenate(got_weights), want_weights)
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1.0, 37.5])
+    def test_gaussian_sample_keeps_the_rng_normal_bits(self, sigma2):
+        b = np.tile(self.MEAN, (3, 1))
+        want = b + np.random.default_rng(5).normal(0.0, np.sqrt(sigma2), size=b.shape)
+        np.testing.assert_array_equal(sample(GaussianNoise(sigma2), b, 5), want)
+
+    def test_poisson_sample_keeps_the_rng_poisson_bits(self):
+        b = np.tile(self.MEAN, (3, 1))
+        want = np.random.default_rng(5).poisson(b).astype(float)
+        np.testing.assert_array_equal(sample(PoissonNoise(0.0), b, 5), want)
+
+
 @pytest.mark.parametrize("fn", [log_likelihood, score, hessian_log_likelihood])
 @pytest.mark.parametrize("y", [1.0, np.ones(4), np.ones((9, 1))],
                          ids=["scalar", "short", "column"])
